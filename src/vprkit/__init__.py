@@ -1,5 +1,8 @@
 """Visual place recognition toolkit with reference-set finetuning."""
 
+# Set before the submodule imports: manifest reads it while they load.
+__version__ = "0.1.0"
+
 from .augmentation import AugmentationOp, AugmentationSpec, apply, sample_op
 from .dataset import (
     Dataset,
@@ -50,8 +53,6 @@ from .rsf import (
     triplet_loss,
 )
 from .synth import StyleParams, SynthWorldSpec, generate_synthetic
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AugmentationOp",

@@ -75,19 +75,18 @@ class AugmentationSpec:
     )
     include_flip: bool = False  # flips can alias symmetric synthetic scenes
     kind_whitelist: frozenset[str] | None = None  # None = all kinds of the categories
-    seed: int = 0
 
     @classmethod
-    def from_string(cls, text: str, seed: int = 0) -> "AugmentationSpec":
+    def from_string(cls, text: str) -> "AugmentationSpec":
         """Parse the config-file form: 'appearance,viewpoint' | 'none' etc."""
         text = text.strip().lower()
         if text == "none":
-            return cls(categories=frozenset(), seed=seed)
+            return cls(categories=frozenset())
         cats = frozenset(p.strip() for p in text.split(",") if p.strip())
         bad = cats - {"appearance", "viewpoint"}
         if bad:
             raise VprError(f"unknown augmentation category {sorted(bad)[0]!r}")
-        return cls(categories=cats, seed=seed)
+        return cls(categories=cats)
 
     def enabled_kinds(self) -> list[str]:
         kinds: list[str] = []

@@ -43,12 +43,6 @@ def _out_root(args: argparse.Namespace) -> str:
     return args.out or os.environ.get(DEFAULT_OUT_ENV, "runs")
 
 
-def _atomic_save(save_fn, obj, path: Path) -> None:
-    tmp = path.with_name(f".{path.name}.tmp")
-    save_fn(obj, tmp)
-    os.replace(tmp, path)
-
-
 def _parse_style(text: str) -> StyleParams:
     """Parse 'palette=1,family=stripes,hue=35,brightness=-0.2,...'."""
     kwargs: dict = {}
@@ -75,7 +69,15 @@ def _parse_style(text: str) -> StyleParams:
 
 
 def _parse_ns(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(","))
+    try:
+        ns = tuple(int(p) for p in text.split(","))
+        if min(ns) >= 1:
+            return ns
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"--ns expects comma-separated positive integers, got {text!r}"
+    )
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
@@ -146,6 +148,8 @@ def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") 
         f"epoch_skipped_queries,{i},{v}"
         for i, v in enumerate(log.epoch_skipped_queries)
     ]
+    # Wall time: the one record that differs between same-seed runs.
+    lines += [f"epoch_seconds,{i},{v:.6f}" for i, v in enumerate(log.epoch_seconds)]
     lines.append(f"selected_epoch,0,{log.selected_epoch}")
     atomic_write_text(ctx.path(name), "\n".join(lines) + "\n")
 
@@ -203,7 +207,7 @@ def cmd_pretrain(args) -> int:
     train_split, val_split = split_validation(dataset, args.val_fraction, args.seed)
     model = init_model(seed=args.seed)
     model, log = train(model, train_split, config, validation=val_split or None)
-    _atomic_save(save_model, model, ctx.path("model.vprh"))
+    save_model(model, ctx.path("model.vprh"))
     _write_trainlog(ctx, log)
     ctx.extra["model_fingerprint"] = model.fingerprint_hex()
     print(ctx.finalize().parent)
@@ -219,7 +223,7 @@ def cmd_build_map(args) -> int:
         _out_root(args),
     )
     dmap = build_map(load_dataset(args.dataset), load_model(args.model))
-    _atomic_save(save_map, dmap, ctx.path("map.vprm"))
+    save_map(dmap, ctx.path("map.vprm"))
     print(ctx.finalize().parent)
     return 0
 
@@ -301,7 +305,7 @@ def _load_rsf_inputs(args):
 
 def cmd_rsf(args) -> int:
     config = _train_config(args)
-    spec = AugmentationSpec.from_string(args.augment, seed=args.seed)
+    spec = AugmentationSpec.from_string(args.augment)
     ctx = RunContext(
         "rsf",
         {**dataclasses.asdict(config), "augment": args.augment},
@@ -315,7 +319,7 @@ def cmd_rsf(args) -> int:
     )
     model, test_dataset, validation = _load_rsf_inputs(args)
     finetuned, log = rsf_finetune(model, test_dataset, config, spec, validation)
-    _atomic_save(save_model, finetuned, ctx.path("model.vprh"))
+    save_model(finetuned, ctx.path("model.vprh"))
     _write_trainlog(ctx, log)
     ctx.extra["mode"] = log.mode
     ctx.extra["model_fingerprint"] = finetuned.fingerprint_hex()
@@ -387,6 +391,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_ablate_aug(args) -> int:
+    ns = _parse_ns(args.ns)
     config = _train_config(args)
     ctx = RunContext(
         "ablate-aug",
@@ -400,10 +405,9 @@ def cmd_ablate_aug(args) -> int:
         _out_root(args),
     )
     model, test_dataset, validation = _load_rsf_inputs(args)
-    ns = _parse_ns(args.ns)
     reports = []
     for label in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
-        spec = AugmentationSpec.from_string(label, seed=args.seed)
+        spec = AugmentationSpec.from_string(label)
         finetuned, _ = rsf_finetune(model, test_dataset, config, spec, validation)
         rep = evaluate_model(finetuned, test_dataset, args.radius, ns, name=label)
         reports.append(rep)
@@ -413,6 +417,7 @@ def cmd_ablate_aug(args) -> int:
 
 
 def cmd_ablate_poses(args) -> int:
+    ns = _parse_ns(args.ns)
     config = _train_config(args)
     ctx = RunContext(
         "ablate-poses",
@@ -426,8 +431,7 @@ def cmd_ablate_poses(args) -> int:
         _out_root(args),
     )
     model, test_dataset, validation = _load_rsf_inputs(args)
-    spec = AugmentationSpec.from_string(args.augment, seed=args.seed)
-    ns = _parse_ns(args.ns)
+    spec = AugmentationSpec.from_string(args.augment)
     reports = [evaluate_model(model, test_dataset, args.radius, ns, name="baseline")]
     for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
         cfg = dataclasses.replace(config, poseless=poseless)
@@ -535,6 +539,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config_file(args)
         return args.fn(args)
+    except argparse.ArgumentTypeError as exc:
+        parser.error(str(exc))  # usage error: exits 2
     except VprError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)

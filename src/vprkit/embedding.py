@@ -21,6 +21,7 @@ from .colorops import LUMA_WEIGHTS
 from .dataset import ImageRecord
 from .errors import FormatError, ShapeError, TruncatedError
 from .imageops import resize_area
+from .manifest import atomic_write_bytes
 
 RAW_DIM = 512
 PATCH_GRID = 8
@@ -137,52 +138,39 @@ def init_model(
     return EmbeddingModel(weights=weights, biases=biases)
 
 
-def _forward_trace(
-    model: EmbeddingModel, raw: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], float]:
-    """Forward pass keeping layer activations for backprop.
+def _trace(
+    model: EmbeddingModel, raws: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """Forward pass over an (N, F) batch, keeping layer inputs for backprop.
 
-    Returns (descriptor, activations per layer input, guarded norm).
+    Returns (descriptors, activations per layer input, guarded (N, 1) norms).
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.shape != (model.input_dim,):
-        raise ShapeError(
-            f"raw features have shape {raw.shape}, model expects ({model.input_dim},)"
-        )
-    acts = [raw]
-    a = raw
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = np.tanh(z) if k < last else z
-        acts.append(a)
-    norm = float(np.linalg.norm(a))
-    if norm < 1e-12:
-        norm += 1e-12
-    return a / norm, acts, norm
-
-
-def forward(model: EmbeddingModel, raw: np.ndarray) -> np.ndarray:
-    """Unit-norm descriptor for one raw feature vector."""
-    f, _, _ = _forward_trace(model, raw)
-    return f
-
-
-def forward_batch(model: EmbeddingModel, raws: np.ndarray) -> np.ndarray:
-    """Unit-norm descriptors for an (N, F) matrix of raw features."""
     a = np.asarray(raws, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != model.input_dim:
         raise ShapeError(
             f"raw batch has shape {a.shape}, model expects (N, {model.input_dim})"
         )
+    acts = [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
         a = a @ w + b
         if k < last:
             a = np.tanh(a)
-    norms = np.linalg.norm(a, axis=1, keepdims=True)
-    norms = np.where(norms < 1e-12, norms + 1e-12, norms)
-    return a / norms
+        acts.append(a)
+    # The bits of np.linalg.norm(a, axis=1), without its per-call overhead.
+    norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+    norms[norms < 1e-12] += 1e-12
+    return a / norms, acts, norms
+
+
+def forward(model: EmbeddingModel, raw: np.ndarray) -> np.ndarray:
+    """Unit-norm descriptor for one raw feature vector."""
+    return _trace(model, np.asarray(raw, dtype=np.float64)[None])[0][0]
+
+
+def forward_batch(model: EmbeddingModel, raws: np.ndarray) -> np.ndarray:
+    """Unit-norm descriptors for an (N, F) matrix of raw features."""
+    return _trace(model, raws)[0]
 
 
 @dataclass
@@ -218,25 +206,27 @@ def backward(
 ) -> ParamGradients:
     """Exact gradient of <upstream, forward(model, raw)> w.r.t. parameters.
 
-    Includes the normalization Jacobian (I - f f^T) / ||z||.
+    Includes the normalization Jacobian (I - f f^T) / ||z||. Also takes
+    an (N, F) batch with (N, D) upstreams and returns the sum over rows.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.shape != (model.output_dim,):
+    raws = np.asarray(raw, dtype=np.float64)
+    ups = np.asarray(upstream, dtype=np.float64)
+    if raws.ndim == 1:
+        raws, ups = raws[None], ups[None]
+    f, acts, norms = _trace(model, raws)
+    if ups.shape != f.shape:
         raise ShapeError(
-            f"upstream has shape {upstream.shape}, expected ({model.output_dim},)"
+            f"upstream has shape {np.shape(upstream)}, expected "
+            f"{model.output_dim} values per raw row"
         )
-    f, acts, norm = _forward_trace(model, raw)
-    g = (upstream - f * float(f @ upstream)) / norm  # through normalization
-    grads = ParamGradients.zeros_like(model)
-    last = len(model.weights) - 1
-    for k in range(last, -1, -1):
-        a_in = acts[k]
-        grads.weights[k][:] = np.outer(a_in, g)
-        grads.biases[k][:] = g
+    g = (ups - f * np.sum(f * ups, axis=1, keepdims=True)) / norms
+    weights, biases = [], []
+    for k in range(len(model.weights) - 1, -1, -1):
+        weights.append(acts[k].T @ g)
+        biases.append(g.sum(axis=0))
         if k > 0:
-            g = model.weights[k] @ g
-            g = g * (1.0 - acts[k] ** 2)  # tanh'
-    return grads
+            g = (g @ model.weights[k].T) * (1.0 - acts[k] ** 2)  # tanh'
+    return ParamGradients(weights=weights[::-1], biases=biases[::-1])
 
 
 def apply_gradients(model: EmbeddingModel, grads: ParamGradients, lr: float) -> None:
@@ -249,7 +239,7 @@ def apply_gradients(model: EmbeddingModel, grads: ParamGradients, lr: float) -> 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Binary format: magic, version u16, layer count u32, per-layer dims,
-    then all parameters as little-endian float64."""
+    then all parameters as little-endian float64. Written atomically."""
     parts = [_MODEL_MAGIC, struct.pack("<H", _MODEL_VERSION)]
     parts.append(struct.pack("<I", len(model.weights)))
     for w in model.weights:
@@ -257,7 +247,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     for w, b in zip(model.weights, model.biases):
         parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
         parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(parts))
+    atomic_write_bytes(Path(path), b"".join(parts))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

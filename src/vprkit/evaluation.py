@@ -181,32 +181,10 @@ def format_matrix(
     )
 
 
-def _power_iteration(
-    cov: np.ndarray, rng: np.random.Generator, tol: float, max_iter: int
-) -> tuple[np.ndarray, float]:
-    v = rng.standard_normal(cov.shape[0])
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        av = cov @ v
-        norm = np.linalg.norm(av)
-        if norm < 1e-30:
-            return v, 0.0
-        v_new = av / norm
-        if np.linalg.norm(v_new - v) < tol or np.linalg.norm(v_new + v) < tol:
-            v = v_new
-            break
-        v = v_new
-    return v, float(v @ cov @ v)
-
-
-def project_2d(
-    descriptors: np.ndarray | DescriptorMap,
-    tol: float = 1e-9,
-    max_iter: int = 1000,
-) -> np.ndarray:
+def project_2d(descriptors: np.ndarray | DescriptorMap) -> np.ndarray:
     """Project rows onto the top-2 principal directions.
 
-    Power iteration with deflation; sign convention is that each
+    Eigenvectors of the covariance; sign convention is that each
     component's largest-magnitude loading is positive.
     """
     if isinstance(descriptors, DescriptorMap):
@@ -216,18 +194,12 @@ def project_2d(
         raise ShapeError(f"need an (N>=3, D) matrix, got shape {x.shape}")
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (x.shape[0] - 1)
-    total = float(np.trace(cov))
-    rng = np.random.default_rng(np.random.SeedSequence([0x9CA0]))
-    components = []
-    deflated = cov.copy()
-    for _ in range(2):
-        v, lam = _power_iteration(deflated, rng, tol, max_iter)
-        if lam <= max(total, 1.0) * 1e-12:
-            raise DegenerateSpectrum(
-                "fewer than 2 principal directions with nonzero variance"
-            )
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        components.append(v)
-        deflated = deflated - lam * np.outer(v, v)
-    return centered @ np.stack(components, axis=1)
+    evals, evecs = np.linalg.eigh(cov)  # ascending eigenvalues
+    if evals.size < 2 or evals[-2] <= max(float(np.trace(cov)), 1.0) * 1e-12:
+        raise DegenerateSpectrum(
+            "fewer than 2 principal directions with nonzero variance"
+        )
+    components = evecs[:, [-1, -2]]
+    rows = np.argmax(np.abs(components), axis=0)
+    components = components * np.sign(components[rows, [0, 1]])
+    return centered @ components

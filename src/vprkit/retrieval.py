@@ -11,6 +11,7 @@ import numpy as np
 from .dataset import Dataset, Pose, pose_array
 from .embedding import EmbeddingModel, extract_raw, forward
 from .errors import EmptyReferences, FormatError, KTooLarge, ShapeError, TruncatedError
+from .manifest import atomic_write_bytes
 
 _MAP_MAGIC = b"VPRM"
 _MAP_VERSION = 1
@@ -25,7 +26,6 @@ class DescriptorMap:
     poses: np.ndarray  # (N, 2) float64
     ids: list[str]
     model_fingerprint: bytes  # 32 bytes
-    normalized: bool = True
 
     @property
     def size(self) -> int:
@@ -96,14 +96,14 @@ def map_poses(dmap: DescriptorMap) -> list[Pose]:
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:
-    """Binary layout: magic VPRM, version u16, D u32, N u64, flags u16,
-    N x D float32 LE, N x 2 float64 poses, length-prefixed UTF-8 ids,
-    32-byte model fingerprint."""
+    """Binary layout: magic VPRM, version u16, D u32, N u64, flags u16
+    (bit 0, unit-norm rows, is always set), N x D float32 LE, N x 2
+    float64 poses, length-prefixed UTF-8 ids, 32-byte model fingerprint.
+    Written atomically."""
     n, d = dmap.descriptors.shape
-    flags = _FLAG_NORMALIZED if dmap.normalized else 0
     parts = [
         _MAP_MAGIC,
-        struct.pack("<HIQH", _MAP_VERSION, d, n, flags),
+        struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED),
         np.ascontiguousarray(dmap.descriptors, dtype="<f4").tobytes(),
         np.ascontiguousarray(dmap.poses, dtype="<f8").tobytes(),
     ]
@@ -114,7 +114,7 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     if len(dmap.model_fingerprint) != 32:
         raise FormatError("model fingerprint must be 32 bytes")
     parts.append(dmap.model_fingerprint)
-    Path(path).write_bytes(b"".join(parts))
+    atomic_write_bytes(Path(path), b"".join(parts))
 
 
 def load_map(path: str | Path) -> DescriptorMap:
@@ -123,7 +123,7 @@ def load_map(path: str | Path) -> DescriptorMap:
     if data[:4] != _MAP_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {_MAP_MAGIC!r}")
     try:
-        version, d, n, flags = struct.unpack_from("<HIQH", data, 4)
+        version, d, n, _flags = struct.unpack_from("<HIQH", data, 4)
     except struct.error:
         raise TruncatedError(f"header truncated at byte {len(data)}") from None
     if version != _MAP_VERSION:
@@ -156,5 +156,4 @@ def load_map(path: str | Path) -> DescriptorMap:
         poses=poses.copy(),
         ids=ids,
         model_fingerprint=data[pos : pos + 32],
-        normalized=bool(flags & _FLAG_NORMALIZED),
     )

@@ -18,15 +18,20 @@ import numpy as np
 from .augmentation import AugmentationSpec, apply, sample_op
 from .dataset import Dataset, ImageRecord, Pose, pose_array
 from .embedding import (
+    RAW_DIM,
     EmbeddingModel,
-    ParamGradients,
     apply_gradients,
     backward,
     extract_raw,
-    forward,
     forward_batch,
 )
-from .errors import InvalidMultiplicity, NumericalDivergence, ShapeError, VprError
+from .errors import (
+    InconsistentManifest,
+    InvalidMultiplicity,
+    NumericalDivergence,
+    ShapeError,
+    VprError,
+)
 from .evaluation import evaluate_model
 
 _EPS = 1e-12
@@ -143,7 +148,6 @@ class Triplet:
     """One mined training example; indices refer to the reference list."""
 
     source: int
-    query: ImageRecord
     query_raw: np.ndarray
     positive: int
     negative: int
@@ -174,6 +178,44 @@ def _hard_negatives(
     return [int(candidates[i]) for i in order[:count]]
 
 
+def _pose_dists(query_poses: np.ndarray, ref_poses: np.ndarray) -> np.ndarray:
+    """(Q, N) planar distances between (Q, 2) and (N, 2) pose arrays."""
+    diffs = query_poses[:, None, :] - ref_poses[None, :, :]
+    return np.sqrt(np.sum(diffs**2, axis=2))
+
+
+def _mine(
+    model: EmbeddingModel,
+    ref_raws: np.ndarray,
+    ref_poses: np.ndarray,
+    positives: np.ndarray,
+    query_poses: np.ndarray,
+    query_raws: np.ndarray,
+    config: TrainConfig,
+) -> tuple[list[Triplet], int]:
+    """Pose-aware mining over (positive or -1, query pose, query raw) rows.
+
+    A row is skipped when it has no positive (-1) or no reference lies
+    beyond negative_radius; otherwise its negatives are the
+    feature-closest references beyond that radius.
+    """
+    ref_descs = forward_batch(model, ref_raws)
+    q_descs = forward_batch(model, query_raws)
+    pose_dists = _pose_dists(query_poses, ref_poses)
+    triplets: list[Triplet] = []
+    skipped = 0
+    for qi, positive in enumerate(positives.tolist()):
+        candidates = np.flatnonzero(pose_dists[qi] > config.negative_radius)
+        if positive < 0 or candidates.size == 0:
+            skipped += 1
+            continue
+        for neg in _hard_negatives(
+            q_descs[qi], ref_descs, candidates, config.negatives_per_query
+        ):
+            triplets.append(Triplet(positive, query_raws[qi], positive, neg))
+    return triplets, skipped
+
+
 def mine_triplets(
     model: EmbeddingModel,
     finetune_ds: FinetuneDataset,
@@ -190,62 +232,46 @@ def mine_triplets(
     """
     if ref_raws is None:
         ref_raws = np.stack([extract_raw(r) for r in finetune_ds.references])
-    ref_descs = forward_batch(model, ref_raws)
-    rp = pose_array(finetune_ds.reference_poses)
     realized = finetune_ds.realize_epoch(epoch)
-    triplets: list[Triplet] = []
-    skipped = 0
-    for qi, (src, query) in enumerate(realized):
-        q_raw = extract_raw(query)
-        if config.poseless:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([finetune_ds.seed, epoch, qi, 0x4E9])
-            )
-            neg = int(rng.integers(0, len(finetune_ds.references) - 1))
-            if neg >= src:
-                neg += 1
-            triplets.append(Triplet(src, query, q_raw, src, neg))
-            continue
-        qp = np.array([query.pose.x, query.pose.y])
-        pose_dists = np.sqrt(np.sum((rp - qp) ** 2, axis=1))
-        candidates = np.flatnonzero(pose_dists > config.negative_radius)
-        if candidates.size == 0:
-            skipped += 1
-            continue
-        q_desc = forward(model, q_raw)
-        for neg in _hard_negatives(
-            q_desc, ref_descs, candidates, config.negatives_per_query
-        ):
-            triplets.append(Triplet(src, query, q_raw, src, neg))
-    return triplets, skipped
+    sources = np.array([src for src, _ in realized])
+    query_raws = np.stack([extract_raw(query) for _, query in realized])
+    if not config.poseless:
+        ref_poses = pose_array(finetune_ds.reference_poses)
+        query_poses = pose_array([query.pose for _, query in realized])
+        return _mine(model, ref_raws, ref_poses, sources, query_poses, query_raws, config)
+    triplets = []
+    for qi, src in enumerate(sources.tolist()):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([finetune_ds.seed, epoch, qi, 0x4E9])
+        )
+        neg = int(rng.integers(0, len(finetune_ds.references) - 1))
+        if neg >= src:
+            neg += 1
+        triplets.append(Triplet(src, query_raws[qi], src, neg))
+    return triplets, 0
 
 
-def _mine_labeled(
-    model: EmbeddingModel,
-    dataset: Dataset,
-    config: TrainConfig,
-    ref_raws: np.ndarray,
-) -> tuple[list[Triplet], int]:
-    """Mining for pretraining on a labeled dataset with real queries."""
-    ref_descs = forward_batch(model, ref_raws)
-    rp = pose_array(dataset.reference_poses)
-    qp = pose_array(dataset.query_poses)
-    triplets: list[Triplet] = []
-    skipped = 0
-    for qi, query in enumerate(dataset.queries):
-        pose_dists = np.sqrt(np.sum((rp - qp[qi]) ** 2, axis=1))
-        positive = int(np.argmin(pose_dists))
-        candidates = np.flatnonzero(pose_dists > config.negative_radius)
-        if pose_dists[positive] > config.positive_radius or candidates.size == 0:
-            skipped += 1
-            continue
-        q_raw = extract_raw(query)
-        q_desc = forward(model, q_raw)
-        for neg in _hard_negatives(
-            q_desc, ref_descs, candidates, config.negatives_per_query
-        ):
-            triplets.append(Triplet(positive, query, q_raw, positive, neg))
-    return triplets, skipped
+def _labeled_rows(
+    dataset: Dataset, config: TrainConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mining inputs of a labeled dataset, fixed across epochs: the
+    reference poses, then per query the nearest reference within
+    positive_radius (or -1), the query pose and the query raw."""
+    if len(dataset.query_poses) != len(dataset.queries):
+        raise InconsistentManifest(
+            f"training on {len(dataset.queries)} labeled queries needs as many "
+            f"query poses, got {len(dataset.query_poses)}"
+        )
+    ref_poses = pose_array(dataset.reference_poses)
+    query_poses = pose_array(dataset.query_poses)
+    pose_dists = _pose_dists(query_poses, ref_poses)
+    positives = np.where(
+        pose_dists.min(axis=1) <= config.positive_radius,
+        np.argmin(pose_dists, axis=1),
+        -1,
+    )
+    query_raws = np.array([extract_raw(q) for q in dataset.queries]).reshape(-1, RAW_DIM)
+    return ref_poses, positives, query_poses, query_raws
 
 
 def train(
@@ -265,11 +291,11 @@ def train(
     log = TrainLog(mode="poseless" if config.poseless else "pose")
     model = model.copy()
     if config.epochs == 0:
-        log.selected_epoch = -1
         return model, log
 
-    references = data.references
-    ref_raws = np.stack([extract_raw(r) for r in references])
+    ref_raws = np.stack([extract_raw(r) for r in data.references])
+    if isinstance(data, Dataset):
+        labeled_rows = _labeled_rows(data, config)
     best_model = model.copy()
     best_val = -np.inf
     stale = 0
@@ -279,7 +305,7 @@ def train(
         if isinstance(data, FinetuneDataset):
             triplets, skipped = mine_triplets(model, data, config, epoch, ref_raws)
         else:
-            triplets, skipped = _mine_labeled(model, data, config, ref_raws)
+            triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
         log.epoch_skipped_queries.append(skipped)
         order = np.random.default_rng(
             np.random.SeedSequence([config.seed, epoch, 0x5F0F])
@@ -287,27 +313,28 @@ def train(
 
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
-            grads = ParamGradients.zeros_like(model)
+            batch = [triplets[ti] for ti in order[start : start + config.batch_size]]
+            n = len(batch)
+            queries = np.stack([t.query_raw for t in batch])
+            positives = ref_raws[[t.positive for t in batch]]
+            negatives = ref_raws[[t.negative for t in batch]]
+            raws = np.concatenate([queries, positives, negatives])
+            f_q, f_p, f_n = forward_batch(model, raws).reshape(3, n, -1)
+            upstream = np.zeros((3, n, f_q.shape[1]))
             batch_loss = 0.0
-            for ti in batch:
-                t = triplets[ti]
-                f_q = forward(model, t.query_raw)
-                f_p = forward(model, ref_raws[t.positive])
-                f_n = forward(model, ref_raws[t.negative])
-                loss, g_q, g_p, g_n = triplet_loss(f_q, f_p, f_n, config.margin)
+            for i in range(n):
+                loss, upstream[0, i], upstream[1, i], upstream[2, i] = triplet_loss(
+                    f_q[i], f_p[i], f_n[i], config.margin
+                )
                 if not np.isfinite(loss):
                     raise NumericalDivergence(
                         f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
                     )
                 batch_loss += loss
-                if loss > 0:
-                    grads += backward(model, t.query_raw, g_q)
-                    grads += backward(model, ref_raws[t.positive], g_p)
-                    grads += backward(model, ref_raws[t.negative], g_n)
-            grads.scale(1.0 / len(batch))
+            grads = backward(model, raws, upstream.reshape(3 * n, -1))
+            grads.scale(1.0 / n)
             apply_gradients(model, grads, config.learning_rate)
-            step_loss = batch_loss / len(batch)
+            step_loss = batch_loss / n
             log.step_losses.append(step_loss)
             epoch_losses.append(step_loss)
 

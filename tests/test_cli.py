@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -136,3 +137,40 @@ def test_config_file_overrides_flags(capsys, tmp_path):
     assert len(loaded.references) == 8
     manifest = json.loads(next((tmp_path / "cfgd").glob("*/manifest.json")).read_text())
     assert manifest["config"]["seed"] == 21
+
+
+def test_trainlog_records_epoch_seconds(tmp_path, pipeline):
+    log = next((tmp_path / "pre").glob("*/trainlog.csv")).read_text().splitlines()
+    seconds = [row.split(",") for row in log if row.startswith("epoch_seconds,")]
+    assert [index for _, index, _ in seconds] == ["0"]  # --epochs 1
+    assert float(seconds[0][2]) > 0
+
+
+@pytest.mark.parametrize("ns", ["1,,5", "a", "0,1", ""])
+def test_bad_ns_is_a_usage_error(capsys, tmp_path, ns):
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "evaluate", "--results", "r.csv", "--map", "m.vprm", "--dataset", "d",
+            "--ns", ns, "--out", str(tmp_path / "ev"),
+        ])
+    assert exc.value.code == 2
+    assert "--ns" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_failed_save_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
+    ds = gen_world(capsys, tmp_path)
+    model = tmp_path / "m.vprh"
+    vk.save_model(vk.init_model(seed=1), model)
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        main([
+            "build-map", "--dataset", ds, "--model", str(model),
+            "--out", str(tmp_path / "map"),
+        ])
+    (run_dir,) = (tmp_path / "map").iterdir()
+    assert list(run_dir.iterdir()) == []

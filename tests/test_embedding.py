@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.colorops import LUMA_WEIGHTS
@@ -100,6 +101,16 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(small_model, np.zeros(7))
 
+    @pytest.mark.parametrize("shape", [(1, RAW_DIM), (), (2, 3)])
+    def test_single_forward_takes_only_one_vector(self, small_model, shape):
+        with pytest.raises(ShapeError):
+            forward(small_model, np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(RAW_DIM,), (3, 7), (2, 3, RAW_DIM)])
+    def test_batch_forward_takes_only_a_matrix(self, small_model, shape):
+        with pytest.raises(ShapeError):
+            forward_batch(small_model, np.zeros(shape))
+
     def test_batch_matches_single(self, small_model):
         rng = np.random.default_rng(3)
         raws = rng.normal(size=(5, RAW_DIM))
@@ -152,6 +163,48 @@ class TestBackward:
     def test_shape_mismatch(self, small_model):
         with pytest.raises(ShapeError):
             backward(small_model, np.zeros(RAW_DIM), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "raw_shape, up_shape",
+        [
+            ((7,), (16,)),  # raw of the wrong width
+            ((RAW_DIM,), (1, 16)),  # one raw row needs a 1-D upstream
+            ((4, RAW_DIM), (16,)),  # a batch needs one upstream row per raw row
+            ((4, RAW_DIM), (3, 16)),
+            ((4, RAW_DIM), (4, 15)),
+        ],
+    )
+    def test_batch_shape_mismatch(self, small_model, raw_shape, up_shape):
+        with pytest.raises(ShapeError):
+            backward(small_model, np.zeros(raw_shape), np.zeros(up_shape))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 7),
+        hidden=st.lists(st.integers(1, 6), max_size=2),
+    )
+    def test_batch_is_sum_of_single_rows(self, seed, n, hidden):
+        rng = np.random.default_rng(seed)
+        model = vk.init_model(hidden_dims=hidden, output_dim=3, seed=seed, input_dim=5)
+        raws = rng.normal(size=(n, 5))
+        ups = rng.normal(size=(n, 3))
+        ups[rng.random(n) < 0.3] = 0.0  # flat-hinge rows carry zero upstream
+        batched = backward(model, raws, ups)
+        singles = [backward(model, raw, up) for raw, up in zip(raws, ups)]
+        total = vk.ParamGradients.zeros_like(model)
+        for single in singles:
+            total += single
+        n_params = len(batched.weights) + len(batched.biases)
+        for k in range(n_params):
+            got = (batched.weights + batched.biases)[k]
+            want = (total.weights + total.biases)[k]
+            assert got.shape == want.shape
+            # The batch sums rows in BLAS order, the loop in row order; the two
+            # differ by rounding on the largest row term, which near-zero
+            # descriptor norms can make large.
+            scale = max(np.abs((s.weights + s.biases)[k]).max() for s in singles)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, scale))
 
 
 class TestInitAndSerialization:

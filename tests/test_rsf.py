@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import vprkit as vk
-from vprkit.errors import InvalidMultiplicity, ShapeError
-from vprkit.rsf import _hard_negatives
+from vprkit.errors import InconsistentManifest, InvalidMultiplicity, ShapeError
+from vprkit.rsf import _hard_negatives, _labeled_rows, _mine
 
 
 def unit(v):
@@ -237,6 +237,71 @@ class TestMining:
         )
         assert triplets == []
         assert skipped == 4
+
+
+class TestLabeledMining:
+    def test_matches_brute_force_scan(self):
+        rng = np.random.default_rng(12)
+        config = vk.TrainConfig(
+            positive_radius=10.0, negative_radius=25.0, negatives_per_query=2
+        )
+        total_skipped = total_mined = 0
+        for trial in range(20):
+            n_refs = int(rng.integers(3, 10))
+            refs = [
+                vk.ImageRecord(
+                    f"r{i}", rng.random((16, 16, 3)),
+                    vk.Pose(*rng.uniform(0, 60, size=2).tolist()),
+                )
+                for i in range(n_refs)
+            ]
+            queries = [
+                vk.ImageRecord(
+                    f"q{i}", rng.random((16, 16, 3)),
+                    vk.Pose(*rng.uniform(-10, 70, size=2).tolist()),
+                )
+                for i in range(8)
+            ]
+            ds = vk.Dataset(
+                references=refs,
+                reference_poses=[r.pose for r in refs],
+                queries=queries,
+                query_poses=[q.pose for q in queries],
+            )
+            model = vk.init_model(hidden_dims=[8], output_dim=6, seed=trial)
+            ref_raws = np.stack([vk.extract_raw(r) for r in refs])
+            triplets, skipped = _mine(model, ref_raws, *_labeled_rows(ds, config), config)
+
+            ref_descs = vk.forward_batch(model, ref_raws)
+            expected, expected_skipped = [], 0
+            for qi, query in enumerate(queries):
+                pose_d = [query.pose.distance(r.pose) for r in refs]
+                positive = min(range(n_refs), key=lambda ri: (pose_d[ri], ri))
+                far = [ri for ri in range(n_refs) if pose_d[ri] > config.negative_radius]
+                if pose_d[positive] > config.positive_radius or not far:
+                    expected_skipped += 1
+                    continue
+                q_desc = vk.forward(model, vk.extract_raw(query))
+                far.sort(key=lambda ri: (float(np.linalg.norm(ref_descs[ri] - q_desc)), ri))
+                expected += [(positive, neg, qi) for neg in far[: config.negatives_per_query]]
+            assert [(t.positive, t.negative) for t in triplets] == [e[:2] for e in expected]
+            for t, (_, _, qi) in zip(triplets, expected):
+                np.testing.assert_array_equal(t.query_raw, vk.extract_raw(queries[qi]))
+            assert all(t.source == t.positive for t in triplets)
+            assert skipped == expected_skipped
+            total_skipped += skipped
+            total_mined += len(triplets)
+        assert total_skipped > 0 and total_mined > 0  # both branches exercised
+
+    def test_queries_without_poses_are_rejected(self, tiny_world_module):
+        ds = vk.Dataset(
+            references=tiny_world_module.references,
+            reference_poses=tiny_world_module.reference_poses,
+            queries=tiny_world_module.queries,
+        )
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(InconsistentManifest):
+            vk.train(model, ds, vk.TrainConfig(epochs=1))
 
 
 class TestTrain:
