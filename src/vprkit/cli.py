@@ -32,7 +32,7 @@ from .evaluation import (
     recall_at_n,
 )
 from .manifest import RunContext, atomic_write_text
-from .retrieval import RetrievalResult, build_map, load_map, map_poses, retrieve_all, save_map
+from .retrieval import RetrievalResult, build_map, load_map, retrieve_all, save_map
 from .rsf import TrainConfig, TrainLog, rsf_finetune, train
 from .synth import StyleParams, SynthWorldSpec, generate_synthetic
 
@@ -81,12 +81,16 @@ def _parse_ns(text: str) -> tuple[int, ...]:
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
-    """Plain key=value config file; entries override command-line flags."""
+    """Plain key=value config file; entries override command-line flags.
+    An unreadable file or a mistyped value is a usage error, as on the
+    command line."""
     if not getattr(args, "config", None):
         return
-    for lineno, line in enumerate(
-        Path(args.config).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise argparse.ArgumentTypeError(f"{args.config}: cannot read config: {exc}")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -99,12 +103,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         current = getattr(args, key)
         if isinstance(current, bool):
             setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
+            continue
+        cast = type(current) if isinstance(current, (int, float)) else str
+        try:
+            setattr(args, key, cast(value))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{args.config}:{lineno}: {key} expects {cast.__name__}, got {value!r}"
+            ) from None
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -252,11 +258,14 @@ def cmd_retrieve(args) -> int:
 def _read_results(path: Path) -> list[RetrievalResult]:
     by_query: dict[str, list[tuple[int, int, float]]] = {}
     lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        qid, rank, idx, _rid, dist = line.split(",")
-        by_query.setdefault(qid, []).append((int(rank), int(idx), float(dist)))
+        try:
+            qid, rank, idx, _rid, dist = line.split(",")
+            by_query.setdefault(qid, []).append((int(rank), int(idx), float(dist)))
+        except ValueError:
+            raise VprError(f"{path}:{lineno}: malformed results row {line!r}") from None
     results = []
     for qid, entries in by_query.items():
         entries.sort()
@@ -280,7 +289,7 @@ def cmd_evaluate(args) -> int:
     dataset = load_dataset(args.dataset)
     gt = ground_truth(
         dataset.query_poses,
-        map_poses(dmap),
+        dmap.poses,
         args.radius,
         query_ids=[q.id for q in dataset.queries],
     )

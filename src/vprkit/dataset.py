@@ -12,13 +12,19 @@ Poses are planar metric coordinates (meters east, meters north) in a
 local frame. Latitude/longitude manifests can be ingested with
 ``latlon=True``, which applies an equirectangular approximation around
 the manifest centroid.
+
+In memory, each pose is stored once, on its ``ImageRecord``. A
+``Dataset(references, queries)`` holds only the two record lists; its
+``reference_poses`` / ``query_poses`` are read from the records.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +34,7 @@ from .ppm import read_ppm, write_ppm
 EARTH_RADIUS_M = 6378137.0
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     """Planar position in meters (x east, y north) within a local frame."""
 
     x: float
@@ -48,40 +53,40 @@ class ImageRecord:
     pose: Pose | None = None
 
 
+def record_poses(records: Sequence[ImageRecord]) -> list[Pose]:
+    """The records' poses; InconsistentManifest names a record without one."""
+    poses = [r.pose for r in records]
+    if None in poses:
+        raise InconsistentManifest(f"record {records[poses.index(None)].id!r} has no pose")
+    return poses
+
+
+def pose_distances(query_poses, reference_poses) -> np.ndarray:
+    """(Q, N) planar distances; each argument is a Pose list or (·, 2) array."""
+    qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
+    rp = np.asarray(reference_poses, np.float64).reshape(-1, 2)
+    diffs = qp[:, None, :] - rp[None, :, :]
+    return np.sqrt(np.einsum("qrc,qrc->qr", diffs, diffs))
+
+
 @dataclass
 class Dataset:
-    """Query and reference images with parallel pose lists.
-
-    ``query_poses`` may be empty when query poses are unavailable;
-    references always carry poses.
-    """
+    """Reference and query images, each record carrying its own pose."""
 
     references: list[ImageRecord]
-    reference_poses: list[Pose]
     queries: list[ImageRecord] = field(default_factory=list)
-    query_poses: list[Pose] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if len(self.references) != len(self.reference_poses):
-            raise InconsistentManifest(
-                f"{len(self.references)} references but "
-                f"{len(self.reference_poses)} reference poses"
-            )
-        if self.query_poses and len(self.query_poses) != len(self.queries):
-            raise InconsistentManifest(
-                f"{len(self.queries)} queries but {len(self.query_poses)} query poses"
-            )
+    @property
+    def reference_poses(self) -> list[Pose]:
+        return record_poses(self.references)
+
+    @property
+    def query_poses(self) -> list[Pose]:
+        return record_poses(self.queries)
 
     def reference_only(self) -> "Dataset":
         """A view of this dataset that exposes only the reference side."""
-        return Dataset(
-            references=self.references, reference_poses=self.reference_poses
-        )
-
-
-def pose_array(poses: list[Pose]) -> np.ndarray:
-    """Stack poses into an (N, 2) float64 array."""
-    return np.array([[p.x, p.y] for p in poses], dtype=np.float64).reshape(-1, 2)
+        return Dataset(self.references)
 
 
 def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
@@ -101,12 +106,22 @@ def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
                 raise InconsistentManifest(
                     f"{path.name}:{lineno}: expected id,x,y got {line!r}"
                 )
-            rows.append((parts[0], float(parts[1]), float(parts[2])))
+            try:
+                x, y = float(parts[1]), float(parts[2])
+            except ValueError:
+                x = y = math.nan
+            xmax, ymax = (90.0, 180.0) if latlon else (sys.float_info.max,) * 2
+            if not (abs(x) <= xmax and abs(y) <= ymax):  # also rejects nan
+                raise InconsistentManifest(
+                    f"{path.name}:{lineno}: expected finite coordinates "
+                    f"(|lat| <= 90, |lon| <= 180 with latlon), got {line!r}"
+                )
+            rows.append((parts[0], x, y))
     ids = [r[0] for r in rows]
     if len(set(ids)) != len(ids):
         dupe = next(i for i in ids if ids.count(i) > 1)
         raise InconsistentManifest(f"{path.name}: duplicate id {dupe!r}")
-    if latlon:
+    if latlon and rows:
         lat0 = sum(r[1] for r in rows) / len(rows)
         lon0 = sum(r[2] for r in rows) / len(rows)
         cos0 = math.cos(math.radians(lat0))
@@ -120,9 +135,7 @@ def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
     return {rid: Pose(x, y) for rid, x, y in rows}
 
 
-def _load_side(
-    image_dir: Path, manifest: Path, latlon: bool
-) -> tuple[list[ImageRecord], list[Pose]]:
+def _load_side(image_dir: Path, manifest: Path, latlon: bool) -> list[ImageRecord]:
     poses = _read_pose_manifest(manifest, latlon)
     files = {p.stem: p for p in sorted(image_dir.glob("*.ppm"))}
     orphan_poses = sorted(set(poses) - set(files))
@@ -135,11 +148,11 @@ def _load_side(
         raise InconsistentManifest(
             f"{manifest.name}: image {orphan_images[0]!r} has no pose entry"
         )
-    records, pose_list = [], []
-    for rid in sorted(poses):  # lexicographic id order keeps indices stable
-        records.append(ImageRecord(id=rid, pixels=read_ppm(files[rid]), pose=poses[rid]))
-        pose_list.append(poses[rid])
-    return records, pose_list
+    # lexicographic id order keeps indices stable
+    return [
+        ImageRecord(id=rid, pixels=read_ppm(files[rid]), pose=poses[rid])
+        for rid in sorted(poses)
+    ]
 
 
 def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
@@ -149,21 +162,13 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
     appropriate; all orderings are lexicographic by id.
     """
     root = Path(root_path)
-    references, reference_poses = _load_side(
-        root / "references", root / "reference_poses.csv", latlon
-    )
+    references = _load_side(root / "references", root / "reference_poses.csv", latlon)
     queries: list[ImageRecord] = []
-    query_poses: list[Pose] = []
     qdir = root / "queries"
     qmanifest = root / "query_poses.csv"
     if qdir.is_dir() or qmanifest.is_file():
-        queries, query_poses = _load_side(qdir, qmanifest, latlon)
-    return Dataset(
-        references=references,
-        reference_poses=reference_poses,
-        queries=queries,
-        query_poses=query_poses,
-    )
+        queries = _load_side(qdir, qmanifest, latlon)
+    return Dataset(references, queries)
 
 
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
@@ -202,13 +207,6 @@ def split_validation(
     train_idx = sorted(order[n_val:].tolist())
 
     def take(indices: list[int]) -> Dataset:
-        return Dataset(
-            references=dataset.references,
-            reference_poses=dataset.reference_poses,
-            queries=[dataset.queries[i] for i in indices],
-            query_poses=(
-                [dataset.query_poses[i] for i in indices] if dataset.query_poses else []
-            ),
-        )
+        return Dataset(dataset.references, [dataset.queries[i] for i in indices])
 
     return take(train_idx), take(val_idx)

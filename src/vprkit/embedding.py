@@ -103,8 +103,8 @@ class EmbeddingModel:
         h = hashlib.sha256()
         for w, b in zip(self.weights, self.biases):
             h.update(struct.pack("<II", *w.shape))
-            h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(w, dtype="<f8"))
+            h.update(np.ascontiguousarray(b, dtype="<f8"))
         return h.digest()
 
     def fingerprint_hex(self) -> str:

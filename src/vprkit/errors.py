@@ -67,3 +67,7 @@ class InvalidMultiplicity(VprError):
 
 class NumericalDivergence(VprError):
     """Training produced a non-finite loss value."""
+
+
+class ModelMismatch(VprError):
+    """A descriptor map was built by a different model than the one given."""

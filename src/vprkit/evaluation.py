@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, Pose, pose_array
+from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
 from .retrieval import DescriptorMap, RetrievalResult, build_map, retrieve_all
 from .embedding import EmbeddingModel
@@ -28,20 +28,17 @@ class GroundTruth:
 
 
 def ground_truth(
-    query_poses: list[Pose],
-    reference_poses: list[Pose],
+    query_poses: list[Pose] | np.ndarray,
+    reference_poses: list[Pose] | np.ndarray,
     radius: float = DEFAULT_RADIUS_M,
     query_ids: list[str] | None = None,
 ) -> GroundTruth:
     """A query matches reference i iff their pose distance is <= radius."""
     if radius <= 0:
         raise VprError(f"radius must be positive, got {radius}")
-    qp = pose_array(query_poses)
-    rp = pose_array(reference_poses)
+    dists = pose_distances(query_poses, reference_poses)
     if query_ids is None:
-        query_ids = [str(i) for i in range(len(query_poses))]
-    diffs = qp[:, None, :] - rp[None, :, :]
-    dists = np.sqrt(np.einsum("qrc,qrc->qr", diffs, diffs))
+        query_ids = [str(i) for i in range(len(dists))]
     matches: dict[str, frozenset[int]] = {}
     unmatched: list[str] = []
     for qi, qid in enumerate(query_ids):

@@ -8,9 +8,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, Pose, pose_array
+from .dataset import Dataset
 from .embedding import EmbeddingModel, extract_raw, forward
-from .errors import EmptyReferences, FormatError, KTooLarge, ShapeError, TruncatedError
+from .errors import (
+    EmptyReferences,
+    FormatError,
+    KTooLarge,
+    ModelMismatch,
+    ShapeError,
+    TruncatedError,
+)
 from .manifest import atomic_write_bytes
 
 _MAP_MAGIC = b"VPRM"
@@ -51,7 +58,7 @@ def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
     rows = [forward(model, extract_raw(rec)) for rec in dataset.references]
     return DescriptorMap(
         descriptors=np.asarray(rows, dtype=np.float32),
-        poses=pose_array(dataset.reference_poses),
+        poses=np.asarray(dataset.reference_poses, dtype=np.float64),
         ids=[rec.id for rec in dataset.references],
         model_fingerprint=model.fingerprint(),
     )
@@ -83,16 +90,15 @@ def knn(dmap: DescriptorMap, query: np.ndarray, k: int, query_id: str = "") -> R
 def retrieve_all(
     dmap: DescriptorMap, dataset: Dataset, model: EmbeddingModel, k: int
 ) -> list[RetrievalResult]:
-    """Encode every query of the dataset and run knn for each."""
+    """Encode every query of the dataset and run knn for each; raises
+    ModelMismatch unless the map was built by this model."""
+    if dmap.model_fingerprint != model.fingerprint():
+        raise ModelMismatch(f"map built by model {dmap.model_fingerprint.hex()}, not this one")
     results = []
     for rec in dataset.queries:
         q = forward(model, extract_raw(rec))
         results.append(knn(dmap, q, k, query_id=rec.id))
     return results
-
-
-def map_poses(dmap: DescriptorMap) -> list[Pose]:
-    return [Pose(float(x), float(y)) for x, y in dmap.poses]
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augmentation import AugmentationSpec, apply, sample_op
-from .dataset import Dataset, ImageRecord, Pose, pose_array
+from .dataset import Dataset, ImageRecord, pose_distances, record_poses
 from .embedding import (
     RAW_DIM,
     EmbeddingModel,
@@ -26,7 +26,7 @@ from .embedding import (
     forward_batch,
 )
 from .errors import (
-    InconsistentManifest,
+    EmptyReferences,
     InvalidMultiplicity,
     NumericalDivergence,
     ShapeError,
@@ -75,7 +75,6 @@ class FinetuneDataset:
     """
 
     references: list[ImageRecord]
-    reference_poses: list[Pose]
     multiplicity: int
     augmentation_spec: AugmentationSpec
     seed: int
@@ -106,7 +105,6 @@ def build_finetune_stream(
         raise VprError("cannot finetune on an empty reference set")
     return FinetuneDataset(
         references=map_dataset.references,
-        reference_poses=map_dataset.reference_poses,
         multiplicity=multiplicity,
         augmentation_spec=spec,
         seed=seed,
@@ -178,22 +176,16 @@ def _hard_negatives(
     return [int(candidates[i]) for i in order[:count]]
 
 
-def _pose_dists(query_poses: np.ndarray, ref_poses: np.ndarray) -> np.ndarray:
-    """(Q, N) planar distances between (Q, 2) and (N, 2) pose arrays."""
-    diffs = query_poses[:, None, :] - ref_poses[None, :, :]
-    return np.sqrt(np.sum(diffs**2, axis=2))
-
-
 def _mine(
     model: EmbeddingModel,
     ref_raws: np.ndarray,
-    ref_poses: np.ndarray,
     positives: np.ndarray,
-    query_poses: np.ndarray,
+    pose_dists: np.ndarray,
     query_raws: np.ndarray,
     config: TrainConfig,
 ) -> tuple[list[Triplet], int]:
-    """Pose-aware mining over (positive or -1, query pose, query raw) rows.
+    """Pose-aware mining over (positive or -1, (N,) pose distances to the
+    references, query raw) rows.
 
     A row is skipped when it has no positive (-1) or no reference lies
     beyond negative_radius; otherwise its negatives are the
@@ -201,7 +193,6 @@ def _mine(
     """
     ref_descs = forward_batch(model, ref_raws)
     q_descs = forward_batch(model, query_raws)
-    pose_dists = _pose_dists(query_poses, ref_poses)
     triplets: list[Triplet] = []
     skipped = 0
     for qi, positive in enumerate(positives.tolist()):
@@ -236,9 +227,10 @@ def mine_triplets(
     sources = np.array([src for src, _ in realized])
     query_raws = np.stack([extract_raw(query) for _, query in realized])
     if not config.poseless:
-        ref_poses = pose_array(finetune_ds.reference_poses)
-        query_poses = pose_array([query.pose for _, query in realized])
-        return _mine(model, ref_raws, ref_poses, sources, query_poses, query_raws, config)
+        pose_dists = pose_distances(
+            [query.pose for _, query in realized], record_poses(finetune_ds.references)
+        )
+        return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
     triplets = []
     for qi, src in enumerate(sources.tolist()):
         rng = np.random.default_rng(
@@ -253,25 +245,19 @@ def mine_triplets(
 
 def _labeled_rows(
     dataset: Dataset, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Mining inputs of a labeled dataset, fixed across epochs: the
-    reference poses, then per query the nearest reference within
-    positive_radius (or -1), the query pose and the query raw."""
-    if len(dataset.query_poses) != len(dataset.queries):
-        raise InconsistentManifest(
-            f"training on {len(dataset.queries)} labeled queries needs as many "
-            f"query poses, got {len(dataset.query_poses)}"
-        )
-    ref_poses = pose_array(dataset.reference_poses)
-    query_poses = pose_array(dataset.query_poses)
-    pose_dists = _pose_dists(query_poses, ref_poses)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mining inputs of a labeled dataset, fixed across epochs: per query
+    the nearest reference within positive_radius (or -1), the pose
+    distances to the references and the query raw. InconsistentManifest
+    if a query has no pose."""
+    pose_dists = pose_distances(dataset.query_poses, dataset.reference_poses)
     positives = np.where(
         pose_dists.min(axis=1) <= config.positive_radius,
         np.argmin(pose_dists, axis=1),
         -1,
     )
     query_raws = np.array([extract_raw(q) for q in dataset.queries]).reshape(-1, RAW_DIM)
-    return ref_poses, positives, query_poses, query_raws
+    return positives, pose_dists, query_raws
 
 
 def train(
@@ -288,6 +274,8 @@ def train(
     after `early_stop_patience` epochs without improvement. Without one,
     the final epoch's parameters are returned.
     """
+    if not data.references:
+        raise EmptyReferences("cannot train on zero references")
     log = TrainLog(mode="poseless" if config.poseless else "pose")
     model = model.copy()
     if config.epochs == 0:

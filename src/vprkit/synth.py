@@ -176,8 +176,7 @@ def generate_synthetic(spec: SynthWorldSpec) -> Dataset:
     palette_qry = _PALETTES[spec.query_style.palette_id % len(_PALETTES)]
     width = len(str(spec.place_count - 1))
 
-    references, reference_poses = [], []
-    queries, query_poses = [], []
+    references, queries = [], []
     for place in range(spec.place_count):
         pose = Pose(place * spec.spacing, 0.0)
         family_r = spec.reference_style.texture_family
@@ -192,7 +191,6 @@ def generate_synthetic(spec: SynthWorldSpec) -> Dataset:
         ref_img = _apply_style(base_r, spec.reference_style, rng_ref)
         rid = f"r{place:0{width}d}"
         references.append(ImageRecord(id=rid, pixels=ref_img, pose=pose))
-        reference_poses.append(pose)
 
         family_q = spec.query_style.texture_family
         base_q = (
@@ -218,11 +216,5 @@ def generate_synthetic(spec: SynthWorldSpec) -> Dataset:
             q_img = _apply_style(_translate(base_q, dx, dy), spec.query_style, rng_q)
             qid = f"q{place:0{width}d}_{j}"
             queries.append(ImageRecord(id=qid, pixels=q_img, pose=pose))
-            query_poses.append(pose)
 
-    return Dataset(
-        references=references,
-        reference_poses=reference_poses,
-        queries=queries,
-        query_poses=query_poses,
-    )
+    return Dataset(references, queries)

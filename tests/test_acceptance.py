@@ -214,7 +214,7 @@ def test_criterion_4_mining_oracle():
             )
             for i in range(n_refs)
         ]
-        ds = vk.Dataset(references=refs, reference_poses=[r.pose for r in refs])
+        ds = vk.Dataset(references=refs)
         stream = vk.build_finetune_stream(
             ds, 1, vk.AugmentationSpec.from_string("appearance"), seed=trial
         )
@@ -265,12 +265,7 @@ def test_criterion_5_finetune_structure_and_hygiene(experiment):
             CountingList.accesses += 1
             return super().__iter__()
 
-    ds = vk.Dataset(
-        references=world_b.references,
-        reference_poses=world_b.reference_poses,
-        queries=CountingList(world_b.queries),
-        query_poses=world_b.query_poses,
-    )
+    ds = vk.Dataset(references=world_b.references, queries=CountingList(world_b.queries))
     cfg = dataclasses.replace(rsf_config(), epochs=1)
     vk.rsf_finetune(vk.init_model(seed=1), ds, cfg, spec)
     ok &= CountingList.accesses == 0

@@ -174,3 +174,58 @@ def test_failed_save_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
         ])
     (run_dir,) = (tmp_path / "map").iterdir()
     assert list(run_dir.iterdir()) == []
+
+
+def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
+    cfg = tmp_path / "absent.cfg"
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-gen", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert str(cfg) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["places = abc", "spacing = far"])
+def test_non_numeric_config_value_is_a_usage_error(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"# comment\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-gen", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("query_id,rank,ref_index,ref_id,distance\nq0,0,1,r1,0.5\nq1,0,x,r1,0.5\n")
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
+        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert f"{results}:3:" in record["message"]
+
+
+def test_pretrain_on_empty_references_exits_one(capsys, tmp_path):
+    ds = tmp_path / "empty"
+    (ds / "references").mkdir(parents=True)
+    (ds / "reference_poses.csv").write_text("id,x_m,y_m\n")
+    code, _, err = run(
+        capsys, "pretrain", "--dataset", str(ds), "--seed", "1", "--epochs", "1",
+        "--out", str(tmp_path / "pre"),
+    )
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "EmptyReferences"
+
+
+def test_retrieve_with_another_models_map_exits_one(capsys, tmp_path, pipeline):
+    ds, _, dmap = pipeline
+    other = tmp_path / "other.vprh"
+    vk.save_model(vk.init_model(seed=123), other)
+    code, _, err = run(
+        capsys, "retrieve", "--map", dmap, "--model", str(other), "--dataset", ds,
+        "--out", str(tmp_path / "ret"),
+    )
+    assert code == 1
+    assert json.loads(err.strip().splitlines()[-1])["error"] == "ModelMismatch"

@@ -1,12 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.dataset import Pose, save_dataset
-from vprkit.errors import InconsistentManifest, InvalidFraction, ManifestMissing
+from vprkit.errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
 from vprkit.ppm import write_ppm
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -62,6 +64,12 @@ def test_orphan_image_is_reported(tmp_path):
         vk.load_dataset(tmp_path)
 
 
+def test_header_only_manifest_loads_no_records(tmp_path):
+    _write_side(tmp_path, "references", [])
+    for latlon in (False, True):
+        assert vk.load_dataset(tmp_path, latlon=latlon).references == []
+
+
 def test_missing_manifest(tmp_path):
     (tmp_path / "references").mkdir()
     with pytest.raises(ManifestMissing):
@@ -110,12 +118,7 @@ def test_split_counts_and_disjointness():
         vk.ImageRecord(id=f"q{i:03d}", pixels=rng.random((16, 16, 3)), pose=vk.Pose(i, 0))
         for i in range(100)
     ]
-    ds = vk.Dataset(
-        references=[queries[0]],
-        reference_poses=[vk.Pose(0, 0)],
-        queries=queries,
-        query_poses=[q.pose for q in queries],
-    )
+    ds = vk.Dataset(references=[queries[0]], queries=queries)
     train, val = vk.split_validation(ds, 0.2, seed=7)
     assert len(val.queries) == 20 and len(train.queries) == 80
     train_ids = {q.id for q in train.queries}
@@ -125,3 +128,84 @@ def test_split_counts_and_disjointness():
     # determinism
     train2, val2 = vk.split_validation(ds, 0.2, seed=7)
     assert [q.id for q in val2.queries] == [q.id for q in val.queries]
+
+
+@pytest.mark.parametrize("x", ["abc", "", "nan", "inf", "-inf", "1e999"])
+def test_bad_coordinate_is_reported_with_file_and_line(tmp_path, x):
+    _write_side(tmp_path, "references", [("r0", 0.0, 0.0), ("r1", x, 0.0)])
+    with pytest.raises(InconsistentManifest, match=r"reference_poses\.csv:3"):
+        vk.load_dataset(tmp_path)
+
+
+def test_latlon_out_of_range_is_reported(tmp_path):
+    _write_side(tmp_path, "references", [("r0", 52.0, 4.0), ("r1", 1e300, 4.0)])
+    with pytest.raises(InconsistentManifest, match=r"reference_poses\.csv:3"):
+        vk.load_dataset(tmp_path, latlon=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.sampled_from(["nan", "-inf", "1e999", "1_000", " 7 ", "0x10", "1e-400"]),
+        st.floats().map(repr),
+    ),
+    column=st.sampled_from([1, 2]),
+    latlon=st.booleans(),
+)
+def test_any_coordinate_text_loads_finite_poses_or_raises(text, column, latlon):
+    cells = ["r0", "0.5", "0.5"]
+    cells[column] = text
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "references").mkdir()
+        write_ppm(root / "references" / "r0.ppm", np.zeros((4, 4, 3)))
+        (root / "reference_poses.csv").write_text(
+            "id,x_m,y_m\n" + ",".join(cells) + "\n", encoding="utf-8"
+        )
+        try:
+            ds = vk.load_dataset(root, latlon=latlon)
+        except VprError:
+            return
+    assert np.isfinite(np.asarray(ds.reference_poses, np.float64)).all()
+
+
+coordinate = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    ref_xy=st.lists(st.tuples(coordinate, coordinate), min_size=1, max_size=6),
+    query_xy=st.lists(st.tuples(coordinate, coordinate), max_size=4),
+)
+def test_record_poses_reach_files_maps_and_ground_truth_unchanged(small_model, ref_xy, query_xy):
+    rng = np.random.default_rng(0)
+
+    def records(prefix, xys):
+        return [
+            vk.ImageRecord(f"{prefix}{i}", rng.random((16, 16, 3)), Pose(x, y))
+            for i, (x, y) in enumerate(xys)
+        ]
+
+    def bits(poses):
+        return np.asarray(poses, np.float64).tobytes()
+
+    ds = vk.Dataset(records("r", ref_xy), records("q", query_xy))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(ds, tmp)
+        back = vk.load_dataset(tmp)
+    assert bits(back.reference_poses) == bits(ds.reference_poses)
+    assert bits(back.query_poses) == bits(ds.query_poses)
+    dmap = vk.build_map(ds, small_model)
+    assert bits(dmap.poses) == bits(ds.reference_poses)
+    assert vk.ground_truth(ds.query_poses, dmap.poses) == vk.ground_truth(
+        ds.query_poses, ds.reference_poses
+    )
+
+
+def test_missing_pose_is_named_by_the_pose_lists(tiny_world):
+    queries = [vk.ImageRecord(q.id, q.pixels) for q in tiny_world.queries]
+    ds = vk.Dataset(tiny_world.references, queries)
+    assert ds.reference_poses == [r.pose for r in tiny_world.references]
+    with pytest.raises(InconsistentManifest, match=repr(queries[0].id)):
+        ds.query_poses

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import vprkit as vk
-from vprkit.errors import DegenerateSpectrum, MissingGroundTruth, ShapeError
+from vprkit.errors import (
+    DegenerateSpectrum,
+    InconsistentManifest,
+    MissingGroundTruth,
+    ShapeError,
+)
 from vprkit.evaluation import format_matrix, format_recall
 from vprkit.retrieval import RetrievalResult
 
@@ -127,6 +132,12 @@ class TestRecall:
                 if any(t in correct for t in top):
                     hits += 1
             assert rep.recalls[j] == pytest.approx(hits / evaluated)
+
+
+def test_evaluate_model_needs_query_poses(tiny_world, small_model):
+    queries = [vk.ImageRecord(q.id, q.pixels) for q in tiny_world.queries]
+    with pytest.raises(InconsistentManifest, match=repr(queries[0].id)):
+        vk.evaluate_model(small_model, vk.Dataset(tiny_world.references, queries))
 
 
 class TestGeneralizationMatrix:

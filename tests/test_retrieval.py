@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 import vprkit as vk
-from vprkit.errors import EmptyReferences, FormatError, KTooLarge, ShapeError, TruncatedError
+from vprkit.errors import (
+    EmptyReferences,
+    FormatError,
+    KTooLarge,
+    ModelMismatch,
+    ShapeError,
+    TruncatedError,
+)
 from vprkit.retrieval import knn, load_map, save_map
 
 
@@ -100,7 +107,7 @@ class TestBuildMap:
         assert dmap.model_fingerprint == small_model.fingerprint()
 
     def test_empty_references_rejected(self, small_model):
-        ds = vk.Dataset(references=[], reference_poses=[])
+        ds = vk.Dataset(references=[])
         with pytest.raises(EmptyReferences):
             vk.build_map(ds, small_model)
 
@@ -109,6 +116,16 @@ class TestBuildMap:
         save_map(vk.build_map(tiny_world, small_model), a)
         save_map(vk.build_map(tiny_world, small_model), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestRetrieveAll:
+    def test_map_of_another_model_is_rejected(self, tiny_world, small_model):
+        dmap = vk.build_map(tiny_world, small_model)
+        other = vk.init_model(hidden_dims=[32], output_dim=16, seed=6)
+        with pytest.raises(ModelMismatch):
+            vk.retrieve_all(dmap, tiny_world, other, k=1)
+        results = vk.retrieve_all(dmap, tiny_world, small_model, k=1)
+        assert [r.query_id for r in results] == [q.id for q in tiny_world.queries]
 
 
 class TestMapSerialization:

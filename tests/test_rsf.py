@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import vprkit as vk
-from vprkit.errors import InconsistentManifest, InvalidMultiplicity, ShapeError
+from vprkit.errors import (
+    EmptyReferences,
+    InconsistentManifest,
+    InvalidMultiplicity,
+    ShapeError,
+)
 from vprkit.rsf import _hard_negatives, _labeled_rows, _mine
 
 
@@ -181,7 +186,7 @@ class TestMining:
             assert t.positive == src
             q_desc = vk.forward(model, vk.extract_raw(query))
             best = None
-            for ri, rp in enumerate(stream.reference_poses):
+            for ri, rp in enumerate(r.pose for r in stream.references):
                 if query.pose.distance(rp) <= config.negative_radius:
                     continue
                 d = float(np.linalg.norm(ref_descs[ri] - q_desc))
@@ -196,7 +201,7 @@ class TestMining:
             for i in range(3)
         ]
         refs.append(vk.ImageRecord("r3", rng.random((16, 16, 3)), vk.Pose(500.0, 0.0)))
-        ds = vk.Dataset(references=refs, reference_poses=[r.pose for r in refs])
+        ds = vk.Dataset(references=refs)
         stream = vk.build_finetune_stream(ds, 1, vk.AugmentationSpec(), seed=0)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(negative_radius=25.0)
@@ -229,7 +234,7 @@ class TestMining:
             vk.ImageRecord(f"r{i}", rng.random((16, 16, 3)), vk.Pose(i * 1.0, 0.0))
             for i in range(4)
         ]
-        ds = vk.Dataset(references=refs, reference_poses=[r.pose for r in refs])
+        ds = vk.Dataset(references=refs)
         stream = vk.build_finetune_stream(ds, 1, vk.AugmentationSpec(), seed=0)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         triplets, skipped = vk.mine_triplets(
@@ -262,12 +267,7 @@ class TestLabeledMining:
                 )
                 for i in range(8)
             ]
-            ds = vk.Dataset(
-                references=refs,
-                reference_poses=[r.pose for r in refs],
-                queries=queries,
-                query_poses=[q.pose for q in queries],
-            )
+            ds = vk.Dataset(references=refs, queries=queries)
             model = vk.init_model(hidden_dims=[8], output_dim=6, seed=trial)
             ref_raws = np.stack([vk.extract_raw(r) for r in refs])
             triplets, skipped = _mine(model, ref_raws, *_labeled_rows(ds, config), config)
@@ -296,8 +296,9 @@ class TestLabeledMining:
     def test_queries_without_poses_are_rejected(self, tiny_world_module):
         ds = vk.Dataset(
             references=tiny_world_module.references,
-            reference_poses=tiny_world_module.reference_poses,
-            queries=tiny_world_module.queries,
+            queries=[
+                vk.ImageRecord(q.id, q.pixels, pose=None) for q in tiny_world_module.queries
+            ],
         )
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         with pytest.raises(InconsistentManifest):
@@ -305,6 +306,16 @@ class TestLabeledMining:
 
 
 class TestTrain:
+    @pytest.mark.parametrize(
+        "data",
+        [vk.Dataset([]), vk.FinetuneDataset([], 1, vk.AugmentationSpec(), seed=0)],
+        ids=["labeled", "stream"],
+    )
+    def test_empty_references_are_rejected(self, data):
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(EmptyReferences):
+            vk.train(model, data, vk.TrainConfig(epochs=1))
+
     def test_zero_epochs_is_identity(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         stream = vk.build_finetune_stream(
@@ -372,12 +383,7 @@ class CountingList(list):
 class TestHygiene:
     def test_rsf_never_reads_test_queries(self, tiny_world_module):
         counting = CountingList(tiny_world_module.queries)
-        ds = vk.Dataset(
-            references=tiny_world_module.references,
-            reference_poses=tiny_world_module.reference_poses,
-            queries=counting,
-            query_poses=tiny_world_module.query_poses,
-        )
+        ds = vk.Dataset(references=tiny_world_module.references, queries=counting)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(epochs=2, seed=0)
         spec = vk.AugmentationSpec.from_string("appearance")
