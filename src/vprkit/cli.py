@@ -277,6 +277,8 @@ def _read_results(path: Path) -> list[RetrievalResult]:
 
 def cmd_evaluate(args) -> int:
     ns = _parse_ns(args.ns)
+    if not Path(args.results).is_file():
+        raise argparse.ArgumentTypeError(f"--results {args.results}: no such file")
     ctx = RunContext(
         "evaluate",
         {"radius": args.radius, "ns": list(ns), "name": args.name},

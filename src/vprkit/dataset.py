@@ -20,6 +20,7 @@ In memory, each pose is stored once, on its ``ImageRecord``. A
 
 from __future__ import annotations
 
+import io
 import math
 import sys
 from dataclasses import dataclass, field
@@ -92,8 +93,14 @@ class Dataset:
 def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
     if not path.is_file():
         raise ManifestMissing(f"pose manifest not found: {path}")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InconsistentManifest(f"{path.name}:{lineno}: not valid UTF-8") from None
     rows: list[tuple[str, float, float]] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with io.StringIO(text, newline=None) as fh:
         header = fh.readline()
         if not header.strip():
             raise InconsistentManifest(f"{path.name}: missing header row")

@@ -45,6 +45,10 @@ class EmptyReferences(VprError):
     """A map build was attempted with no reference images."""
 
 
+class NonFiniteValue(VprError):
+    """A descriptor or query holds NaN or infinity."""
+
+
 class KTooLarge(VprError):
     """Requested more neighbors than the map contains."""
 

@@ -33,16 +33,19 @@ def ground_truth(
     radius: float = DEFAULT_RADIUS_M,
     query_ids: list[str] | None = None,
 ) -> GroundTruth:
-    """A query matches reference i iff their pose distance is <= radius."""
+    """A query matches reference i iff their pose distance is <= radius.
+    Distances are computed one query row at a time, so memory stays O(N)
+    however many queries there are."""
     if radius <= 0:
         raise VprError(f"radius must be positive, got {radius}")
-    dists = pose_distances(query_poses, reference_poses)
+    qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
+    rp = np.asarray(reference_poses, np.float64)
     if query_ids is None:
-        query_ids = [str(i) for i in range(len(dists))]
+        query_ids = [str(i) for i in range(len(qp))]
     matches: dict[str, frozenset[int]] = {}
     unmatched: list[str] = []
     for qi, qid in enumerate(query_ids):
-        hit = frozenset(np.flatnonzero(dists[qi] <= radius).tolist())
+        hit = frozenset(np.flatnonzero(pose_distances(qp[qi], rp)[0] <= radius).tolist())
         matches[qid] = hit
         if not hit:
             unmatched.append(qid)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -15,6 +16,7 @@ from .errors import (
     FormatError,
     KTooLarge,
     ModelMismatch,
+    NonFiniteValue,
     ShapeError,
     TruncatedError,
 )
@@ -23,11 +25,16 @@ from .manifest import atomic_write_bytes
 _MAP_MAGIC = b"VPRM"
 _MAP_VERSION = 1
 _FLAG_NORMALIZED = 1
+_U32 = 2.0**-24  # unit roundoff of float32
+_U64 = 2.0**-53  # unit roundoff of float64
 
 
 @dataclass
 class DescriptorMap:
-    """The offline map: reference descriptors, poses, ids, provenance."""
+    """The offline map: reference descriptors, poses, ids, provenance.
+
+    The first search caches the row norms; do not modify the descriptors
+    in place after it."""
 
     descriptors: np.ndarray  # (N, D) float32
     poses: np.ndarray  # (N, 2) float64
@@ -41,6 +48,17 @@ class DescriptorMap:
     @property
     def descriptor_dim(self) -> int:
         return self.descriptors.shape[1]
+
+    @functools.cached_property
+    def _norms(self) -> tuple[np.ndarray, float]:
+        """Squared row norms in float64 and the largest row norm, computed
+        on first use; raises NonFiniteValue naming the first row with a NaN
+        or infinity."""
+        sq = np.einsum("ij,ij->i", self.descriptors, self.descriptors, dtype=np.float64)
+        finite = np.isfinite(sq)
+        if not finite.all():
+            raise NonFiniteValue(f"map row {int(np.argmin(finite))} is not finite")
+        return sq, float(np.sqrt(sq.max(initial=0.0)))
 
 
 @dataclass
@@ -67,23 +85,61 @@ def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
 def knn(dmap: DescriptorMap, query: np.ndarray, k: int, query_id: str = "") -> RetrievalResult:
     """Exact k-nearest references under L2 distance.
 
-    Distances accumulate in float64 even over float32 storage; ties
-    break toward the lower reference index.
+    Distances are sqrt(sum((r - q)**2)) accumulated in float64 over the
+    float32 rows; ties break toward the lower reference index.  The
+    result equals scoring every row that way, bit for bit, but only a
+    shortlist is scored in float64:
+
+    1. Every row r gets the score |r|^2 - 2 r.q32: a float32 GEMV against
+       q32 = float32(q), and |r|^2 in float64, cached per map.  It differs
+       from |r - q|^2 - |q|^2 by less than E = 2 (g_D (1 + u) + u) |q|
+       max|r| + F.  Here u = 2^-24; g_D = D u / (1 - D u) bounds the
+       error of a D-term float32 dot product (Higham, "Accuracy and
+       Stability of Numerical Algorithms", 2nd ed., section 3.1); the lone
+       u covers rounding q to float32.  F = (2D + 10) 2^-53 (|q| +
+       max|r|)^2 + D (1 + |q| + max|r|) 2^-124 covers the float64 norms
+       and subtraction, the rounding of the float64 distances in step 2,
+       and float32 underflow.
+    2. Every row scoring at most the k-th smallest score + 2E gets its
+       float64 distance, and the k nearest of those are returned.
+
+    No true neighbour is dropped: if row r is in the top k but scores
+    above the k-th smallest score, one of the k lowest-scoring rows, j,
+    is not, so d(r) <= d(j) and score(r) <= score(j) + 2E.  Where a
+    float32 product could overflow, E is infinite and every row is
+    re-ranked.
     """
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (dmap.descriptor_dim,):
         raise ShapeError(
             f"query has shape {query.shape}, map dim is {dmap.descriptor_dim}"
         )
-    n = dmap.size
+    if not np.isfinite(query).all():
+        raise NonFiniteValue("query descriptor is not finite")
+    n, d = dmap.descriptors.shape
     if not 1 <= k <= n:
         raise KTooLarge(f"k={k} outside [1, {n}]")
-    diffs = dmap.descriptors.astype(np.float64) - query
+    sq, rmax = dmap._norms
+    qn = float(np.sqrt(np.einsum("i,i", query, query)))
+    if qn * max(rmax, 1.0) > 2.0**120:  # a float32 product could overflow
+        err, q32 = np.inf, np.zeros(d, np.float32)
+    else:
+        g = d * _U32 / (1 - d * _U32)
+        err = (
+            2 * (g * (1 + _U32) + _U32) * qn * rmax
+            + (2 * d + 10) * _U64 * (qn + rmax) ** 2
+            + d * (1 + qn + rmax) * 2.0**-124
+        )
+        q32 = query.astype(np.float32)
+    scores = sq - 2 * (dmap.descriptors @ q32)
+    kth = np.partition(scores, k - 1)[k - 1]
+    cand = np.flatnonzero(scores <= kth + 2 * err)
+    diffs = dmap.descriptors[cand].astype(np.float64) - query
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    order = np.lexsort((np.arange(n), dists))[:k]
+    order = np.lexsort((cand, dists))[:k]
     return RetrievalResult(
         query_id=query_id,
-        ranked=[(int(i), float(dists[i])) for i in order],
+        ranked=[(int(cand[i]), float(dists[i])) for i in order],
     )
 
 
@@ -142,8 +198,11 @@ def load_map(path: str | Path) -> DescriptorMap:
     pos += 4 * n * d
     poses = np.frombuffer(data, dtype="<f8", count=2 * n, offset=pos).reshape(n, 2)
     pos += 16 * n
+    finite = np.isfinite(desc).all(axis=1) & np.isfinite(poses).all(axis=1)
+    if not finite.all():
+        raise FormatError(f"row {int(np.argmin(finite))} has a non-finite descriptor or pose")
     ids = []
-    for _ in range(n):
+    for i in range(n):
         try:
             (length,) = struct.unpack_from("<H", data, pos)
         except struct.error:
@@ -151,7 +210,10 @@ def load_map(path: str | Path) -> DescriptorMap:
         pos += 2
         if len(data) < pos + length:
             raise TruncatedError(f"id table truncated at byte {len(data)}")
-        ids.append(data[pos : pos + length].decode("utf-8"))
+        try:
+            ids.append(data[pos : pos + length].decode("utf-8"))
+        except UnicodeDecodeError:
+            raise FormatError(f"id of row {i} is not valid UTF-8") from None
         pos += length
     if len(data) < pos + 32:
         raise TruncatedError(

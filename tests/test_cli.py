@@ -229,3 +229,31 @@ def test_retrieve_with_another_models_map_exits_one(capsys, tmp_path, pipeline):
     )
     assert code == 1
     assert json.loads(err.strip().splitlines()[-1])["error"] == "ModelMismatch"
+
+
+def test_pose_csv_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    (ds / "references").mkdir(parents=True)
+    (ds / "reference_poses.csv").write_bytes(b"id,x_m,y_m\nr0,1\xff,2\n")
+    model = tmp_path / "m.vprh"
+    vk.save_model(vk.init_model(seed=1), model)
+    code, _, err = run(
+        capsys, "build-map", "--dataset", str(ds), "--model", str(model),
+        "--out", str(tmp_path / "map"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "InconsistentManifest"
+    assert "reference_poses.csv:2:" in record["message"]
+
+
+def test_missing_results_file_is_a_usage_error(capsys, tmp_path):
+    results = tmp_path / "missing.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
+            "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+        ])
+    assert exc.value.code == 2
+    assert str(results) in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
+from vprkit.dataset import pose_distances
 from vprkit.errors import (
     DegenerateSpectrum,
     InconsistentManifest,
@@ -43,6 +45,37 @@ class TestGroundTruth:
         for qi in range(8):
             for ri in range(6):
                 assert (ri in fwd.matches[str(qi)]) == (qi in rev.matches[str(ri)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_refs=st.integers(0, 12),
+        n_queries=st.integers(0, 6),
+        radius=st.integers(1, 60),
+        as_arrays=st.booleans(),
+    )
+    def test_per_query_rows_equal_the_matrix_formula(
+        self, seed, n_refs, n_queries, radius, as_arrays
+    ):
+        """Half the references sit exactly at the radius from a query: a
+        (3, 4, 5) triangle scaled by radius / 5 on a grid of integers."""
+        rng = np.random.default_rng(seed)
+        qs = rng.integers(-100, 100, size=(n_queries, 2)).astype(np.float64) * 5
+        rs = rng.integers(-100, 100, size=(n_refs, 2)).astype(np.float64) * 5
+        if n_queries:
+            legs = np.array([[3, 4], [-4, 3], [0, -5], [5, 0]]) * radius
+            anchors = qs[rng.integers(n_queries, size=n_refs // 2)]
+            rs[: n_refs // 2] = anchors + legs[rng.integers(4, size=n_refs // 2)]
+            radius *= 5
+        ids = [f"q{i}" for i in range(n_queries)]
+        if as_arrays:
+            gt = vk.ground_truth(qs, rs, radius, query_ids=ids)
+        else:
+            gt = vk.ground_truth([P(*q) for q in qs], [P(*r) for r in rs], radius, query_ids=ids)
+        dists = pose_distances(qs, rs)
+        for qi, qid in enumerate(ids):
+            assert gt.matches[qid] == frozenset(np.flatnonzero(dists[qi] <= radius).tolist())
+        assert gt.unmatched == [qid for qid in ids if not gt.matches[qid]]
 
 
 def result(qid, ranked):

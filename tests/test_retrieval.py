@@ -1,7 +1,11 @@
+import functools
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.errors import (
@@ -9,8 +13,10 @@ from vprkit.errors import (
     FormatError,
     KTooLarge,
     ModelMismatch,
+    NonFiniteValue,
     ShapeError,
     TruncatedError,
+    VprError,
 )
 from vprkit.retrieval import knn, load_map, save_map
 
@@ -24,6 +30,51 @@ def toy_map(rows, poses=None):
         ids=[f"r{i}" for i in range(n)],
         model_fingerprint=bytes(32),
     )
+
+
+def single_stage(dmap, query, k):
+    """Oracle: the single-stage scan knn replaced, every row scored in
+    float64 with the same arithmetic as knn's re-rank."""
+    query = np.asarray(query, dtype=np.float64)
+    diffs = dmap.descriptors.astype(np.float64) - query
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.lexsort((np.arange(dmap.size), dists))[:k]
+    return [(int(i), float(dists[i])) for i in order]
+
+
+float32 = st.floats(width=32, allow_nan=False, allow_infinity=False)
+float64 = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@functools.cache
+def valid_map_bytes():
+    """The file of a 3-row, 4-dimensional map with ids "r0".."r2"."""
+    rows = np.arange(12, dtype=np.float32).reshape(3, 4)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_map(toy_map(rows, poses=np.ones((3, 2))), Path(tmp) / "m.vprm")
+        return (Path(tmp) / "m.vprm").read_bytes()
+
+
+@st.composite
+def near_tie_searches(draw):
+    """A map of n rows drawn from a few base rows, so rows repeat, then
+    moved a few float32 ulps apart; a query at, near or away from a row;
+    and k in [1, n]."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 32))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = (rng.normal(size=(draw(st.integers(1, n)), d)) * scale).astype(np.float32)
+    rows = base[rng.integers(len(base), size=n)]
+    nudged = rng.random((n, d)) < draw(st.sampled_from([0.0, 0.2, 1.0]))
+    rows = rows + (nudged * rng.integers(-3, 4, size=(n, d)) * np.spacing(rows)).astype(np.float32)
+    anchor = rows[rng.integers(n)].astype(np.float64)
+    query = draw(st.sampled_from(["row", "near", "away"]))
+    if query == "near":
+        anchor = anchor + rng.normal(size=d) * scale * 1e-7
+    elif query == "away":
+        anchor = rng.normal(size=d) * scale
+    return toy_map(rows), anchor, draw(st.integers(1, n))
 
 
 def brute_force(rows, query, k):
@@ -84,6 +135,34 @@ class TestKnn:
             np.testing.assert_allclose(
                 [d_ for _, d_ in res.ranked], [d_ for _, d_ in expected], atol=1e-6
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(search=near_tie_searches())
+    def test_equals_single_stage_scan_bit_for_bit(self, search):
+        dmap, query, k = search
+        assert knn(dmap, query, k).ranked == single_stage(dmap, query, k)
+
+    @pytest.mark.parametrize(
+        "row_scale, query_scale",
+        [(1e-42, 1e-42), (1e-20, 1.0), (1e30, 1e-30), (1e36, 1e36), (1.0, 1e200)],
+    )
+    def test_extreme_magnitudes_equal_single_stage_scan(self, row_scale, query_scale):
+        rng = np.random.default_rng(1)
+        dmap = toy_map((rng.normal(size=(50, 8)) * row_scale).astype(np.float32))
+        for _ in range(5):
+            query = rng.normal(size=8) * query_scale
+            assert knn(dmap, query, 5).ranked == single_stage(dmap, query, 5)
+
+    def test_non_finite_query_is_rejected(self):
+        dmap = toy_map([[1, 0], [0, 1]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonFiniteValue):
+                knn(dmap, np.array([bad, 0.0]), k=1)
+
+    def test_map_with_a_non_finite_row_is_rejected(self):
+        dmap = toy_map([[1, 0], [0, 1], [np.nan, 0], [np.inf, 0]])
+        with pytest.raises(NonFiniteValue, match="row 2"):
+            knn(dmap, np.array([1.0, 0.0]), k=1)
 
     def test_unit_norm_distances_bounded(self):
         rng = np.random.default_rng(3)
@@ -149,6 +228,73 @@ class TestMapSerialization:
         path.write_bytes(b"XXXX" + path.read_bytes()[4:])
         with pytest.raises(FormatError):
             load_map(path)
+
+    @pytest.mark.parametrize("column", ["descriptors", "poses"])
+    def test_non_finite_row_is_rejected(self, tmp_path, column):
+        dmap = toy_map([[1, 0], [0, 1], [1, 1]])
+        getattr(dmap, column)[1, 0] = np.nan
+        save_map(dmap, tmp_path / "m.vprm")
+        with pytest.raises(FormatError, match="row 1"):
+            load_map(tmp_path / "m.vprm")
+
+    def test_invalid_utf8_id_is_rejected(self, tmp_path):
+        path = tmp_path / "m.vprm"
+        dmap = toy_map([[1, 0], [0, 1]])
+        dmap.ids = ["a", "b"]
+        save_map(dmap, path)
+        data = path.read_bytes()
+        at = data.rindex(b"b", 0, len(data) - 32)
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        with pytest.raises(FormatError, match="row 1"):
+            load_map(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(float32, float32, float64, float64), max_size=5),
+        ids=st.lists(st.text(max_size=8), min_size=5, max_size=5),
+        fingerprint=st.binary(min_size=32, max_size=32),
+    )
+    def test_valid_maps_round_trip_bit_exactly(self, rows, ids, fingerprint):
+        n = len(rows)
+        table = np.asarray(rows, np.float64).reshape(n, 4)
+        dmap = vk.DescriptorMap(
+            descriptors=table[:, :2].astype(np.float32),
+            poses=np.ascontiguousarray(table[:, 2:]),
+            ids=ids[:n],
+            model_fingerprint=fingerprint,
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vprm"
+            save_map(dmap, path)
+            back = load_map(path)
+            assert back.descriptors.tobytes() == dmap.descriptors.tobytes()
+            assert back.poses.tobytes() == dmap.poses.tobytes()
+            assert (back.ids, back.model_fingerprint) == (dmap.ids, fingerprint)
+            save_map(back, Path(tmp) / "again.vprm")
+            assert (Path(tmp) / "again.vprm").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        data=st.binary(max_size=200),
+        edit=st.none() | st.tuples(st.integers(0, 160), st.booleans()),
+    )
+    def test_any_bytes_load_or_raise_a_vpr_error(self, data, edit):
+        """Either arbitrary bytes, or a valid map cut short at an offset or
+        with up to four bytes of `data` written over it there."""
+        if edit is not None:
+            at, cut = edit
+            valid, patch = valid_map_bytes(), data[:4]
+            data = valid[:at] if cut else valid[:at] + patch + valid[at + len(patch) :]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vprm"
+            path.write_bytes(data)
+            try:
+                dmap = load_map(path)
+            except VprError:
+                return
+        assert dmap.size == len(dmap.ids) == dmap.poses.shape[0]
+        assert np.isfinite(dmap.descriptors).all() and np.isfinite(dmap.poses).all()
+        assert len(dmap.model_fingerprint) == 32
 
     def test_truncation(self, tmp_path):
         path = tmp_path / "m.vprm"
