@@ -251,7 +251,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
-    """Inverse of save_model; bit-exact round trip."""
+    """Inverse of save_model; bit-exact round trip.  Raises FormatError
+    for zero layers, a zero dimension, layers whose dims do not chain,
+    or bytes after the last parameter."""
     data = Path(path).read_bytes()
     if data[:4] != _MODEL_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {_MODEL_MAGIC!r}")
@@ -271,11 +273,22 @@ def load_model(path: str | Path) -> EmbeddingModel:
         raise TruncatedError(
             f"header truncated at byte {len(data)}"
         ) from None
+    if not shapes:
+        raise FormatError("model has zero layers")
+    for k, (i, o) in enumerate(shapes):
+        if i == 0 or o == 0:
+            raise FormatError(f"layer {k} has a zero dimension: {i} x {o}")
+        if k > 0 and i != shapes[k - 1][1]:
+            raise FormatError(
+                f"layer {k} takes {i} inputs, layer {k - 1} gives {shapes[k - 1][1]}"
+            )
     expected = pos + sum(8 * (i * o + o) for i, o in shapes)
     if len(data) < expected:
         raise TruncatedError(
             f"expected {expected} bytes, file has only {len(data)}"
         )
+    if len(data) > expected:
+        raise FormatError(f"expected {expected} bytes, file has {len(data)}")
     weights, biases = [], []
     for i, o in shapes:
         w = np.frombuffer(data, dtype="<f8", count=i * o, offset=pos).reshape(i, o)

@@ -34,7 +34,7 @@ class ShapeError(VprError):
 
 
 class FormatError(VprError):
-    """A binary file does not start with the expected magic bytes."""
+    """A binary file does not follow its format (magic, header or layout)."""
 
 
 class TruncatedError(VprError):

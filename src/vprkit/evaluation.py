@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import DescriptorMap, RetrievalResult, build_map, retrieve_all
-from .embedding import EmbeddingModel
+from .retrieval import DescriptorMap, RetrievalResult, _map_from_raws, _retrieve_raws
+from .embedding import EmbeddingModel, extract_raw
 
 DEFAULT_RADIUS_M = 25.0
 DEFAULT_NS = (1, 5, 10)
@@ -123,9 +124,31 @@ def evaluate_model(
     name: str = "",
 ) -> RecallReport:
     """Build map, retrieve every query, score Recall@N in one call."""
-    dmap = build_map(dataset, model)
+    return _evaluate_raws(
+        model,
+        dataset,
+        (extract_raw(rec) for rec in dataset.references),
+        (extract_raw(rec) for rec in dataset.queries),
+        radius,
+        ns,
+        name,
+    )
+
+
+def _evaluate_raws(
+    model: EmbeddingModel,
+    dataset: Dataset,
+    ref_raws: Iterable[np.ndarray],
+    query_raws: Iterable[np.ndarray],
+    radius: float,
+    ns: tuple[int, ...],
+    name: str = "",
+) -> RecallReport:
+    """evaluate_model from the raw features of the references and of the
+    queries, one per image in dataset order."""
+    dmap = _map_from_raws(dataset, model, ref_raws)
     k = min(max(ns), dmap.size)
-    results = retrieve_all(dmap, dataset, model, k)
+    results = _retrieve_raws(dmap, dataset, model, k, query_raws)
     gt = ground_truth(
         dataset.query_poses,
         dataset.reference_poses,

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
+# Real inputs have a handful of (src, dst) size pairs; the bound only
+# keeps odd callers from growing the cache without limit.
+@functools.lru_cache(maxsize=32)
 def _overlap_weights(src: int, dst: int) -> np.ndarray:
     """(dst, src) matrix of interval-overlap weights for 1-D area averaging.
 
     Row i holds the fraction of destination cell i covered by each source
-    cell; rows sum to 1 for any src/dst pair.
+    cell; rows sum to 1 for any src/dst pair.  Cached per size pair, so
+    the array is read-only.
     """
     w = np.zeros((dst, src))
     scale = src / dst
@@ -18,7 +24,9 @@ def _overlap_weights(src: int, dst: int) -> np.ndarray:
         j0, j1 = int(np.floor(lo)), int(np.ceil(hi))
         for j in range(j0, min(j1, src)):
             w[i, j] = min(hi, j + 1) - max(lo, j)
-    return w / scale
+    w /= scale
+    w.flags.writeable = False
+    return w
 
 
 def resize_area(img: np.ndarray, height: int, width: int) -> np.ndarray:

@@ -49,7 +49,8 @@ def _read_tokens(data: bytes, count: int) -> tuple[list[int], int]:
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Decode a binary PPM file into a (H, W, 3) float64 array in [0, 1]."""
+    """Decode a binary PPM file into a (H, W, 3) float64 array in [0, 1];
+    an image with zero width or height is a DecodeError."""
     path = Path(path)
     data = path.read_bytes()
     if not data.startswith(_MAGIC):
@@ -60,6 +61,8 @@ def read_ppm(path: str | Path) -> np.ndarray:
         raise DecodeError(f"{path.name}: {exc}") from None
     if maxval != 255:
         raise DecodeError(f"{path.name}: unsupported maxval {maxval}")
+    if width == 0 or height == 0:
+        raise DecodeError(f"{path.name}: empty image ({width} x {height})")
     body = data[2 + offset :]
     expected = width * height * 3
     if len(body) < expected:

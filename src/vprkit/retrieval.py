@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,9 +72,17 @@ class RetrievalResult:
 
 def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
     """Encode every reference image; rows follow the dataset's id order."""
+    return _map_from_raws(dataset, model, (extract_raw(rec) for rec in dataset.references))
+
+
+def _map_from_raws(
+    dataset: Dataset, model: EmbeddingModel, raws: Iterable[np.ndarray]
+) -> DescriptorMap:
+    """build_map from the references' raw features, one per reference in
+    order; `raws` is consumed once, row by row."""
     if not dataset.references:
         raise EmptyReferences("cannot build a map from zero references")
-    rows = [forward(model, extract_raw(rec)) for rec in dataset.references]
+    rows = [forward(model, raw) for raw in raws]
     return DescriptorMap(
         descriptors=np.asarray(rows, dtype=np.float32),
         poses=np.asarray(dataset.reference_poses, dtype=np.float64),
@@ -148,13 +157,25 @@ def retrieve_all(
 ) -> list[RetrievalResult]:
     """Encode every query of the dataset and run knn for each; raises
     ModelMismatch unless the map was built by this model."""
+    return _retrieve_raws(
+        dmap, dataset, model, k, (extract_raw(rec) for rec in dataset.queries)
+    )
+
+
+def _retrieve_raws(
+    dmap: DescriptorMap,
+    dataset: Dataset,
+    model: EmbeddingModel,
+    k: int,
+    raws: Iterable[np.ndarray],
+) -> list[RetrievalResult]:
+    """retrieve_all from the queries' raw features, one per query in order."""
     if dmap.model_fingerprint != model.fingerprint():
         raise ModelMismatch(f"map built by model {dmap.model_fingerprint.hex()}, not this one")
-    results = []
-    for rec in dataset.queries:
-        q = forward(model, extract_raw(rec))
-        results.append(knn(dmap, q, k, query_id=rec.id))
-    return results
+    return [
+        knn(dmap, forward(model, raw), k, query_id=rec.id)
+        for rec, raw in zip(dataset.queries, raws, strict=True)
+    ]
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:
@@ -169,8 +190,10 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
         np.ascontiguousarray(dmap.descriptors, dtype="<f4").tobytes(),
         np.ascontiguousarray(dmap.poses, dtype="<f8").tobytes(),
     ]
-    for rid in dmap.ids:
+    for i, rid in enumerate(dmap.ids):
         raw = rid.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise FormatError(f"id of row {i} is {len(raw)} UTF-8 bytes, at most 65535 fit")
         parts.append(struct.pack("<H", len(raw)))
         parts.append(raw)
     if len(dmap.model_fingerprint) != 32:
@@ -180,7 +203,8 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
 
 
 def load_map(path: str | Path) -> DescriptorMap:
-    """Inverse of save_map; bit-exact round trip."""
+    """Inverse of save_map; bit-exact round trip.  Bytes after the
+    fingerprint are a FormatError."""
     data = Path(path).read_bytes()
     if data[:4] != _MAP_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {_MAP_MAGIC!r}")
@@ -219,6 +243,8 @@ def load_map(path: str | Path) -> DescriptorMap:
         raise TruncatedError(
             f"expected {pos + 32} bytes incl. fingerprint, file has {len(data)}"
         )
+    if len(data) > pos + 32:
+        raise FormatError(f"{len(data) - pos - 32} bytes after the fingerprint at byte {pos + 32}")
     return DescriptorMap(
         descriptors=desc.copy(),
         poses=poses.copy(),

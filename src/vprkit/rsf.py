@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     VprError,
 )
-from .evaluation import evaluate_model
+from .evaluation import _evaluate_raws
 
 _EPS = 1e-12
 
@@ -284,6 +284,13 @@ def train(
     ref_raws = np.stack([extract_raw(r) for r in data.references])
     if isinstance(data, Dataset):
         labeled_rows = _labeled_rows(data, config)
+    if validation is not None:
+        # Raw features depend on the pixels only, so validation images are
+        # encoded once; each epoch re-runs the head over them.
+        val_raws = (
+            [extract_raw(r) for r in validation.references],
+            [extract_raw(q) for q in validation.queries],
+        )
     best_model = model.copy()
     best_val = -np.inf
     stale = 0
@@ -329,8 +336,8 @@ def train(
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
         log.epoch_mean_loss.append(mean_loss)
         if validation is not None:
-            report = evaluate_model(
-                model, validation, radius=config.validation_radius, ns=(1,)
+            report = _evaluate_raws(
+                model, validation, *val_raws, radius=config.validation_radius, ns=(1,)
             )
             val_score = report.recalls[0]
         else:

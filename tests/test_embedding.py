@@ -1,3 +1,7 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,11 +17,20 @@ from vprkit.embedding import (
     load_model,
     save_model,
 )
-from vprkit.errors import FormatError, ShapeError, TruncatedError
+from vprkit.errors import FormatError, ShapeError, TruncatedError, VprError
 
 
 def make_record(pixels, rid="x"):
     return vk.ImageRecord(id=rid, pixels=pixels, pose=None)
+
+
+def model_bytes(shapes):
+    """A .vprh file with the given (in, out) layer table and parameters
+    0, 1, 2, ... in file order."""
+    header = b"VPRH" + struct.pack("<HI", 1, len(shapes))
+    header += b"".join(struct.pack("<II", i, o) for i, o in shapes)
+    count = sum(i * o + o for i, o in shapes)
+    return header + np.arange(count, dtype="<f8").tobytes()
 
 
 class TestExtractRaw:
@@ -243,3 +256,77 @@ class TestInitAndSerialization:
         path.write_bytes(full[: len(full) // 2])
         with pytest.raises(TruncatedError, match=str(len(full))):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "shapes, why",
+        [
+            ([], "zero layers"),
+            ([(4, 3), (2, 5)], "layer 1 takes 2 inputs"),
+            ([(4, 0), (0, 5)], "zero dimension"),
+            ([(0, 3)], "zero dimension"),
+        ],
+    )
+    def test_malformed_layer_table_is_rejected(self, tmp_path, shapes, why):
+        path = tmp_path / "m.vprh"
+        path.write_bytes(model_bytes(shapes))
+        with pytest.raises(FormatError, match=why):
+            load_model(path)
+
+    def test_trailing_bytes_are_rejected(self, tmp_path, small_model):
+        path = tmp_path / "m.vprh"
+        save_model(small_model, path)
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(FormatError, match="bytes"):
+            load_model(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        hidden=st.lists(st.integers(1, 9), max_size=3),
+        dims=st.tuples(st.integers(1, 12), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_init_models_round_trip_bit_exactly(self, hidden, dims, seed):
+        model = vk.init_model(hidden, output_dim=dims[1], seed=seed, input_dim=dims[0])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vprh"
+            save_model(model, path)
+            back = load_model(path)
+            save_model(back, Path(tmp) / "again.vprh")
+            assert (Path(tmp) / "again.vprh").read_bytes() == path.read_bytes()
+        params = zip(back.weights + back.biases, model.weights + model.biases)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in params)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["bytes", "table", "edit"]))
+    def test_any_bytes_load_or_raise_a_vpr_error(self, data, kind):
+        """Arbitrary bytes; a layer table of small, possibly zero or
+        unchained dims with a payload of any length; or a valid model cut
+        short, overwritten or extended at an offset."""
+        blob = data.draw(st.binary(max_size=64))
+        if kind == "table":
+            shapes = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3))
+            blob = model_bytes(shapes)[: 10 + 8 * len(shapes)] + blob
+        elif kind == "edit":
+            valid = model_bytes([(3, 2), (2, 2)])
+            at = data.draw(st.integers(0, len(valid)))
+            how = data.draw(st.sampled_from(["cut", "overwrite", "append"]))
+            if how == "cut":
+                blob = valid[:at]
+            elif how == "overwrite":
+                blob = valid[:at] + blob[:4] + valid[at + len(blob[:4]) :]
+            else:
+                blob = valid + blob
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.vprh"
+            path.write_bytes(blob)
+            try:
+                model = load_model(path)
+            except VprError:
+                return
+        dims = [model.input_dim] + [w.shape[1] for w in model.weights]
+        assert min(dims) > 0
+        assert [w.shape for w in model.weights] == list(zip(dims[:-1], dims[1:]))
+        assert [b.shape for b in model.biases] == [(d,) for d in dims[1:]]
+        with np.errstate(all="ignore"):
+            assert forward(model, np.zeros(model.input_dim)).shape == (model.output_dim,)
+

@@ -1,7 +1,11 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vprkit.errors import DecodeError
+from vprkit.errors import DecodeError, VprError
 from vprkit.ppm import quantize, read_ppm, write_ppm
 
 
@@ -42,3 +46,33 @@ def test_unsupported_maxval_raises(tmp_path):
     (tmp_path / "m.ppm").write_bytes(b"P6\n1 1\n65535\n" + b"\x00" * 6)
     with pytest.raises(DecodeError, match="maxval"):
         read_ppm(tmp_path / "m.ppm")
+
+
+@pytest.mark.parametrize("size", [b"0 5", b"5 0", b"0 0"])
+def test_empty_image_raises(tmp_path, size):
+    (tmp_path / "e.ppm").write_bytes(b"P6\n" + size + b"\n255\n")
+    with pytest.raises(DecodeError, match="e.ppm"):
+        read_ppm(tmp_path / "e.ppm")
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    head=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 4), st.sampled_from([b"\n", b" # c\n"])),
+    body=st.binary(max_size=64),
+)
+def test_any_bytes_decode_to_a_non_empty_image_or_raise(head, body):
+    """Arbitrary bytes, or a P6 header of small, possibly zero width and
+    height followed by a body of any length."""
+    data = body
+    if head is not None:
+        width, height, sep = head
+        data = b"P6" + sep + f"{width} {height}".encode() + sep + b"255\n" + body
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.ppm"
+        path.write_bytes(data)
+        try:
+            img = read_ppm(path)
+        except VprError:
+            return
+    assert img.ndim == 3 and img.shape[2] == 3 and img.size > 0
+    assert np.isfinite(img).all() and img.min() >= 0.0 and img.max() <= 1.0

@@ -273,15 +273,34 @@ class TestMapSerialization:
             save_map(back, Path(tmp) / "again.vprm")
             assert (Path(tmp) / "again.vprm").read_bytes() == path.read_bytes()
 
+    # 70,000 characters; 33,000 characters that take 66,000 UTF-8 bytes.
+    @pytest.mark.parametrize("long_id", ["x" * 70_000, "é" * 33_000], ids=["ascii", "utf8"])
+    def test_overlong_id_is_rejected_before_writing(self, tmp_path, long_id):
+        dmap = toy_map([[1, 0], [0, 1]])
+        dmap.ids = ["a", long_id]
+        with pytest.raises(FormatError, match="row 1"):
+            save_map(dmap, tmp_path / "m.vprm")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trailing_bytes_are_rejected(self, tmp_path):
+        valid = valid_map_bytes()
+        for data in (valid + b"garbage", valid + valid):
+            (tmp_path / "m.vprm").write_bytes(data)
+            with pytest.raises(FormatError, match="after the fingerprint"):
+                load_map(tmp_path / "m.vprm")
+
     @settings(max_examples=500, deadline=None)
     @given(
         data=st.binary(max_size=200),
-        edit=st.none() | st.tuples(st.integers(0, 160), st.booleans()),
+        edit=st.none() | st.just("append") | st.tuples(st.integers(0, 160), st.booleans()),
     )
     def test_any_bytes_load_or_raise_a_vpr_error(self, data, edit):
         """Either arbitrary bytes, or a valid map cut short at an offset or
-        with up to four bytes of `data` written over it there."""
-        if edit is not None:
+        with up to four bytes of `data` written over it there, or a valid
+        map with `data` appended."""
+        if edit == "append":
+            data = valid_map_bytes() + data
+        elif edit is not None:
             at, cut = edit
             valid, patch = valid_map_bytes(), data[:4]
             data = valid[:at] if cut else valid[:at] + patch + valid[at + len(patch) :]
@@ -292,6 +311,7 @@ class TestMapSerialization:
                 dmap = load_map(path)
             except VprError:
                 return
+        assert edit != "append" or data == valid_map_bytes()
         assert dmap.size == len(dmap.ids) == dmap.poses.shape[0]
         assert np.isfinite(dmap.descriptors).all() and np.isfinite(dmap.poses).all()
         assert len(dmap.model_fingerprint) == 32

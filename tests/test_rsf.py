@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -354,6 +356,56 @@ class TestTrain:
         )
         _, log = vk.train(model, stream, config)
         assert log.epoch_mean_loss[-1] < log.epoch_mean_loss[0]
+
+    def test_validation_images_are_encoded_once(self, tiny_world_module, monkeypatch):
+        """Each validation image is extracted once per train(), whatever the
+        epoch count, and the run equals one that calls the public
+        evaluate_model every epoch."""
+        validation = vk.generate_synthetic(
+            vk.SynthWorldSpec(
+                place_count=6,
+                spacing=30.0,
+                reference_style=vk.StyleParams(texture_family="blocks"),
+                query_style=vk.StyleParams(
+                    texture_family="stripes", brightness_offset=-0.2, noise_sigma=0.05
+                ),
+                queries_per_place=2,
+                image_size=32,
+                seed=9,
+            )
+        )
+        images = validation.references + validation.queries
+        counts = collections.Counter()
+        real = vk.embedding.extract_raw
+
+        def counting(rec):
+            counts[id(rec)] += 1
+            return real(rec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("vprkit.") and getattr(module, "extract_raw", None) is real:
+                monkeypatch.setattr(module, "extract_raw", counting)
+        stream = vk.build_finetune_stream(
+            tiny_world_module.reference_only(), 2, vk.AugmentationSpec(), seed=0
+        )
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        for epochs in (1, 4):
+            config = vk.TrainConfig(
+                epochs=epochs, learning_rate=0.05, batch_size=4, early_stop_patience=99
+            )
+            counts.clear()
+            out, log = vk.train(model, stream, config, validation=validation)
+            assert [counts[id(rec)] for rec in images] == [1] * len(images)
+        monkeypatch.setattr(
+            vk.rsf,
+            "_evaluate_raws",
+            lambda model, dataset, _refs, _queries, **kw: vk.evaluate_model(model, dataset, **kw),
+        )
+        public, public_log = vk.train(model, stream, config, validation=validation)
+        assert log.epoch_val_recall1 == public_log.epoch_val_recall1
+        assert log.selected_epoch == public_log.selected_epoch
+        for got, want in zip(out.weights + out.biases, public.weights + public.biases):
+            assert got.tobytes() == want.tobytes()
 
     def test_determinism_bit_identical_parameters(self, tiny_world_module):
         config = vk.TrainConfig(epochs=2, learning_rate=1e-2, margin=0.4, seed=7)
