@@ -64,7 +64,10 @@ def _parse_style(text: str) -> StyleParams:
         if key not in keymap:
             raise VprError(f"unknown style key {key!r}")
         field, cast = keymap[key]
-        kwargs[field] = cast(value)
+        try:
+            kwargs[field] = cast(value)
+        except ValueError:
+            raise VprError(f"style key {key!r} expects {cast.__name__}, got {value!r}") from None
     return StyleParams(**kwargs)
 
 
@@ -111,6 +114,24 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise argparse.ArgumentTypeError(
                 f"{args.config}:{lineno}: {key} expects {cast.__name__}, got {value!r}"
             ) from None
+
+
+# Flags naming input files or directories; the plural ones take a
+# comma-separated list.
+_INPUT_FLAGS = ("results", "map", "model", "dataset", "validation")
+_INPUT_LIST_FLAGS = ("models", "datasets", "maps")
+
+
+def _check_inputs(args: argparse.Namespace) -> None:
+    """A missing input path is a usage error naming its flag, raised before
+    any input is hashed."""
+    for flag in (*_INPUT_FLAGS, *_INPUT_LIST_FLAGS):
+        value = getattr(args, flag, None)
+        if not value:
+            continue
+        for path in value.split(",") if flag in _INPUT_LIST_FLAGS else [value]:
+            if not Path(path).exists():
+                raise argparse.ArgumentTypeError(f"--{flag} {path}: no such file or directory")
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -276,12 +297,9 @@ def _read_results(path: Path) -> list[RetrievalResult]:
 
 
 def cmd_evaluate(args) -> int:
-    ns = _parse_ns(args.ns)
-    if not Path(args.results).is_file():
-        raise argparse.ArgumentTypeError(f"--results {args.results}: no such file")
     ctx = RunContext(
         "evaluate",
-        {"radius": args.radius, "ns": list(ns), "name": args.name},
+        {"radius": args.radius, "ns": list(args.ns), "name": args.name},
         {"results": args.results, "map": args.map, "dataset": args.dataset},
         None,
         _out_root(args),
@@ -298,7 +316,7 @@ def cmd_evaluate(args) -> int:
     report = recall_at_n(
         results,
         gt,
-        ns,
+        args.ns,
         dataset=args.name,
         model_fingerprint=dmap.model_fingerprint.hex(),
     )
@@ -339,12 +357,11 @@ def cmd_rsf(args) -> int:
 
 
 def cmd_xeval(args) -> int:
-    ns = _parse_ns(args.ns)
     model_paths = [Path(p) for p in args.models.split(",")]
     dataset_paths = [Path(p) for p in args.datasets.split(",")]
     ctx = RunContext(
         "xeval",
-        {"radius": args.radius, "ns": list(ns)},
+        {"radius": args.radius, "ns": list(args.ns)},
         {
             **{f"model:{p.stem}": p for p in model_paths},
             **{f"dataset:{p.name}": p for p in dataset_paths},
@@ -354,7 +371,7 @@ def cmd_xeval(args) -> int:
     )
     models = [(p.stem, load_model(p)) for p in model_paths]
     datasets = [(p.name, load_dataset(p)) for p in dataset_paths]
-    matrix = generalization_matrix(models, datasets, args.radius, ns)
+    matrix = generalization_matrix(models, datasets, args.radius, args.ns)
     rows = ["model_fingerprint,dataset,N,recall,evaluated,total"]
     for (mname, model), row in zip(models, matrix):
         for cell in row:
@@ -363,7 +380,7 @@ def cmd_xeval(args) -> int:
             else:
                 rows.extend(cell.rows())
     atomic_write_text(ctx.path("xeval.csv"), "\n".join(rows) + "\n")
-    for n in ns:
+    for n in args.ns:
         table = format_matrix(
             [m for m, _ in models], [d for d, _ in datasets], matrix, n=n
         )
@@ -402,7 +419,6 @@ def cmd_project(args) -> int:
 
 
 def cmd_ablate_aug(args) -> int:
-    ns = _parse_ns(args.ns)
     config = _train_config(args)
     ctx = RunContext(
         "ablate-aug",
@@ -420,7 +436,7 @@ def cmd_ablate_aug(args) -> int:
     for label in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
         spec = AugmentationSpec.from_string(label)
         finetuned, _ = rsf_finetune(model, test_dataset, config, spec, validation)
-        rep = evaluate_model(finetuned, test_dataset, args.radius, ns, name=label)
+        rep = evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)
         reports.append(rep)
     _write_report(ctx, reports, "ablate_aug")
     print(ctx.finalize().parent)
@@ -428,7 +444,6 @@ def cmd_ablate_aug(args) -> int:
 
 
 def cmd_ablate_poses(args) -> int:
-    ns = _parse_ns(args.ns)
     config = _train_config(args)
     ctx = RunContext(
         "ablate-poses",
@@ -443,12 +458,12 @@ def cmd_ablate_poses(args) -> int:
     )
     model, test_dataset, validation = _load_rsf_inputs(args)
     spec = AugmentationSpec.from_string(args.augment)
-    reports = [evaluate_model(model, test_dataset, args.radius, ns, name="baseline")]
+    reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
     for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
         cfg = dataclasses.replace(config, poseless=poseless)
         finetuned, _ = rsf_finetune(model, test_dataset, cfg, spec, validation)
         reports.append(
-            evaluate_model(finetuned, test_dataset, args.radius, ns, name=label)
+            evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)
         )
     _write_report(ctx, reports, "ablate_poses")
     print(ctx.finalize().parent)
@@ -549,6 +564,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args)
+        if hasattr(args, "ns"):
+            args.ns = _parse_ns(args.ns)
+        _check_inputs(args)
         return args.fn(args)
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))  # usage error: exits 2

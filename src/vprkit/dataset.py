@@ -20,6 +20,7 @@ In memory, each pose is stored once, on its ``ImageRecord``. A
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import sys
@@ -52,6 +53,19 @@ class ImageRecord:
     id: str
     pixels: np.ndarray  # (H, W, 3) float in [0, 1]
     pose: Pose | None = None
+
+    @functools.cached_property
+    def raw(self) -> np.ndarray:
+        """The backbone feature ``embedding.extract_raw(self)``, computed on
+        first read and kept as a read-only array.  It depends on the pixels
+        alone, so do not modify or replace ``pixels`` after the first read."""
+        # embedding imports this module, so it is imported here; reading
+        # extract_raw off the module at call time lets it be wrapped.
+        from . import embedding
+
+        raw = embedding.extract_raw(self)
+        raw.flags.writeable = False
+        return raw
 
 
 def record_poses(records: Sequence[ImageRecord]) -> list[Pose]:

@@ -36,7 +36,8 @@ def extract_raw(image: ImageRecord) -> np.ndarray:
     """Backbone features: 8x8 patches x {luma mean/std, 2 chroma means,
     4-bin gradient-orientation histogram}, 512 values total.
 
-    Depends only on the pixel content, never on the id or pose.
+    Depends only on the pixel content, never on the id or pose. Always
+    computes; ``ImageRecord.raw`` keeps the result on the record.
     """
     return extract_raw_pixels(image.pixels)
 
@@ -253,7 +254,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EmbeddingModel:
     """Inverse of save_model; bit-exact round trip.  Raises FormatError
     for zero layers, a zero dimension, layers whose dims do not chain,
-    or bytes after the last parameter."""
+    bytes after the last parameter, or a NaN or infinite parameter."""
     data = Path(path).read_bytes()
     if data[:4] != _MODEL_MAGIC:
         raise FormatError(f"bad magic {data[:4]!r}, expected {_MODEL_MAGIC!r}")
@@ -290,11 +291,13 @@ def load_model(path: str | Path) -> EmbeddingModel:
     if len(data) > expected:
         raise FormatError(f"expected {expected} bytes, file has {len(data)}")
     weights, biases = [], []
-    for i, o in shapes:
+    for k, (i, o) in enumerate(shapes):
         w = np.frombuffer(data, dtype="<f8", count=i * o, offset=pos).reshape(i, o)
         pos += 8 * i * o
         b = np.frombuffer(data, dtype="<f8", count=o, offset=pos)
         pos += 8 * o
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FormatError(f"layer {k} has a NaN or infinite weight or bias")
         weights.append(w.copy())
         biases.append(b.copy())
     return EmbeddingModel(weights=weights, biases=biases)

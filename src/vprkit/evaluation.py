@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import DescriptorMap, RetrievalResult, _map_from_raws, _retrieve_raws
-from .embedding import EmbeddingModel, extract_raw
+from .retrieval import DescriptorMap, RetrievalResult, build_map, retrieve_all
+from .embedding import EmbeddingModel
 
 DEFAULT_RADIUS_M = 25.0
 DEFAULT_NS = (1, 5, 10)
@@ -124,31 +123,9 @@ def evaluate_model(
     name: str = "",
 ) -> RecallReport:
     """Build map, retrieve every query, score Recall@N in one call."""
-    return _evaluate_raws(
-        model,
-        dataset,
-        (extract_raw(rec) for rec in dataset.references),
-        (extract_raw(rec) for rec in dataset.queries),
-        radius,
-        ns,
-        name,
-    )
-
-
-def _evaluate_raws(
-    model: EmbeddingModel,
-    dataset: Dataset,
-    ref_raws: Iterable[np.ndarray],
-    query_raws: Iterable[np.ndarray],
-    radius: float,
-    ns: tuple[int, ...],
-    name: str = "",
-) -> RecallReport:
-    """evaluate_model from the raw features of the references and of the
-    queries, one per image in dataset order."""
-    dmap = _map_from_raws(dataset, model, ref_raws)
+    dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
-    results = _retrieve_raws(dmap, dataset, model, k, query_raws)
+    results = retrieve_all(dmap, dataset, model, k)
     gt = ground_truth(
         dataset.query_poses,
         dataset.reference_poses,

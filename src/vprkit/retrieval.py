@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import functools
 import struct
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset
-from .embedding import EmbeddingModel, extract_raw, forward
+from .embedding import EmbeddingModel, forward
 from .errors import (
     EmptyReferences,
     FormatError,
@@ -72,17 +71,9 @@ class RetrievalResult:
 
 def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
     """Encode every reference image; rows follow the dataset's id order."""
-    return _map_from_raws(dataset, model, (extract_raw(rec) for rec in dataset.references))
-
-
-def _map_from_raws(
-    dataset: Dataset, model: EmbeddingModel, raws: Iterable[np.ndarray]
-) -> DescriptorMap:
-    """build_map from the references' raw features, one per reference in
-    order; `raws` is consumed once, row by row."""
     if not dataset.references:
         raise EmptyReferences("cannot build a map from zero references")
-    rows = [forward(model, raw) for raw in raws]
+    rows = [forward(model, rec.raw) for rec in dataset.references]
     return DescriptorMap(
         descriptors=np.asarray(rows, dtype=np.float32),
         poses=np.asarray(dataset.reference_poses, dtype=np.float64),
@@ -157,25 +148,9 @@ def retrieve_all(
 ) -> list[RetrievalResult]:
     """Encode every query of the dataset and run knn for each; raises
     ModelMismatch unless the map was built by this model."""
-    return _retrieve_raws(
-        dmap, dataset, model, k, (extract_raw(rec) for rec in dataset.queries)
-    )
-
-
-def _retrieve_raws(
-    dmap: DescriptorMap,
-    dataset: Dataset,
-    model: EmbeddingModel,
-    k: int,
-    raws: Iterable[np.ndarray],
-) -> list[RetrievalResult]:
-    """retrieve_all from the queries' raw features, one per query in order."""
     if dmap.model_fingerprint != model.fingerprint():
         raise ModelMismatch(f"map built by model {dmap.model_fingerprint.hex()}, not this one")
-    return [
-        knn(dmap, forward(model, raw), k, query_id=rec.id)
-        for rec, raw in zip(dataset.queries, raws, strict=True)
-    ]
+    return [knn(dmap, forward(model, rec.raw), k, query_id=rec.id) for rec in dataset.queries]
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:

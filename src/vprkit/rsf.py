@@ -10,6 +10,7 @@ engine also pretrains on a labeled dataset with real queries.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,7 +23,6 @@ from .embedding import (
     EmbeddingModel,
     apply_gradients,
     backward,
-    extract_raw,
     forward_batch,
 )
 from .errors import (
@@ -32,7 +32,7 @@ from .errors import (
     ShapeError,
     VprError,
 )
-from .evaluation import _evaluate_raws
+from .evaluation import evaluate_model
 
 _EPS = 1e-12
 
@@ -133,12 +133,22 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.margin <= 0:
-            raise VprError("margin must be positive")
-        if self.learning_rate <= 0:
-            raise VprError("learning_rate must be positive")
+        # Each comparison is False for nan, so nan is rejected too.
+        if not 0 < self.margin < math.inf:
+            raise VprError(f"margin must be positive and finite, got {self.margin}")
+        if not 0 < self.learning_rate < math.inf:
+            raise VprError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        for name in ("positive_radius", "negative_radius", "validation_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise VprError(f"{name} must be finite, got {getattr(self, name)}")
         if self.negative_radius < self.positive_radius:
             raise VprError("negative_radius must be >= positive_radius")
+        if self.batch_size < 1:
+            raise VprError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.negatives_per_query < 1:
+            raise VprError(
+                f"negatives_per_query must be at least 1, got {self.negatives_per_query}"
+            )
 
 
 @dataclass
@@ -212,7 +222,6 @@ def mine_triplets(
     finetune_ds: FinetuneDataset,
     config: TrainConfig,
     epoch: int,
-    ref_raws: np.ndarray | None = None,
 ) -> tuple[list[Triplet], int]:
     """Realize the epoch's queries and mine one triplet per (query, negative).
 
@@ -221,11 +230,10 @@ def mine_triplets(
     the negative uniformly among the other references. Returns the triplet
     list and the number of queries skipped for lack of candidates.
     """
-    if ref_raws is None:
-        ref_raws = np.stack([extract_raw(r) for r in finetune_ds.references])
+    ref_raws = np.stack([r.raw for r in finetune_ds.references])
     realized = finetune_ds.realize_epoch(epoch)
     sources = np.array([src for src, _ in realized])
-    query_raws = np.stack([extract_raw(query) for _, query in realized])
+    query_raws = np.stack([query.raw for _, query in realized])
     if not config.poseless:
         pose_dists = pose_distances(
             [query.pose for _, query in realized], record_poses(finetune_ds.references)
@@ -256,7 +264,7 @@ def _labeled_rows(
         np.argmin(pose_dists, axis=1),
         -1,
     )
-    query_raws = np.array([extract_raw(q) for q in dataset.queries]).reshape(-1, RAW_DIM)
+    query_raws = np.array([q.raw for q in dataset.queries]).reshape(-1, RAW_DIM)
     return positives, pose_dists, query_raws
 
 
@@ -281,16 +289,9 @@ def train(
     if config.epochs == 0:
         return model, log
 
-    ref_raws = np.stack([extract_raw(r) for r in data.references])
+    ref_raws = np.stack([r.raw for r in data.references])
     if isinstance(data, Dataset):
         labeled_rows = _labeled_rows(data, config)
-    if validation is not None:
-        # Raw features depend on the pixels only, so validation images are
-        # encoded once; each epoch re-runs the head over them.
-        val_raws = (
-            [extract_raw(r) for r in validation.references],
-            [extract_raw(q) for q in validation.queries],
-        )
     best_model = model.copy()
     best_val = -np.inf
     stale = 0
@@ -298,7 +299,7 @@ def train(
     for epoch in range(config.epochs):
         tic = time.perf_counter()
         if isinstance(data, FinetuneDataset):
-            triplets, skipped = mine_triplets(model, data, config, epoch, ref_raws)
+            triplets, skipped = mine_triplets(model, data, config, epoch)
         else:
             triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
         log.epoch_skipped_queries.append(skipped)
@@ -336,8 +337,8 @@ def train(
         mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
         log.epoch_mean_loss.append(mean_loss)
         if validation is not None:
-            report = _evaluate_raws(
-                model, validation, *val_raws, radius=config.validation_radius, ns=(1,)
+            report = evaluate_model(
+                model, validation, radius=config.validation_radius, ns=(1,)
             )
             val_score = report.recalls[0]
         else:

@@ -10,6 +10,7 @@ at the byte level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,9 @@ class StyleParams:
     texture_family: str = "blocks"
 
     def __post_init__(self) -> None:
+        for name in ("hue_shift", "brightness_offset", "contrast_gain", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)}")
         if self.texture_family not in TEXTURE_FAMILIES:
             raise InvalidSpec(f"unknown texture family {self.texture_family!r}")
         if self.contrast_gain <= 0:
@@ -67,12 +71,14 @@ class SynthWorldSpec:
     def __post_init__(self) -> None:
         if self.place_count < 2:
             raise InvalidSpec("place_count must be at least 2")
-        if self.spacing <= 0:
-            raise InvalidSpec("spacing must be positive")
+        if not 0 < self.spacing < math.inf:  # also rejects nan
+            raise InvalidSpec(f"spacing must be positive and finite, got {self.spacing}")
         if self.queries_per_place < 1:
             raise InvalidSpec("queries_per_place must be at least 1")
         if self.image_size < 16:
             raise InvalidSpec("image_size must be at least 16")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

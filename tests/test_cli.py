@@ -115,9 +115,12 @@ def test_unknown_flag_exits_two(capsys, tmp_path):
 
 
 def test_domain_error_exits_one_with_record(capsys, tmp_path):
+    (tmp_path / "nope").mkdir()  # a dataset directory without a pose manifest
+    model = tmp_path / "m.vprh"
+    vk.save_model(vk.init_model(seed=1), model)
     code, out, err = run(
         capsys, "build-map", "--dataset", str(tmp_path / "nope"),
-        "--model", str(tmp_path / "nope.vprh"), "--out", str(tmp_path / "o"),
+        "--model", str(model), "--out", str(tmp_path / "o"),
     )
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
@@ -197,6 +200,7 @@ def test_non_numeric_config_value_is_a_usage_error(capsys, tmp_path, line):
 def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
     results = tmp_path / "results.csv"
     results.write_text("query_id,rank,ref_index,ref_id,distance\nq0,0,1,r1,0.5\nq1,0,x,r1,0.5\n")
+    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results row fails first
     code, _, err = run(
         capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
         "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
@@ -257,3 +261,64 @@ def test_missing_results_file_is_a_usage_error(capsys, tmp_path):
     assert exc.value.code == 2
     assert str(results) in capsys.readouterr().err
     assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-map", "--dataset", "{dir}", "--model", "{missing}"],
+        ["retrieve", "--map", "{missing}", "--model", "{file}", "--dataset", "{dir}"],
+        ["rsf", "--model", "{missing}", "--dataset", "{dir}", "--seed", "1"],
+        ["xeval", "--models", "{file},{missing}", "--datasets", "{dir}"],
+        ["project", "--maps", "{file},{missing}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_missing_input_is_a_usage_error_naming_flag_and_path(capsys, tmp_path, argv):
+    present, missing = tmp_path / "present.bin", tmp_path / "missing.bin"
+    present.write_bytes(b"")
+    flag = argv[next(i for i, a in enumerate(argv) if "{missing}" in a) - 1]
+    argv = [a.format(dir=tmp_path, file=present, missing=missing) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{flag} {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--batch-size", "0", "batch_size"),
+        ("--batch-size", "-1", "batch_size"),
+        ("--negatives-per-query", "-1", "negatives_per_query"),
+        ("--margin", "nan", "margin"),
+        ("--lr", "inf", "learning_rate"),
+        ("--positive-radius", "nan", "positive_radius"),
+    ],
+)
+def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, value, field):
+    code, _, err = run(
+        capsys, "pretrain", "--dataset", str(tmp_path), "--seed", "1", flag, value,
+        "--out", str(tmp_path / "pre"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError" and field in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, error, needle",
+    [
+        (["--ref-style", "palette=0,hue=abc"], "VprError", "'hue'"),
+        (["--query-style", "palette=x"], "VprError", "'palette'"),
+        (["--ref-style", "hue=nan"], "InvalidSpec", "hue_shift"),
+        (["--spacing", "nan"], "InvalidSpec", "spacing"),
+        (["--seed", "-1"], "InvalidSpec", "seed"),
+    ],
+)
+def test_bad_synth_gen_input_exits_one(capsys, tmp_path, argv, error, needle):
+    code, _, err = run(capsys, "synth-gen", "--seed", "1", *argv, "--out", str(tmp_path))
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == error and needle in record["message"]

@@ -86,6 +86,16 @@ class TestExtractRaw:
         assert raw.shape == (RAW_DIM,)
         assert np.isfinite(raw).all()
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(1, 80), w=st.integers(1, 80))
+    def test_record_raw_is_extract_raw_kept_read_only(self, seed, h, w):
+        rec = make_record(np.random.default_rng(seed).random((h, w, 3)))
+        raw = rec.raw
+        assert raw.tobytes() == vk.extract_raw(rec).tobytes()
+        assert rec.raw is raw
+        with pytest.raises(ValueError):
+            raw[0] = 1.0
+
 
 class TestForward:
     def test_output_is_unit_norm(self, small_model):
@@ -279,6 +289,18 @@ class TestInitAndSerialization:
         with pytest.raises(FormatError, match="bytes"):
             load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("params, layer", [("weights", 0), ("biases", 1)])
+    def test_non_finite_parameter_is_rejected_naming_the_layer(
+        self, tmp_path, small_model, value, params, layer
+    ):
+        model = small_model.copy()
+        getattr(model, params)[layer].flat[-1] = value
+        path = tmp_path / "m.vprh"
+        save_model(model, path)
+        with pytest.raises(FormatError, match=f"layer {layer} "):
+            load_model(path)
+
     @settings(max_examples=300, deadline=None)
     @given(
         hidden=st.lists(st.integers(1, 9), max_size=3),
@@ -325,6 +347,7 @@ class TestInitAndSerialization:
                 return
         dims = [model.input_dim] + [w.shape[1] for w in model.weights]
         assert min(dims) > 0
+        assert all(np.isfinite(p).all() for p in model.weights + model.biases)
         assert [w.shape for w in model.weights] == list(zip(dims[:-1], dims[1:]))
         assert [b.shape for b in model.biases] == [(d,) for d in dims[1:]]
         with np.errstate(all="ignore"):

@@ -1,6 +1,5 @@
 import collections
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from vprkit.errors import (
     InconsistentManifest,
     InvalidMultiplicity,
     ShapeError,
+    VprError,
 )
 from vprkit.rsf import _hard_negatives, _labeled_rows, _mine
 
@@ -106,6 +106,27 @@ class TestTripletLoss:
                     ana = total.weights[k][i, j]
                     worst = max(worst, abs(num - ana) / max(1e-8, abs(num), abs(ana)))
         assert worst < 1e-4
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("batch_size", -1),
+        ("negatives_per_query", 0),
+        ("negatives_per_query", -1),
+        ("margin", float("nan")),
+        ("margin", float("inf")),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("positive_radius", float("nan")),
+        ("negative_radius", float("inf")),
+        ("validation_radius", float("nan")),
+    ],
+)
+def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):
+    with pytest.raises(VprError, match=field):
+        vk.TrainConfig(**{field: value})
 
 
 @pytest.fixture(scope="module")
@@ -357,24 +378,55 @@ class TestTrain:
         _, log = vk.train(model, stream, config)
         assert log.epoch_mean_loss[-1] < log.epoch_mean_loss[0]
 
-    def test_validation_images_are_encoded_once(self, tiny_world_module, monkeypatch):
-        """Each validation image is extracted once per train(), whatever the
-        epoch count, and the run equals one that calls the public
-        evaluate_model every epoch."""
-        validation = vk.generate_synthetic(
-            vk.SynthWorldSpec(
-                place_count=6,
-                spacing=30.0,
-                reference_style=vk.StyleParams(texture_family="blocks"),
-                query_style=vk.StyleParams(
-                    texture_family="stripes", brightness_offset=-0.2, noise_sigma=0.05
-                ),
-                queries_per_place=2,
-                image_size=32,
-                seed=9,
+    def test_each_image_is_extracted_at_most_once(self, monkeypatch):
+        """Across two train() runs with validation, one evaluate_model and
+        a 3-model generalization_matrix, each reference and validation
+        image is extracted at most once, and every result equals the same
+        calls made on fresh copies of the records (empty caches)."""
+
+        def world(seed, family):
+            return vk.generate_synthetic(
+                vk.SynthWorldSpec(
+                    place_count=6,
+                    spacing=30.0,
+                    reference_style=vk.StyleParams(texture_family="blocks"),
+                    query_style=vk.StyleParams(
+                        texture_family=family, brightness_offset=-0.2, noise_sigma=0.05
+                    ),
+                    queries_per_place=2,
+                    image_size=32,
+                    seed=seed,
+                )
             )
-        )
-        images = validation.references + validation.queries
+
+        def fresh(ds):
+            def copy(recs):
+                return [vk.ImageRecord(r.id, r.pixels.copy(), r.pose) for r in recs]
+
+            return vk.Dataset(copy(ds.references), copy(ds.queries))
+
+        def calls(target, validation, prepare):
+            model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+            models, out = [("init", model)], []
+            for epochs in (1, 4):
+                stream = vk.build_finetune_stream(
+                    prepare(target).reference_only(), 2, vk.AugmentationSpec(), seed=0
+                )
+                config = vk.TrainConfig(
+                    epochs=epochs, learning_rate=0.05, batch_size=4, early_stop_patience=99
+                )
+                trained, log = vk.train(model, stream, config, validation=prepare(validation))
+                models.append((f"e{epochs}", trained))
+                params = [p.tobytes() for p in trained.weights + trained.biases]
+                out.append((params, log.epoch_val_recall1, log.selected_epoch))
+            out.append(vk.evaluate_model(models[-1][1], prepare(target)).recalls)
+            matrix = vk.generalization_matrix(
+                models, [("val", prepare(validation)), ("target", prepare(target))]
+            )
+            out.append([[cell.recalls for cell in row] for row in matrix])
+            return out
+
+        target, validation = world(9, "blocks"), world(4, "stripes")
         counts = collections.Counter()
         real = vk.embedding.extract_raw
 
@@ -382,30 +434,11 @@ class TestTrain:
             counts[id(rec)] += 1
             return real(rec)
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("vprkit.") and getattr(module, "extract_raw", None) is real:
-                monkeypatch.setattr(module, "extract_raw", counting)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 2, vk.AugmentationSpec(), seed=0
-        )
-        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        for epochs in (1, 4):
-            config = vk.TrainConfig(
-                epochs=epochs, learning_rate=0.05, batch_size=4, early_stop_patience=99
-            )
-            counts.clear()
-            out, log = vk.train(model, stream, config, validation=validation)
-            assert [counts[id(rec)] for rec in images] == [1] * len(images)
-        monkeypatch.setattr(
-            vk.rsf,
-            "_evaluate_raws",
-            lambda model, dataset, _refs, _queries, **kw: vk.evaluate_model(model, dataset, **kw),
-        )
-        public, public_log = vk.train(model, stream, config, validation=validation)
-        assert log.epoch_val_recall1 == public_log.epoch_val_recall1
-        assert log.selected_epoch == public_log.selected_epoch
-        for got, want in zip(out.weights + out.biases, public.weights + public.biases):
-            assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(vk.embedding, "extract_raw", counting)
+        reused = calls(target, validation, lambda ds: ds)
+        images = [*target.references, *target.queries, *validation.references, *validation.queries]
+        assert [counts[id(rec)] for rec in images] == [1] * len(images)
+        assert reused == calls(target, validation, fresh)
 
     def test_determinism_bit_identical_parameters(self, tiny_world_module):
         config = vk.TrainConfig(epochs=2, learning_rate=1e-2, margin=0.4, seed=7)

@@ -73,5 +73,10 @@ def test_invalid_specs_rejected():
         _spec(place_count=1)
     with pytest.raises(InvalidSpec):
         _spec(spacing=0.0)
+    for spacing in (float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="spacing"):
+            _spec(spacing=spacing)
+    with pytest.raises(InvalidSpec, match="seed"):
+        _spec(seed=-1)
     with pytest.raises(InvalidSpec):
         vk.StyleParams(texture_family="paisley")
