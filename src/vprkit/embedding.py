@@ -19,7 +19,7 @@ import numpy as np
 
 from .colorops import LUMA_WEIGHTS
 from .dataset import ImageRecord
-from .errors import FormatError, ShapeError, TruncatedError
+from .errors import FormatError, NonFiniteValue, ShapeError, TruncatedError
 from .imageops import resize_area
 from .manifest import atomic_write_bytes
 
@@ -37,9 +37,18 @@ def extract_raw(image: ImageRecord) -> np.ndarray:
     4-bin gradient-orientation histogram}, 512 values total.
 
     Depends only on the pixel content, never on the id or pose. Always
-    computes; ``ImageRecord.raw`` keeps the result on the record.
+    computes; ``ImageRecord.raw`` keeps the result on the record. Raises
+    ShapeError for pixels that are not a non-empty (H, W, 3) array and
+    NonFiniteValue for NaN or infinite pixels, each naming the record.
     """
-    return extract_raw_pixels(image.pixels)
+    pixels = np.asarray(image.pixels, dtype=np.float64)
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
+        raise ShapeError(
+            f"image {image.id!r}: expected non-empty (H, W, 3) pixels, got {pixels.shape}"
+        )
+    if not np.isfinite(pixels).all():
+        raise NonFiniteValue(f"image {image.id!r} has a NaN or infinite pixel")
+    return extract_raw_pixels(pixels)
 
 
 def extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:

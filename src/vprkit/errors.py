@@ -46,7 +46,7 @@ class EmptyReferences(VprError):
 
 
 class NonFiniteValue(VprError):
-    """A descriptor or query holds NaN or infinity."""
+    """A descriptor, query or image holds NaN or infinity."""
 
 
 class KTooLarge(VprError):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DecodeError
+from .errors import DecodeError, NonFiniteValue, ShapeError
 
 _MAGIC = b"P6"
 
@@ -74,10 +74,17 @@ def read_ppm(path: str | Path) -> np.ndarray:
 
 
 def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
-    """Encode a (H, W, 3) float array in [0, 1] as binary PPM."""
+    """Encode a (H, W, 3) float array in [0, 1] as binary PPM.
+
+    Raises ShapeError for any other shape, including an empty image,
+    which read_ppm would refuse, and NonFiniteValue for NaN or infinite
+    pixels; both name the path.
+    """
     pixels = np.asarray(pixels)
-    if pixels.ndim != 3 or pixels.shape[2] != 3:
-        raise ValueError(f"expected (H, W, 3) array, got {pixels.shape}")
+    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
+        raise ShapeError(f"{path}: expected non-empty (H, W, 3) array, got {pixels.shape}")
+    if not np.isfinite(pixels).all():
+        raise NonFiniteValue(f"{path}: pixels hold NaN or infinity")
     height, width = pixels.shape[:2]
     raster = quantize(pixels)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")

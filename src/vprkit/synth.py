@@ -116,17 +116,22 @@ def _place_primitives(seed: int, place: int, family: str) -> list[_Primitive]:
 def _render_base(
     prims: list[_Primitive], palette: np.ndarray, size: int, seed: int, place: int
 ) -> np.ndarray:
-    """Rasterize the place texture over a gradient background."""
+    """Rasterize the place texture over a gradient background.
+
+    Blends into contiguous (3, size, size) planes and returns a
+    C-contiguous (size, size, 3) array. Pixel (i, j) sits at x = lin[j],
+    y = lin[i], so u and v are each a column term plus a row term; each
+    pixel still gets exactly two rounded products and one rounded sum.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, place, 0xB4C6]))
-    yy, xx = np.meshgrid(
-        np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, size), indexing="ij"
-    )
+    lin = np.linspace(0.0, 1.0, size)
     top = palette[int(rng.integers(0, 4))] * 0.6 + 0.2
     bottom = palette[int(rng.integers(0, 4))] * 0.6 + 0.2
-    img = top[None, None, :] * (1 - yy[..., None]) + bottom[None, None, :] * yy[..., None]
+    y = lin[:, None]
+    img = np.empty((3, size, size))
+    img[...] = top[:, None, None] * (1 - y) + bottom[:, None, None] * y
     for p in prims:
-        color = palette[p.color_idx]
-        dx, dy = xx - p.cx, yy - p.cy
+        dx, dy = lin - p.cx, (lin - p.cy)[:, None]
         cos_a, sin_a = np.cos(p.angle), np.sin(p.angle)
         u = dx * cos_a + dy * sin_a
         v = -dx * sin_a + dy * cos_a
@@ -134,14 +139,19 @@ def _render_base(
             mask = ((np.abs(u) <= p.w / 2) & (np.abs(v) <= p.h / 2)).astype(np.float64)
         elif p.kind == "stripes":
             period = max(p.h, 0.08)
-            band = (np.mod(u / period, 1.0) < 0.5) & (np.abs(v) <= p.w)
+            # x - floor(x) rounds the exact fraction once, as np.mod(x, 1.0) does.
+            x = u / period
+            band = (x - np.floor(x) < 0.5) & (np.abs(v) <= p.w)
             mask = band.astype(np.float64)
         else:  # gradients
             r = np.sqrt((u / (p.w / 2)) ** 2 + (v / (p.h / 2)) ** 2)
             mask = np.clip(1.0 - r, 0.0, 1.0)
-        alpha = (p.strength * mask)[..., None]
-        img = img * (1 - alpha) + color[None, None, :] * alpha
-    return np.clip(img, 0.0, 1.0)
+        alpha = p.strength * mask
+        img *= 1 - alpha
+        img += palette[p.color_idx][:, None, None] * alpha
+    out = np.empty((size, size, 3))
+    np.clip(img, 0.0, 1.0, out=out.transpose(2, 0, 1))
+    return out
 
 
 def _apply_style(

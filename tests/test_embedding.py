@@ -4,12 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.colorops import LUMA_WEIGHTS
 from vprkit.embedding import (
     RAW_DIM,
+    _trace,
     backward,
     extract_raw_pixels,
     forward,
@@ -17,7 +18,13 @@ from vprkit.embedding import (
     load_model,
     save_model,
 )
-from vprkit.errors import FormatError, ShapeError, TruncatedError, VprError
+from vprkit.errors import (
+    FormatError,
+    NonFiniteValue,
+    ShapeError,
+    TruncatedError,
+    VprError,
+)
 
 
 def make_record(pixels, rid="x"):
@@ -95,6 +102,21 @@ class TestExtractRaw:
         assert rec.raw is raw
         with pytest.raises(ValueError):
             raw[0] = 1.0
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 64, 4), (0, 64, 3), (64, 0, 3), (3,)])
+    def test_non_image_shapes_raise_shape_error_naming_the_record(self, shape):
+        rec = make_record(np.full(shape, 0.5), rid="bad_shape")
+        with pytest.raises(ShapeError, match="bad_shape"):
+            vk.extract_raw(rec)
+        with pytest.raises(ShapeError, match="bad_shape"):
+            rec.raw
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_raises_naming_the_record(self, value):
+        pixels = np.full((64, 64, 3), 0.5)
+        pixels[10, 20, 1] = value
+        with pytest.raises(NonFiniteValue, match="bad_pixel"):
+            vk.extract_raw(make_record(pixels, rid="bad_pixel"))
 
 
 class TestForward:
@@ -201,12 +223,43 @@ class TestBackward:
         with pytest.raises(ShapeError):
             backward(small_model, np.zeros(raw_shape), np.zeros(up_shape))
 
+    @staticmethod
+    def carried_magnitudes(model, raws, ups):
+        """backward's chain run on absolute values, one array per parameter
+        in (weights + biases) order.
+
+        Batch and row loop differ by rounding in the forward pass (BLAS
+        sums a batch in another order than one row) and in every product,
+        sum and division carried down the chain, so the rounding is
+        bounded by magnitudes carried from the output down, not by the
+        same layer's terms. The forward magnitudes |x| @ |W| + |b| bound
+        each layer input and its rounding; the output's seed is scaled by
+        how much the last layer cancels (its magnitude over ||z||), since
+        normalizing divides that rounding by ||z||; tanh' <= 1.
+        """
+        f, _, norms = _trace(model, raws)
+        mags = [np.abs(raws)]
+        for w, b in zip(model.weights, model.biases):
+            mags.append(mags[-1] @ np.abs(w) + np.abs(b))
+        cancel = np.sqrt(np.sum(mags[-1] ** 2, axis=1, keepdims=True)) / norms
+        g = cancel * (np.abs(ups) + np.abs(f) * np.sum(np.abs(f * ups), axis=1, keepdims=True))
+        g = g / norms
+        weights, biases = [], []
+        for k in range(len(model.weights) - 1, -1, -1):
+            weights.append(mags[k].T @ g)
+            biases.append(g.sum(axis=0))
+            g = g @ np.abs(model.weights[k]).T
+        return weights[::-1] + biases[::-1]
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 7),
         hidden=st.lists(st.integers(1, 6), max_size=2),
     )
+    # Exceeded the old same-layer bound: 1.02e-12 against 1e-12 on the first
+    # weights, 8.3e-12 against 1e-12 on the second bias.
+    @example(seed=2246, n=4, hidden=[1, 1])
     def test_batch_is_sum_of_single_rows(self, seed, n, hidden):
         rng = np.random.default_rng(seed)
         model = vk.init_model(hidden_dims=hidden, output_dim=3, seed=seed, input_dim=5)
@@ -218,16 +271,19 @@ class TestBackward:
         total = vk.ParamGradients.zeros_like(model)
         for single in singles:
             total += single
-        n_params = len(batched.weights) + len(batched.biases)
-        for k in range(n_params):
-            got = (batched.weights + batched.biases)[k]
-            want = (total.weights + total.biases)[k]
+        mags = self.carried_magnitudes(model, raws, ups)
+        # n * u per carried magnitude, times 16 for the handful of rounded
+        # operations (dot products of at most 7 terms, the norm, the
+        # division) each term passes through; the worst ratio seen over
+        # 6,000 random draws was 1.5.
+        u = np.finfo(np.float64).eps / 2
+        for got, want, mag in zip(
+            batched.weights + batched.biases, total.weights + total.biases, mags
+        ):
             assert got.shape == want.shape
-            # The batch sums rows in BLAS order, the loop in row order; the two
-            # differ by rounding on the largest row term, which near-zero
-            # descriptor norms can make large.
-            scale = max(np.abs((s.weights + s.biases)[k]).max() for s in singles)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * max(1.0, scale))
+            err, bound = np.abs(got - want), 16 * n * u * mag
+            worst = err.argmax()
+            assert np.all(err <= bound), (err.flat[worst], bound.flat[worst])
 
 
 class TestInitAndSerialization:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vprkit.errors import DecodeError, VprError
+from vprkit.errors import DecodeError, NonFiniteValue, ShapeError, VprError
 from vprkit.ppm import quantize, read_ppm, write_ppm
 
 
@@ -53,6 +53,26 @@ def test_empty_image_raises(tmp_path, size):
     (tmp_path / "e.ppm").write_bytes(b"P6\n" + size + b"\n255\n")
     with pytest.raises(DecodeError, match="e.ppm"):
         read_ppm(tmp_path / "e.ppm")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite_pixels(tmp_path, value):
+    pixels = np.full((4, 5, 3), 0.5)
+    pixels[1, 2, 0] = value
+    path = tmp_path / "nan.ppm"
+    with pytest.raises(NonFiniteValue, match="nan.ppm"):
+        write_ppm(path, pixels)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "shape", [(4, 5), (4, 5, 4), (4, 5, 3, 1), (0, 5, 3), (4, 0, 3)]
+)
+def test_write_rejects_non_image_shapes(tmp_path, shape):
+    path = tmp_path / "shape.ppm"
+    with pytest.raises(ShapeError, match="shape.ppm"):
+        write_ppm(path, np.zeros(shape))
+    assert not path.exists()
 
 
 @settings(max_examples=500, deadline=None)

@@ -1,7 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
+from vprkit import presets, synth
 from vprkit.errors import InvalidSpec
 
 
@@ -80,3 +84,93 @@ def test_invalid_specs_rejected():
         _spec(seed=-1)
     with pytest.raises(InvalidSpec):
         vk.StyleParams(texture_family="paisley")
+
+
+# The (H, W, 3) rasterizer that the channel-plane _render_base replaced,
+# kept verbatim as the oracle it must match bit for bit.
+def oracle_render_base(
+    prims: list, palette: np.ndarray, size: int, seed: int, place: int
+) -> np.ndarray:
+    """Rasterize the place texture over a gradient background."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, place, 0xB4C6]))
+    yy, xx = np.meshgrid(
+        np.linspace(0.0, 1.0, size), np.linspace(0.0, 1.0, size), indexing="ij"
+    )
+    top = palette[int(rng.integers(0, 4))] * 0.6 + 0.2
+    bottom = palette[int(rng.integers(0, 4))] * 0.6 + 0.2
+    img = top[None, None, :] * (1 - yy[..., None]) + bottom[None, None, :] * yy[..., None]
+    for p in prims:
+        color = palette[p.color_idx]
+        dx, dy = xx - p.cx, yy - p.cy
+        cos_a, sin_a = np.cos(p.angle), np.sin(p.angle)
+        u = dx * cos_a + dy * sin_a
+        v = -dx * sin_a + dy * cos_a
+        if p.kind == "blocks":
+            mask = ((np.abs(u) <= p.w / 2) & (np.abs(v) <= p.h / 2)).astype(np.float64)
+        elif p.kind == "stripes":
+            period = max(p.h, 0.08)
+            band = (np.mod(u / period, 1.0) < 0.5) & (np.abs(v) <= p.w)
+            mask = band.astype(np.float64)
+        else:  # gradients
+            r = np.sqrt((u / (p.w / 2)) ** 2 + (v / (p.h / 2)) ** 2)
+            mask = np.clip(1.0 - r, 0.0, 1.0)
+        alpha = (p.strength * mask)[..., None]
+        img = img * (1 - alpha) + color[None, None, :] * alpha
+    return np.clip(img, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    place=st.integers(0, 100_000),
+    family=st.sampled_from(synth.TEXTURE_FAMILIES),
+    palette_id=st.integers(0, len(synth._PALETTES) - 1),
+    size=st.integers(16, 128),
+)
+def test_render_base_matches_oracle_bit_for_bit(seed, place, family, palette_id, size):
+    prims = synth._place_primitives(seed, place, family)
+    palette = synth._PALETTES[palette_id]
+    want = oracle_render_base(prims, palette, size, seed, place)
+    got = synth._render_base(prims, palette, size, seed, place)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.strides == want.strides  # C-contiguous, as luma's matmul needs
+    assert got.tobytes() == want.tobytes()
+
+
+def pixel_digest(*datasets):
+    h = hashlib.sha256()
+    for ds in datasets:
+        for rec in ds.references + ds.queries:
+            assert rec.pixels.flags.c_contiguous
+            h.update(rec.id.encode())
+            h.update(rec.pixels.tobytes())
+    return h.hexdigest()
+
+
+def test_domain_gap_pair_pixels_are_pinned():
+    assert pixel_digest(*presets.domain_gap_pair()) == (
+        "97338558ad9f5b4e0ab21e0f5945a0ef3c8cb66aa2ad327fddfd2198a7bf0048"
+    )
+
+
+def test_localize_style_stripes_world_pixels_are_pinned():
+    """A stripes world in the query style of the localize benchmarks."""
+    style = dict(palette_id=1, texture_family="stripes")
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=40,
+            spacing=30.0,
+            reference_style=vk.StyleParams(**style),
+            query_style=vk.StyleParams(
+                **style, hue_shift=35.0, brightness_offset=-0.2,
+                contrast_gain=0.7, noise_sigma=0.04,
+            ),
+            queries_per_place=1,
+            image_size=64,
+            seed=7,
+        )
+    )
+    assert pixel_digest(world) == (
+        "4c2d141ac0c1ad285d938f73a3459feeebfd16e8f146f51f4c92567f755c45b8"
+    )
