@@ -1,9 +1,9 @@
 """Project descriptor maps to 2-D and print a coarse scatter.
 
 Descriptors from two differently styled worlds occupy different regions
-of feature space under a baseline model. The power-iteration PCA in
-`project_2d` reduces them to two coordinates; an ASCII scatter is enough
-to see the separation.
+of feature space under a baseline model. `project_2d` reduces them to
+two coordinates along the top two eigenvectors of their covariance
+(`np.linalg.eigh`); an ASCII scatter is enough to see the separation.
 """
 
 import numpy as np

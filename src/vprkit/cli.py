@@ -13,6 +13,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,8 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             raise VprError(f"{args.config}:{lineno}: expected key=value, got {line!r}")
         key, value = (p.strip() for p in line.split("=", 1))
         key = key.replace("-", "_")
-        if not hasattr(args, key):
+        # fn and command are set by the parser, not by flags; config is read.
+        if key in ("fn", "command", "config") or not hasattr(args, key):
             raise VprError(f"{args.config}:{lineno}: unknown config key {key!r}")
         current = getattr(args, key)
         if isinstance(current, bool):
@@ -116,22 +118,48 @@ def _apply_config_file(args: argparse.Namespace) -> None:
             ) from None
 
 
-# Flags naming input files or directories; the plural ones take a
-# comma-separated list.
-_INPUT_FLAGS = ("results", "map", "model", "dataset", "validation")
-_INPUT_LIST_FLAGS = ("models", "datasets", "maps")
+# Every flag that names an input path: (names a directory rather than a
+# file, takes a comma-separated list, manifest key of one entry, formatted
+# with the entry's Path). The keys are hashed into run ids.
+_INPUTS = {
+    "results": (False, False, "results"),
+    "map": (False, False, "map"),
+    "model": (False, False, "model"),
+    "dataset": (True, False, "dataset"),
+    "validation": (True, False, "validation"),
+    "models": (False, True, "model:{0.stem}"),
+    "maps": (False, True, "map:{0.stem}"),
+    "datasets": (True, True, "dataset:{0.name}"),
+}
+
+
+def _input_entries(args: argparse.Namespace) -> Iterator[tuple[str, str, bool, str]]:
+    """(flag, path, names a directory, manifest key) of each input path given."""
+    for flag, (directory, listed, key) in _INPUTS.items():
+        value = getattr(args, flag, None)
+        if value:
+            for path in value.split(",") if listed else [value]:
+                yield flag, path, directory, key.format(Path(path))
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """A missing input path is a usage error naming its flag, raised before
-    any input is hashed."""
-    for flag in (*_INPUT_FLAGS, *_INPUT_LIST_FLAGS):
-        value = getattr(args, flag, None)
-        if not value:
-            continue
-        for path in value.split(",") if flag in _INPUT_LIST_FLAGS else [value]:
-            if not Path(path).exists():
-                raise argparse.ArgumentTypeError(f"--{flag} {path}: no such file or directory")
+    """A missing input path, or one of the wrong kind, is a usage error
+    naming its flag, raised before any input is hashed."""
+    for flag, path, directory, _ in _input_entries(args):
+        if not path or not Path(path).exists():  # Path("") is "."
+            raise argparse.ArgumentTypeError(f"--{flag} {path}: no such file or directory")
+        if not (Path(path).is_dir() if directory else Path(path).is_file()):
+            kind = "a directory" if directory else "a file"
+            raise argparse.ArgumentTypeError(f"--{flag} {path}: expected {kind}")
+
+
+def _run_context(args: argparse.Namespace, config: dict) -> RunContext:
+    """The run of this invocation. Only the config is the subcommand's own;
+    the command, seed and inputs are read from the parsed arguments."""
+    inputs = {key: path for _, path, _, key in _input_entries(args)}
+    return RunContext(
+        args.command, config, inputs, getattr(args, "seed", None), _out_root(args)
+    )
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -162,6 +190,15 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--patience", type=int, default=5)
     p.add_argument("--multiplicity", "-M", type=int, default=2)
     p.add_argument("--radius", type=float, default=25.0)
+
+
+def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
+    """The inputs, seed and train flags of rsf and both ablations."""
+    p.add_argument("--model", required=True)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--validation", default=None)
+    p.add_argument("--seed", type=int, required=True)
+    _add_train_flags(p)
 
 
 def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") -> None:
@@ -197,9 +234,11 @@ def _write_report(ctx: RunContext, reports, stem: str) -> None:
 
 
 # ---------------------------------------------------------------- commands
+# Each command fills the run that _run_context opens and returns it; main
+# writes its manifest.
 
 
-def cmd_synth_gen(args) -> int:
+def cmd_synth_gen(args) -> RunContext:
     spec = SynthWorldSpec(
         place_count=args.places,
         spacing=args.spacing,
@@ -210,25 +249,16 @@ def cmd_synth_gen(args) -> int:
         seed=args.seed,
         jitter_px=args.jitter,
     )
-    ctx = RunContext(
-        "synth-gen", dataclasses.asdict(spec), {}, args.seed, _out_root(args)
-    )
-    dataset = generate_synthetic(spec)
-    out_dir = ctx.run_dir / "dataset"
-    save_dataset(dataset, out_dir)
+    ctx = _run_context(args, dataclasses.asdict(spec))
+    save_dataset(generate_synthetic(spec), ctx.run_dir / "dataset")
     ctx.outputs.append("dataset")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_pretrain(args) -> int:
+def cmd_pretrain(args) -> RunContext:
     config = _train_config(args)
-    ctx = RunContext(
-        "pretrain",
-        {**dataclasses.asdict(config), "val_fraction": args.val_fraction},
-        {"dataset": args.dataset},
-        args.seed,
-        _out_root(args),
+    ctx = _run_context(
+        args, {**dataclasses.asdict(config), "val_fraction": args.val_fraction}
     )
     dataset = load_dataset(args.dataset)
     train_split, val_split = split_validation(dataset, args.val_fraction, args.seed)
@@ -237,32 +267,18 @@ def cmd_pretrain(args) -> int:
     save_model(model, ctx.path("model.vprh"))
     _write_trainlog(ctx, log)
     ctx.extra["model_fingerprint"] = model.fingerprint_hex()
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_build_map(args) -> int:
-    ctx = RunContext(
-        "build-map",
-        {},
-        {"dataset": args.dataset, "model": args.model},
-        None,
-        _out_root(args),
-    )
+def cmd_build_map(args) -> RunContext:
+    ctx = _run_context(args, {})
     dmap = build_map(load_dataset(args.dataset), load_model(args.model))
     save_map(dmap, ctx.path("map.vprm"))
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_retrieve(args) -> int:
-    ctx = RunContext(
-        "retrieve",
-        {"k": args.k},
-        {"map": args.map, "model": args.model, "dataset": args.dataset},
-        None,
-        _out_root(args),
-    )
+def cmd_retrieve(args) -> RunContext:
+    ctx = _run_context(args, {"k": args.k})
     dmap = load_map(args.map)
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
@@ -272,8 +288,7 @@ def cmd_retrieve(args) -> int:
         for rank, (idx, dist) in enumerate(res.ranked):
             rows.append(f"{res.query_id},{rank},{idx},{dmap.ids[idx]},{dist:.9f}")
     atomic_write_text(ctx.path("results.csv"), "\n".join(rows) + "\n")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
 def _read_results(path: Path) -> list[RetrievalResult]:
@@ -296,13 +311,9 @@ def _read_results(path: Path) -> list[RetrievalResult]:
     return results
 
 
-def cmd_evaluate(args) -> int:
-    ctx = RunContext(
-        "evaluate",
-        {"radius": args.radius, "ns": list(args.ns), "name": args.name},
-        {"results": args.results, "map": args.map, "dataset": args.dataset},
-        None,
-        _out_root(args),
+def cmd_evaluate(args) -> RunContext:
+    ctx = _run_context(
+        args, {"radius": args.radius, "ns": list(args.ns), "name": args.name}
     )
     results = _read_results(Path(args.results))
     dmap = load_map(args.map)
@@ -321,8 +332,7 @@ def cmd_evaluate(args) -> int:
         model_fingerprint=dmap.model_fingerprint.hex(),
     )
     _write_report(ctx, [report], "report")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
 def _load_rsf_inputs(args):
@@ -332,45 +342,23 @@ def _load_rsf_inputs(args):
     return model, test_dataset, validation
 
 
-def cmd_rsf(args) -> int:
+def cmd_rsf(args) -> RunContext:
     config = _train_config(args)
     spec = AugmentationSpec.from_string(args.augment)
-    ctx = RunContext(
-        "rsf",
-        {**dataclasses.asdict(config), "augment": args.augment},
-        {
-            "model": args.model,
-            "dataset": args.dataset,
-            **({"validation": args.validation} if args.validation else {}),
-        },
-        args.seed,
-        _out_root(args),
-    )
+    ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
     model, test_dataset, validation = _load_rsf_inputs(args)
     finetuned, log = rsf_finetune(model, test_dataset, config, spec, validation)
     save_model(finetuned, ctx.path("model.vprh"))
     _write_trainlog(ctx, log)
     ctx.extra["mode"] = log.mode
     ctx.extra["model_fingerprint"] = finetuned.fingerprint_hex()
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_xeval(args) -> int:
-    model_paths = [Path(p) for p in args.models.split(",")]
-    dataset_paths = [Path(p) for p in args.datasets.split(",")]
-    ctx = RunContext(
-        "xeval",
-        {"radius": args.radius, "ns": list(args.ns)},
-        {
-            **{f"model:{p.stem}": p for p in model_paths},
-            **{f"dataset:{p.name}": p for p in dataset_paths},
-        },
-        None,
-        _out_root(args),
-    )
-    models = [(p.stem, load_model(p)) for p in model_paths]
-    datasets = [(p.name, load_dataset(p)) for p in dataset_paths]
+def cmd_xeval(args) -> RunContext:
+    ctx = _run_context(args, {"radius": args.radius, "ns": list(args.ns)})
+    models = [(Path(p).stem, load_model(p)) for p in args.models.split(",")]
+    datasets = [(Path(p).name, load_dataset(p)) for p in args.datasets.split(",")]
     matrix = generalization_matrix(models, datasets, args.radius, args.ns)
     rows = ["model_fingerprint,dataset,N,recall,evaluated,total"]
     for (mname, model), row in zip(models, matrix):
@@ -387,19 +375,12 @@ def cmd_xeval(args) -> int:
         atomic_write_text(ctx.path(f"xeval_r{n}.txt"), table + "\n")
         print(f"Recall@{n}")
         print(table)
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_project(args) -> int:
+def cmd_project(args) -> RunContext:
+    ctx = _run_context(args, {})
     paths = [Path(p) for p in args.maps.split(",")]
-    ctx = RunContext(
-        "project",
-        {},
-        {f"map:{p.stem}": p for p in paths},
-        None,
-        _out_root(args),
-    )
     maps = [load_map(p) for p in paths]
     dims = {m.descriptor_dim for m in maps}
     if len(dims) > 1:
@@ -414,23 +395,12 @@ def cmd_project(args) -> int:
             rows.append(f"{p.stem},{x:.9f},{y:.9f}")
         offset += m.size
     atomic_write_text(ctx.path("projection.csv"), "\n".join(rows) + "\n")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_ablate_aug(args) -> int:
+def cmd_ablate_aug(args) -> RunContext:
     config = _train_config(args)
-    ctx = RunContext(
-        "ablate-aug",
-        dataclasses.asdict(config),
-        {
-            "model": args.model,
-            "dataset": args.dataset,
-            **({"validation": args.validation} if args.validation else {}),
-        },
-        args.seed,
-        _out_root(args),
-    )
+    ctx = _run_context(args, dataclasses.asdict(config))
     model, test_dataset, validation = _load_rsf_inputs(args)
     reports = []
     for label in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
@@ -439,25 +409,14 @@ def cmd_ablate_aug(args) -> int:
         rep = evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)
         reports.append(rep)
     _write_report(ctx, reports, "ablate_aug")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
-def cmd_ablate_poses(args) -> int:
+def cmd_ablate_poses(args) -> RunContext:
     config = _train_config(args)
-    ctx = RunContext(
-        "ablate-poses",
-        {**dataclasses.asdict(config), "augment": args.augment},
-        {
-            "model": args.model,
-            "dataset": args.dataset,
-            **({"validation": args.validation} if args.validation else {}),
-        },
-        args.seed,
-        _out_root(args),
-    )
-    model, test_dataset, validation = _load_rsf_inputs(args)
     spec = AugmentationSpec.from_string(args.augment)
+    ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
+    model, test_dataset, validation = _load_rsf_inputs(args)
     reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
     for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
         cfg = dataclasses.replace(config, poseless=poseless)
@@ -466,8 +425,7 @@ def cmd_ablate_poses(args) -> int:
             evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)
         )
     _write_report(ctx, reports, "ablate_poses")
-    print(ctx.finalize().parent)
-    return 0
+    return ctx
 
 
 # ------------------------------------------------------------------ parser
@@ -522,13 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default="dataset")
 
     p = add("rsf", cmd_rsf, help="finetune a model on a test reference set")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--validation", default=None)
     p.add_argument("--augment", default="appearance,viewpoint")
     p.add_argument("--no-poses", action="store_true")
-    p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p)
+    _add_finetune_flags(p)
 
     p = add("xeval", cmd_xeval, help="models x datasets recall matrix")
     p.add_argument("--models", required=True, help="comma-separated model files")
@@ -540,21 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--maps", required=True, help="comma-separated map files")
 
     p = add("ablate-aug", cmd_ablate_aug, help="RSF with each augmentation category")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--validation", default=None)
     p.add_argument("--ns", default="1,5")
-    p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p)
+    _add_finetune_flags(p)
 
     p = add("ablate-poses", cmd_ablate_poses, help="RSF with vs without poses")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--validation", default=None)
     p.add_argument("--augment", default="appearance,viewpoint")
     p.add_argument("--ns", default="1,5")
-    p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p)
+    _add_finetune_flags(p)
 
     return parser
 
@@ -567,7 +513,8 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "ns"):
             args.ns = _parse_ns(args.ns)
         _check_inputs(args)
-        return args.fn(args)
+        print(args.fn(args).finalize().parent)
+        return 0
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))  # usage error: exits 2
     except VprError as exc:

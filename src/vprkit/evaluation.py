@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,11 @@ class GroundTruth:
     unmatched: list[str] = field(default_factory=list)
 
 
+def _check_radius(radius: float) -> None:
+    if not 0 < radius < math.inf:  # also rejects nan
+        raise VprError(f"radius must be positive and finite, got {radius}")
+
+
 def ground_truth(
     query_poses: list[Pose] | np.ndarray,
     reference_poses: list[Pose] | np.ndarray,
@@ -36,8 +42,7 @@ def ground_truth(
     """A query matches reference i iff their pose distance is <= radius.
     Distances are computed one query row at a time, so memory stays O(N)
     however many queries there are."""
-    if radius <= 0:
-        raise VprError(f"radius must be positive, got {radius}")
+    _check_radius(radius)
     qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
     rp = np.asarray(reference_poses, np.float64)
     if query_ids is None:
@@ -144,7 +149,8 @@ def generalization_matrix(
     ns: tuple[int, ...] = DEFAULT_NS,
 ) -> list[list[RecallReport | Exception]]:
     """Cross-product evaluation; a failing cell records its error and the
-    run continues."""
+    run continues. A bad radius would fail every cell, so it raises."""
+    _check_radius(radius)
     matrix: list[list[RecallReport | Exception]] = []
     for _, model in models:
         row: list[RecallReport | Exception] = []

@@ -149,6 +149,9 @@ class TrainConfig:
             raise VprError(
                 f"negatives_per_query must be at least 1, got {self.negatives_per_query}"
             )
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise VprError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass

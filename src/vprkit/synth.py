@@ -79,6 +79,10 @@ class SynthWorldSpec:
             raise InvalidSpec("image_size must be at least 16")
         if self.seed < 0:
             raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.jitter_px < self.image_size:
+            raise InvalidSpec(
+                f"jitter_px must be in [0, image_size), got {self.jitter_px}"
+            )
 
 
 @dataclass(frozen=True)

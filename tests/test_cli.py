@@ -1,5 +1,7 @@
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,6 +199,20 @@ def test_non_numeric_config_value_is_a_usage_error(capsys, tmp_path, line):
     assert f"{cfg}:2:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["fn = x", "command = xeval", "config = other.cfg"])
+def test_config_key_that_is_no_flag_exits_one(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    code, _, err = run(
+        capsys, "synth-gen", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert f"unknown config key {line.split()[0]!r}" in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
     results = tmp_path / "results.csv"
     results.write_text("query_id,rank,ref_index,ref_id,distance\nq0,0,1,r1,0.5\nq1,0,x,r1,0.5\n")
@@ -287,6 +303,43 @@ def test_missing_input_is_a_usage_error_naming_flag_and_path(capsys, tmp_path, a
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build-map", "--dataset", "{dir}", "--model", "{dir}"],
+         "--model {dir}: expected a file"),
+        (["retrieve", "--map", "{dir}", "--model", "{file}", "--dataset", "{dir}"],
+         "--map {dir}: expected a file"),
+        (["evaluate", "--results", "{dir}", "--map", "{file}", "--dataset", "{dir}"],
+         "--results {dir}: expected a file"),
+        (["xeval", "--models", "{file},{dir}", "--datasets", "{dir}"],
+         "--models {dir}: expected a file"),
+        (["project", "--maps", "{file},{dir}"], "--maps {dir}: expected a file"),
+        (["build-map", "--dataset", "{file}", "--model", "{file}"],
+         "--dataset {file}: expected a directory"),
+        (["rsf", "--model", "{file}", "--dataset", "{dir}", "--validation", "{file}",
+          "--seed", "1"],
+         "--validation {file}: expected a directory"),
+        (["xeval", "--models", "{file}", "--datasets", "{dir},{file}"],
+         "--datasets {file}: expected a directory"),
+        # An empty entry is not ".", the current directory.
+        (["xeval", "--models", "{file},,{file}", "--datasets", "{dir}"],
+         "--models : no such file or directory"),
+        (["xeval", "--models", "{file}", "--datasets", "{dir},"],
+         "--datasets : no such file or directory"),
+    ],
+)
+def test_input_of_the_wrong_kind_is_a_usage_error(capsys, tmp_path, argv, message):
+    present = tmp_path / "present.bin"
+    present.write_bytes(b"")
+    argv = [a.format(dir=tmp_path, file=present) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert message.format(dir=tmp_path, file=present) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value, field",
     [
         ("--batch-size", "0", "batch_size"),
@@ -295,6 +348,8 @@ def test_missing_input_is_a_usage_error_naming_flag_and_path(capsys, tmp_path, a
         ("--margin", "nan", "margin"),
         ("--lr", "inf", "learning_rate"),
         ("--positive-radius", "nan", "positive_radius"),
+        ("--seed", "-1", "seed"),
+        ("--epochs", "-1", "epochs"),
     ],
 )
 def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, value, field):
@@ -315,6 +370,8 @@ def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, val
         (["--ref-style", "hue=nan"], "InvalidSpec", "hue_shift"),
         (["--spacing", "nan"], "InvalidSpec", "spacing"),
         (["--seed", "-1"], "InvalidSpec", "seed"),
+        (["--jitter", "1000"], "InvalidSpec", "jitter_px"),
+        (["--jitter", "-1"], "InvalidSpec", "jitter_px"),
     ],
 )
 def test_bad_synth_gen_input_exits_one(capsys, tmp_path, argv, error, needle):
@@ -322,3 +379,82 @@ def test_bad_synth_gen_input_exits_one(capsys, tmp_path, argv, error, needle):
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == error and needle in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--results", "{results}", "--map", "{map}", "--dataset", "{ds}"],
+        ["xeval", "--models", "{model}", "--datasets", "{ds}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_non_finite_radius_exits_one(capsys, tmp_path, pipeline, argv):
+    ds, model, dmap = pipeline
+    results = tmp_path / "results.csv"
+    results.write_text("query_id,rank,ref_index,ref_id,distance\n")
+    argv = [a.format(results=results, map=dmap, ds=ds, model=model) for a in argv]
+    code, _, err = run(capsys, *argv, "--radius", "nan", "--out", str(tmp_path / "o"))
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError" and "radius" in record["message"]
+
+
+def test_every_subcommand_exits_zero_and_records_its_run(capsys, tmp_path):
+    """The manifest of each run names its command, its seed and exactly
+    the inputs it was given, and every output it lists exists."""
+
+    def check(argv, seed, inputs):
+        argv = [str(a) for a in argv]
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "runs"))
+        assert code == 0
+        run_dir = Path(out.strip().splitlines()[-1])
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert (manifest["command"], manifest["seed"]) == (argv[0], seed)
+        assert set(manifest["inputs"]) == inputs
+        assert manifest["outputs"]
+        assert all((run_dir / name).exists() for name in manifest["outputs"])
+        return run_dir
+
+    ds = check(
+        ["synth-gen", "--seed", 11, "--places", 6, "--queries-per-place", 1,
+         "--query-style", "palette=0,family=blocks,brightness=-0.1,noise=0.02"],
+        11, set(),
+    ) / "dataset"
+    train = ["--epochs", 1]
+    model = check(
+        ["pretrain", "--dataset", ds, "--seed", 5, *train], 5, {"dataset"}
+    ) / "model.vprh"
+    dmap = check(
+        ["build-map", "--dataset", ds, "--model", model], None, {"dataset", "model"}
+    ) / "map.vprm"
+    results = check(
+        ["retrieve", "--map", dmap, "--model", model, "--dataset", ds],
+        None, {"map", "model", "dataset"},
+    ) / "results.csv"
+    check(
+        ["evaluate", "--results", results, "--map", dmap, "--dataset", ds],
+        None, {"results", "map", "dataset"},
+    )
+    finetune = ["--model", model, "--dataset", ds, "--seed", 9, *train]
+    finetuned = check(["rsf", *finetune], 9, {"model", "dataset"}) / "model.vprh"
+    check(["rsf", *finetune, "--validation", ds], 9, {"model", "dataset", "validation"})
+    check(["ablate-aug", *finetune], 9, {"model", "dataset"})
+    check(
+        ["ablate-poses", *finetune, "--validation", ds],
+        9, {"model", "dataset", "validation"},
+    )
+    # The list flags key each entry by file stem or directory name.
+    shutil.copy(model, tmp_path / "m.vprh")
+    shutil.copy(finetuned, tmp_path / "rsf.vprh")
+    shutil.copytree(ds, tmp_path / "ds.v1")
+    shutil.copy(dmap, tmp_path / "other.vprm")
+    check(
+        ["xeval", "--models", f"{tmp_path / 'm.vprh'},{tmp_path / 'rsf.vprh'}",
+         "--datasets", f"{tmp_path / 'ds.v1'},{ds}"],
+        None, {"model:m", "model:rsf", "dataset:ds.v1", "dataset:dataset"},
+    )
+    check(
+        ["project", "--maps", f"{dmap},{tmp_path / 'other.vprm'}"],
+        None, {"map:map", "map:other"},
+    )

@@ -9,6 +9,7 @@ from vprkit.errors import (
     InconsistentManifest,
     MissingGroundTruth,
     ShapeError,
+    VprError,
 )
 from vprkit.evaluation import format_matrix, format_recall
 from vprkit.retrieval import RetrievalResult
@@ -31,6 +32,11 @@ class TestGroundTruth:
         from vprkit.evaluation import DEFAULT_RADIUS_M
 
         assert DEFAULT_RADIUS_M == 25.0
+
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_radius_must_be_finite(self, radius):
+        with pytest.raises(VprError, match="radius"):
+            vk.ground_truth([P(0.0)], [P(0.0)], radius=radius)
 
     def test_unmatched_queries_are_flagged(self):
         gt = vk.ground_truth([P(1000.0)], [P(0.0)], radius=25.0)

@@ -122,6 +122,8 @@ class TestTripletLoss:
         ("positive_radius", float("nan")),
         ("negative_radius", float("inf")),
         ("validation_radius", float("nan")),
+        ("epochs", -1),
+        ("seed", -1),
     ],
 )
 def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):

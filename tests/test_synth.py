@@ -82,6 +82,9 @@ def test_invalid_specs_rejected():
             _spec(spacing=spacing)
     with pytest.raises(InvalidSpec, match="seed"):
         _spec(seed=-1)
+    for jitter_px in (-1, 32, 1000):  # _spec has image_size 32
+        with pytest.raises(InvalidSpec, match="jitter_px"):
+            _spec(jitter_px=jitter_px)
     with pytest.raises(InvalidSpec):
         vk.StyleParams(texture_family="paisley")
 
