@@ -8,13 +8,13 @@ as training queries whose ground-truth place is known for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .colorops import adjust_contrast, luma, rotate_hue
 from .dataset import ImageRecord
-from .errors import NothingToSample, VprError
+from .errors import VprError
 from .imageops import sample_bilinear
 
 APPEARANCE_KINDS = (
@@ -48,21 +48,15 @@ class AugmentationOp:
     kind: str
     params: tuple[float, ...] = ()
 
-    @property
-    def category(self) -> str:
-        if self.kind == "identity":
-            return "appearance,viewpoint"
-        return "appearance" if self.kind in APPEARANCE_KINDS else "viewpoint"
-
     def tag(self) -> str:
         if not self.params:
             return self.kind
         return self.kind + "(" + ",".join(f"{p:.3g}" for p in self.params) + ")"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AugmentationSpec:
-    """Which op categories are enabled and with what parameter ranges.
+    """Which op categories are enabled.
 
     ``categories`` is a subset of {"appearance", "viewpoint"}; the empty
     set is the explicit no-augmentation baseline (sample_op then always
@@ -70,11 +64,11 @@ class AugmentationSpec:
     """
 
     categories: frozenset[str] = frozenset({"appearance", "viewpoint"})
-    ranges: dict[str, tuple[float, float]] = field(
-        default_factory=lambda: dict(DEFAULT_RANGES)
-    )
-    include_flip: bool = False  # flips can alias symmetric synthetic scenes
-    kind_whitelist: frozenset[str] | None = None  # None = all kinds of the categories
+
+    def __post_init__(self) -> None:
+        bad = self.categories - {"appearance", "viewpoint"}
+        if bad:
+            raise VprError(f"unknown augmentation category {sorted(bad)[0]!r}")
 
     @classmethod
     def from_string(cls, text: str) -> "AugmentationSpec":
@@ -82,51 +76,42 @@ class AugmentationSpec:
         text = text.strip().lower()
         if text == "none":
             return cls(categories=frozenset())
-        cats = frozenset(p.strip() for p in text.split(",") if p.strip())
-        bad = cats - {"appearance", "viewpoint"}
-        if bad:
-            raise VprError(f"unknown augmentation category {sorted(bad)[0]!r}")
-        return cls(categories=cats)
+        return cls(categories=frozenset(p.strip() for p in text.split(",") if p.strip()))
 
     def enabled_kinds(self) -> list[str]:
+        """The sampled menu. Flips stay out of it: they can alias symmetric
+        synthetic scenes."""
         kinds: list[str] = []
         if "appearance" in self.categories:
             kinds += [k for k in APPEARANCE_KINDS if k != "identity"]
         if "viewpoint" in self.categories:
-            kinds += [k for k in VIEWPOINT_KINDS if k != "identity"]
-            if not self.include_flip:
-                kinds.remove("horizontal_flip")
-        if self.kind_whitelist is not None:
-            kinds = [k for k in kinds if k in self.kind_whitelist]
+            kinds += ["crop_resize", "perspective_jitter"]
         return kinds
 
 
 def sample_op(spec: AugmentationSpec, rng: np.random.Generator) -> AugmentationOp:
-    """Uniformly pick an enabled kind, then its parameters from the ranges."""
-    if not spec.categories:
-        return AugmentationOp("identity")
+    """Uniformly pick an enabled kind, then its parameters from DEFAULT_RANGES."""
     kinds = spec.enabled_kinds()
     if not kinds:
-        raise NothingToSample("augmentation spec enables no op kinds")
+        return AugmentationOp("identity")
     kind = kinds[int(rng.integers(0, len(kinds)))]
-    r = spec.ranges
     if kind in ("brightness", "contrast", "hue_shift", "gamma", "gaussian_noise"):
-        lo, hi = r[kind]
+        lo, hi = DEFAULT_RANGES[kind]
         return AugmentationOp(kind, (float(rng.uniform(lo, hi)),))
     if kind == "box_blur":
-        lo, hi = r[kind]
+        lo, hi = DEFAULT_RANGES[kind]
         return AugmentationOp(kind, (float(rng.integers(int(lo), int(hi) + 1)),))
     if kind == "crop_resize":
-        lo, hi = r["crop_scale"]
+        lo, hi = DEFAULT_RANGES["crop_scale"]
         scale = float(rng.uniform(lo, hi))
         ox = float(rng.uniform(0.0, 1.0 - scale))
         oy = float(rng.uniform(0.0, 1.0 - scale))
         return AugmentationOp(kind, (scale, ox, oy))
     if kind == "perspective_jitter":
-        lo, hi = r["perspective"]
+        _, hi = DEFAULT_RANGES["perspective"]
         disp = rng.uniform(-hi, hi, size=8)
         return AugmentationOp(kind, tuple(float(d) for d in disp))
-    return AugmentationOp(kind)  # grayscale, horizontal_flip, identity
+    return AugmentationOp(kind)  # grayscale
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:

@@ -84,6 +84,9 @@ def _parse_ns(text: str) -> tuple[int, ...]:
     )
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Plain key=value config file; entries override command-line flags.
     An unreadable file or a mistyped value is a usage error, as on the
@@ -106,16 +109,14 @@ def _apply_config_file(args: argparse.Namespace) -> None:
         if key in ("fn", "command", "config") or not hasattr(args, key):
             raise VprError(f"{args.config}:{lineno}: unknown config key {key!r}")
         current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-            continue
-        cast = type(current) if isinstance(current, (int, float)) else str
+        kind = type(current) if isinstance(current, (bool, int, float)) else str
         try:
-            setattr(args, key, cast(value))
-        except ValueError:
+            parsed = _BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
             raise argparse.ArgumentTypeError(
-                f"{args.config}:{lineno}: {key} expects {cast.__name__}, got {value!r}"
+                f"{args.config}:{lineno}: {key} expects {kind.__name__}, got {value!r}"
             ) from None
+        setattr(args, key, parsed)
 
 
 # Every flag that names an input path: (names a directory rather than a
@@ -143,14 +144,21 @@ def _input_entries(args: argparse.Namespace) -> Iterator[tuple[str, str, bool, s
 
 
 def _check_inputs(args: argparse.Namespace) -> None:
-    """A missing input path, or one of the wrong kind, is a usage error
-    naming its flag, raised before any input is hashed."""
-    for flag, path, directory, _ in _input_entries(args):
+    """A missing input path, one of the wrong kind, or two list entries
+    with one manifest key are a usage error naming the flag, raised before
+    any input is hashed."""
+    seen: dict[str, str] = {}
+    for flag, path, directory, key in _input_entries(args):
         if not path or not Path(path).exists():  # Path("") is "."
             raise argparse.ArgumentTypeError(f"--{flag} {path}: no such file or directory")
         if not (Path(path).is_dir() if directory else Path(path).is_file()):
             kind = "a directory" if directory else "a file"
             raise argparse.ArgumentTypeError(f"--{flag} {path}: expected {kind}")
+        if key in seen:
+            raise argparse.ArgumentTypeError(
+                f"--{flag} {seen[key]} and {path} share the manifest key {key!r}"
+            )
+        seen[key] = path
 
 
 def _run_context(args: argparse.Namespace, config: dict) -> RunContext:

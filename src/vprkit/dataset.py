@@ -11,7 +11,8 @@ Directory layout (the on-disk interchange format):
 Poses are planar metric coordinates (meters east, meters north) in a
 local frame. Latitude/longitude manifests can be ingested with
 ``latlon=True``, which applies an equirectangular approximation around
-the manifest centroid.
+one origin for both sides: the centroid of the reference rows, or of the
+query rows when there are no references.
 
 In memory, each pose is stored once, on its ``ImageRecord``. A
 ``Dataset(references, queries)`` holds only the two record lists; its
@@ -104,7 +105,7 @@ class Dataset:
         return Dataset(self.references)
 
 
-def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
+def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, tuple[float, float]]:
     if not path.is_file():
         raise ManifestMissing(f"pose manifest not found: {path}")
     data = path.read_bytes()
@@ -142,22 +143,36 @@ def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, Pose]:
     if len(set(ids)) != len(ids):
         dupe = next(i for i in ids if ids.count(i) > 1)
         raise InconsistentManifest(f"{path.name}: duplicate id {dupe!r}")
-    if latlon and rows:
-        lat0 = sum(r[1] for r in rows) / len(rows)
-        lon0 = sum(r[2] for r in rows) / len(rows)
-        cos0 = math.cos(math.radians(lat0))
-        return {
-            rid: Pose(
-                x=EARTH_RADIUS_M * math.radians(lon - lon0) * cos0,
-                y=EARTH_RADIUS_M * math.radians(lat - lat0),
+    return {rid: (x, y) for rid, x, y in rows}
+
+
+def _project_latlon(
+    sides: list[dict[str, tuple[float, float]]],
+) -> list[dict[str, tuple[float, float]]]:
+    """(lat, lon) rows of every side to meters (east, north) around one
+    origin: the centroid of the first non-empty side, the references
+    unless they are empty."""
+    origin = next((rows for rows in sides if rows), None)
+    if origin is None:
+        return sides
+    lat0 = sum(lat for lat, _ in origin.values()) / len(origin)
+    lon0 = sum(lon for _, lon in origin.values()) / len(origin)
+    cos0 = math.cos(math.radians(lat0))
+    return [
+        {
+            rid: (
+                EARTH_RADIUS_M * math.radians(lon - lon0) * cos0,
+                EARTH_RADIUS_M * math.radians(lat - lat0),
             )
-            for rid, lat, lon in rows
+            for rid, (lat, lon) in rows.items()
         }
-    return {rid: Pose(x, y) for rid, x, y in rows}
+        for rows in sides
+    ]
 
 
-def _load_side(image_dir: Path, manifest: Path, latlon: bool) -> list[ImageRecord]:
-    poses = _read_pose_manifest(manifest, latlon)
+def _load_side(
+    image_dir: Path, manifest: Path, poses: dict[str, tuple[float, float]]
+) -> list[ImageRecord]:
     files = {p.stem: p for p in sorted(image_dir.glob("*.ppm"))}
     orphan_poses = sorted(set(poses) - set(files))
     if orphan_poses:
@@ -171,7 +186,7 @@ def _load_side(image_dir: Path, manifest: Path, latlon: bool) -> list[ImageRecor
         )
     # lexicographic id order keeps indices stable
     return [
-        ImageRecord(id=rid, pixels=read_ppm(files[rid]), pose=poses[rid])
+        ImageRecord(id=rid, pixels=read_ppm(files[rid]), pose=Pose(*poses[rid]))
         for rid in sorted(poses)
     ]
 
@@ -183,13 +198,15 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
     appropriate; all orderings are lexicographic by id.
     """
     root = Path(root_path)
-    references = _load_side(root / "references", root / "reference_poses.csv", latlon)
-    queries: list[ImageRecord] = []
-    qdir = root / "queries"
-    qmanifest = root / "query_poses.csv"
-    if qdir.is_dir() or qmanifest.is_file():
-        queries = _load_side(qdir, qmanifest, latlon)
-    return Dataset(references, queries)
+    sides = [(root / "references", root / "reference_poses.csv")]
+    if (root / "queries").is_dir() or (root / "query_poses.csv").is_file():
+        sides.append((root / "queries", root / "query_poses.csv"))
+    # Both manifests are read before either is projected: latitude and
+    # longitude share one origin, so queries and references share a frame.
+    poses = [_read_pose_manifest(manifest, latlon) for _, manifest in sides]
+    if latlon:
+        poses = _project_latlon(poses)
+    return Dataset(*(_load_side(d, m, p) for (d, m), p in zip(sides, poses)))
 
 
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:

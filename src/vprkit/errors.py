@@ -61,10 +61,6 @@ class DegenerateSpectrum(VprError):
     """Fewer than two non-degenerate principal directions."""
 
 
-class NothingToSample(VprError):
-    """Augmentation spec enables no operation kinds."""
-
-
 class InvalidMultiplicity(VprError):
     """Finetune query multiplicity must be at least 1."""
 

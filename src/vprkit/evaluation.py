@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import DescriptorMap, RetrievalResult, build_map, retrieve_all
+from .retrieval import RetrievalResult, build_map, retrieve_all
 from .embedding import EmbeddingModel
 
 DEFAULT_RADIUS_M = 25.0
@@ -20,12 +20,15 @@ DEFAULT_NS = (1, 5, 10)
 class GroundTruth:
     """Per-query sets of correct reference indices, keyed by query id.
 
-    Queries with no reference inside the radius are listed separately
-    and excluded from recall denominators.
+    A query with no reference inside the radius has an empty set; it is
+    listed in ``unmatched`` and excluded from recall denominators.
     """
 
     matches: dict[str, frozenset[int]]
-    unmatched: list[str] = field(default_factory=list)
+
+    @property
+    def unmatched(self) -> list[str]:
+        return [qid for qid, hit in self.matches.items() if not hit]
 
 
 def _check_radius(radius: float) -> None:
@@ -47,14 +50,10 @@ def ground_truth(
     rp = np.asarray(reference_poses, np.float64)
     if query_ids is None:
         query_ids = [str(i) for i in range(len(qp))]
-    matches: dict[str, frozenset[int]] = {}
-    unmatched: list[str] = []
-    for qi, qid in enumerate(query_ids):
-        hit = frozenset(np.flatnonzero(pose_distances(qp[qi], rp)[0] <= radius).tolist())
-        matches[qid] = hit
-        if not hit:
-            unmatched.append(qid)
-    return GroundTruth(matches=matches, unmatched=unmatched)
+    return GroundTruth({
+        qid: frozenset(np.flatnonzero(pose_distances(qp[qi], rp)[0] <= radius).tolist())
+        for qi, qid in enumerate(query_ids)
+    })
 
 
 @dataclass
@@ -91,14 +90,13 @@ def recall_at_n(
 ) -> RecallReport:
     """Fraction of evaluated queries whose top-N holds a correct index."""
     ns = sorted(ns)
-    excluded = set(gt.unmatched)
     hits = np.zeros(len(ns), dtype=np.int64)
     evaluated = 0
     for res in results:
         if res.query_id not in gt.matches:
             raise MissingGroundTruth(f"no ground truth for query {res.query_id!r}")
         correct = gt.matches[res.query_id]
-        if res.query_id in excluded:
+        if not correct:
             continue
         evaluated += 1
         first_hit = next(
@@ -187,14 +185,12 @@ def format_matrix(
     )
 
 
-def project_2d(descriptors: np.ndarray | DescriptorMap) -> np.ndarray:
+def project_2d(descriptors: np.ndarray) -> np.ndarray:
     """Project rows onto the top-2 principal directions.
 
     Eigenvectors of the covariance; sign convention is that each
     component's largest-magnitude loading is positive.
     """
-    if isinstance(descriptors, DescriptorMap):
-        descriptors = descriptors.descriptors
     x = np.asarray(descriptors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 3:
         raise ShapeError(f"need an (N>=3, D) matrix, got shape {x.shape}")

@@ -83,8 +83,7 @@ class RunContext:
             json.dumps(core, sort_keys=True).encode("utf-8")
         ).hexdigest()
         self.run_id = digest[:12]
-        self.run_dir = Path(out_root) / self.run_id
-        self.run_dir.mkdir(parents=True, exist_ok=True)
+        self.run_dir = Path(out_root) / self.run_id  # made by its first write
         self.outputs: list[str] = []
         self.extra: dict = {}
 

@@ -13,16 +13,12 @@ from .dataset import Dataset
 from .synth import StyleParams, SynthWorldSpec, generate_synthetic
 
 
-def domain_gap_pair(
-    place_count: int = 30,
-    queries_per_place: int = 2,
-    seed_a: int = 11,
-    seed_b: int = 22,
-) -> tuple[Dataset, Dataset]:
-    """(world A, world B) with a strong appearance-only query shift in B."""
+def domain_gap_pair(seed_a: int = 11, seed_b: int = 22) -> tuple[Dataset, Dataset]:
+    """(world A, world B), 30 places with 2 queries each, with a strong
+    appearance-only query shift in B."""
     world_a = generate_synthetic(
         SynthWorldSpec(
-            place_count=place_count,
+            place_count=30,
             spacing=30.0,
             reference_style=StyleParams(palette_id=0, texture_family="blocks"),
             query_style=StyleParams(
@@ -31,14 +27,14 @@ def domain_gap_pair(
                 brightness_offset=-0.05,
                 noise_sigma=0.01,
             ),
-            queries_per_place=queries_per_place,
+            queries_per_place=2,
             image_size=64,
             seed=seed_a,
         )
     )
     world_b = generate_synthetic(
         SynthWorldSpec(
-            place_count=place_count,
+            place_count=30,
             spacing=30.0,
             reference_style=StyleParams(palette_id=1, texture_family="stripes"),
             query_style=StyleParams(
@@ -49,7 +45,7 @@ def domain_gap_pair(
                 contrast_gain=0.7,
                 noise_sigma=0.04,
             ),
-            queries_per_place=queries_per_place,
+            queries_per_place=2,
             image_size=64,
             seed=seed_b,
         )

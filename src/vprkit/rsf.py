@@ -139,8 +139,8 @@ class TrainConfig:
         if not 0 < self.learning_rate < math.inf:
             raise VprError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         for name in ("positive_radius", "negative_radius", "validation_radius"):
-            if not math.isfinite(getattr(self, name)):
-                raise VprError(f"{name} must be finite, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise VprError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.negative_radius < self.positive_radius:
             raise VprError("negative_radius must be >= positive_radius")
         if self.batch_size < 1:

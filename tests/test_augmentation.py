@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from vprkit.augmentation import (
     AugmentationOp,
     AugmentationSpec,
 )
-from vprkit.errors import NothingToSample, VprError
+from vprkit.errors import VprError
 
 
 def rng_for(seed):
@@ -22,13 +24,6 @@ def constant_image(value=0.5, size=24):
 
 
 class TestSampleOp:
-    def test_single_enabled_kind_always_chosen(self):
-        spec = AugmentationSpec(
-            categories=frozenset({"appearance"}),
-            kind_whitelist=frozenset({"grayscale"}),
-        )
-        assert {vk.sample_op(spec, rng_for(i)).kind for i in range(50)} == {"grayscale"}
-
     def test_same_seed_same_sequence(self):
         spec = AugmentationSpec()
         a = rng_for(7)
@@ -38,16 +33,16 @@ class TestSampleOp:
         assert seq_a == seq_b
 
     def test_kind_frequencies_roughly_uniform(self):
-        spec = AugmentationSpec(categories=frozenset({"viewpoint"}), include_flip=True)
+        spec = AugmentationSpec(categories=frozenset({"viewpoint"}))
         kinds = spec.enabled_kinds()
-        assert len(kinds) == 3
+        assert len(kinds) == 2
         rng = rng_for(123)
         counts = {k: 0 for k in kinds}
         n = 12000
         for _ in range(n):
             counts[vk.sample_op(spec, rng).kind] += 1
         for k in kinds:
-            assert abs(counts[k] / n - 1 / 3) < 0.05
+            assert abs(counts[k] / n - 1 / 2) < 0.05
 
     def test_none_category_set_yields_identity(self):
         spec = AugmentationSpec.from_string("none")
@@ -57,12 +52,21 @@ class TestSampleOp:
         with pytest.raises(VprError):
             AugmentationSpec.from_string("appearance,weather")
 
-    def test_empty_enabled_kinds_raises(self):
-        bad = AugmentationSpec(
-            categories=frozenset({"viewpoint"}), kind_whitelist=frozenset()
+    def test_sampled_sequence_is_pinned(self):
+        """Tag and exact parameters of two draws per seed, for every spec
+        the CLI offers. A change to the menu, its order, the ranges or the
+        order of random draws changes the digest."""
+        h = hashlib.sha256()
+        for text in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
+            spec = AugmentationSpec.from_string(text)
+            for seed in range(1000):
+                rng = rng_for(seed)
+                for _ in range(2):
+                    op = vk.sample_op(spec, rng)
+                    h.update(f"{op.tag()} {op.params!r}\n".encode())
+        assert h.hexdigest() == (
+            "d376438399dbb566ab4ce92530b28698f35aad559ea78d087bf2d78fa4807c02"
         )
-        with pytest.raises(NothingToSample):
-            vk.sample_op(bad, rng_for(0))
 
 
 ALL_KINDS = sorted(set(APPEARANCE_KINDS) | set(VIEWPOINT_KINDS))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import vprkit as vk
-from vprkit.cli import main
+from vprkit.cli import _apply_config_file, build_parser, main
 from vprkit.manifest import hash_input
 
 
@@ -189,14 +189,30 @@ def test_missing_config_file_is_a_usage_error(capsys, tmp_path):
     assert str(cfg) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["places = abc", "spacing = far"])
+@pytest.mark.parametrize("line", ["places = abc", "spacing = far", "no_poses = ture"])
 def test_non_numeric_config_value_is_a_usage_error(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"# comment\n{line}\n")
+    # --no-poses is an rsf flag; the config is read before any input is checked.
+    command = ["rsf", "--model", "m", "--dataset", "d"] if "no_poses" in line else ["synth-gen"]
     with pytest.raises(SystemExit) as exc:
-        main(["synth-gen", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
+        main([*command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"{cfg}:2:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False), ("no", False)],
+)
+def test_config_booleans_in_any_case(tmp_path, value, expected):
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(f"no_poses = {value}\n")
+    args = build_parser().parse_args(
+        ["rsf", "--model", "m", "--dataset", "d", "--seed", "1", "--config", str(cfg)]
+    )
+    _apply_config_file(args)
+    assert args.no_poses is expected
 
 
 @pytest.mark.parametrize("line", ["fn = x", "command = xeval", "config = other.cfg"])
@@ -348,6 +364,8 @@ def test_input_of_the_wrong_kind_is_a_usage_error(capsys, tmp_path, argv, messag
         ("--margin", "nan", "margin"),
         ("--lr", "inf", "learning_rate"),
         ("--positive-radius", "nan", "positive_radius"),
+        ("--positive-radius", "-5", "positive_radius"),
+        ("--radius", "-1", "validation_radius"),
         ("--seed", "-1", "seed"),
         ("--epochs", "-1", "epochs"),
     ],
@@ -398,6 +416,48 @@ def test_non_finite_radius_exits_one(capsys, tmp_path, pipeline, argv):
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError" and "radius" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pretrain", "--dataset", "{ds}", "--seed", "5", "--val-fraction", "2"],
+        ["rsf", "--model", "{model}", "--dataset", "{ds}", "--seed", "5", "-M", "0"],
+        ["retrieve", "--map", "{map}", "--model", "{model}", "--dataset", "{ds}", "--k", "0"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_failed_run_leaves_no_run_directory(capsys, tmp_path, pipeline, argv):
+    ds, model, dmap = pipeline
+    argv = [a.format(ds=ds, model=model, map=dmap) for a in argv]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["xeval", "--models", "{a}/model.vprh,{b}/model.vprh", "--datasets", "{a}"],
+         "model:model"),
+        (["project", "--maps", "{a}/map.vprm,{b}/map.vprm"], "map:map"),
+        (["xeval", "--models", "{a}/model.vprh", "--datasets", "{a}/ds,{b}/ds"],
+         "dataset:ds"),
+    ],
+    ids=["models", "maps", "datasets"],
+)
+def test_list_entries_with_one_manifest_key_are_a_usage_error(capsys, tmp_path, argv, key):
+    for run_dir in ("a", "b"):
+        (tmp_path / run_dir / "ds").mkdir(parents=True)
+        (tmp_path / run_dir / "model.vprh").write_bytes(b"")
+        (tmp_path / run_dir / "map.vprm").write_bytes(b"")
+    argv = [arg.format(a=tmp_path / "a", b=tmp_path / "b") for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "a") in err and str(tmp_path / "b") in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_subcommand_exits_zero_and_records_its_run(capsys, tmp_path):

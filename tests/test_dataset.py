@@ -104,6 +104,22 @@ def test_latlon_ingestion_gives_metric_frame(tmp_path):
     assert math.isclose(dist, 111.3, rel_tol=0.01)
 
 
+def test_latlon_queries_share_the_reference_frame(tmp_path):
+    refs = [(f"r{i}", 48.0 + 0.0001 * i, 11.0) for i in range(10)]
+    _write_side(tmp_path, "references", refs)
+    _write_side(tmp_path, "queries", [("q0", 48.0, 11.0)])
+    ds = vk.load_dataset(tmp_path, latlon=True)
+    assert ds.query_poses[0].distance(ds.reference_poses[0]) == 0.0
+
+
+def test_latlon_queries_alone_are_projected_around_their_centroid(tmp_path):
+    _write_side(tmp_path, "references", [])
+    _write_side(tmp_path, "queries", [("q0", 52.0, 4.0), ("q1", 52.001, 4.0)])
+    a, b = vk.load_dataset(tmp_path, latlon=True).query_poses
+    assert a.x == b.x == 0.0 and math.isclose(a.y, -b.y, rel_tol=1e-9)
+    assert math.isclose(b.y - a.y, 111.3, rel_tol=0.01)
+
+
 def test_split_fraction_zero_and_bounds(tiny_world):
     train, val = vk.split_validation(tiny_world, 0.0, seed=1)
     assert len(val.queries) == 0

@@ -116,9 +116,7 @@ class TestRecall:
             vk.recall_at_n([result("zzz", [(0, 0.1)])], gt)
 
     def test_empty_ground_truth_excluded_from_denominator(self):
-        gt = vk.GroundTruth(
-            matches={"a": frozenset({0}), "b": frozenset()}, unmatched=["b"]
-        )
+        gt = vk.GroundTruth(matches={"a": frozenset({0}), "b": frozenset()})
         rep = vk.recall_at_n(
             [result("a", [(0, 0.1)]), result("b", [(0, 0.1)])], gt, ns=[1]
         )

@@ -120,6 +120,9 @@ class TestTripletLoss:
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
         ("positive_radius", float("nan")),
+        ("positive_radius", -5.0),
+        ("validation_radius", -1.0),
+        ("validation_radius", 0.0),
         ("negative_radius", float("inf")),
         ("validation_radius", float("nan")),
         ("epochs", -1),
