@@ -72,11 +72,13 @@ class AugmentationSpec:
 
     @classmethod
     def from_string(cls, text: str) -> "AugmentationSpec":
-        """Parse the config-file form: 'appearance,viewpoint' | 'none' etc."""
+        """Parse the config-file form: 'appearance,viewpoint' | 'none' etc.
+        Only 'none' names the baseline; an empty entry is an unknown
+        category."""
         text = text.strip().lower()
         if text == "none":
             return cls(categories=frozenset())
-        return cls(categories=frozenset(p.strip() for p in text.split(",") if p.strip()))
+        return cls(categories=frozenset(p.strip() for p in text.split(",")))
 
     def enabled_kinds(self) -> list[str]:
         """The sampled menu. Flips stay out of it: they can alias symmetric

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .augmentation import AugmentationSpec
-from .dataset import load_dataset, save_dataset, split_validation
+from .dataset import load_dataset, read_utf8, save_dataset, split_validation
 from .embedding import init_model, load_model, save_model
 from .errors import ShapeError, VprError
 from .evaluation import (
@@ -271,7 +271,8 @@ def cmd_pretrain(args) -> RunContext:
     dataset = load_dataset(args.dataset)
     train_split, val_split = split_validation(dataset, args.val_fraction, args.seed)
     model = init_model(seed=args.seed)
-    model, log = train(model, train_split, config, validation=val_split or None)
+    validation = val_split if val_split.queries else None  # e.g. --val-fraction 0
+    model, log = train(model, train_split, config, validation=validation)
     save_model(model, ctx.path("model.vprh"))
     _write_trainlog(ctx, log)
     ctx.extra["model_fingerprint"] = model.fingerprint_hex()
@@ -301,7 +302,7 @@ def cmd_retrieve(args) -> RunContext:
 
 def _read_results(path: Path) -> list[RetrievalResult]:
     by_query: dict[str, list[tuple[int, int, float]]] = {}
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue

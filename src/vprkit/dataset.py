@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InconsistentManifest, InvalidFraction, ManifestMissing
+from .errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
 from .ppm import read_ppm, write_ppm
 
 EARTH_RADIUS_M = 6378137.0
@@ -105,15 +105,21 @@ class Dataset:
         return Dataset(self.references)
 
 
+def read_utf8(path: Path, error: type[VprError] = VprError) -> str:
+    """The text of a file; bytes that are not UTF-8 raise `error` naming
+    the file and line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{lineno}: not valid UTF-8") from None
+
+
 def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, tuple[float, float]]:
     if not path.is_file():
         raise ManifestMissing(f"pose manifest not found: {path}")
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise InconsistentManifest(f"{path.name}:{lineno}: not valid UTF-8") from None
+    text = read_utf8(path, InconsistentManifest)
     rows: list[tuple[str, float, float]] = []
     with io.StringIO(text, newline=None) as fh:
         header = fh.readline()

@@ -19,9 +19,9 @@ import numpy as np
 
 from .colorops import LUMA_WEIGHTS
 from .dataset import ImageRecord
-from .errors import FormatError, NonFiniteValue, ShapeError, TruncatedError
+from .errors import FormatError, NonFiniteValue, ShapeError
 from .imageops import resize_area
-from .manifest import atomic_write_bytes
+from .manifest import BinaryReader, atomic_write_bytes
 
 RAW_DIM = 512
 PATCH_GRID = 8
@@ -264,25 +264,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
     """Inverse of save_model; bit-exact round trip.  Raises FormatError
     for zero layers, a zero dimension, layers whose dims do not chain,
     bytes after the last parameter, or a NaN or infinite parameter."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MODEL_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {_MODEL_MAGIC!r}")
-    pos = 4
-    try:
-        (version,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if version != _MODEL_VERSION:
-            raise FormatError(f"unsupported model file version {version}")
-        (n_layers,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        shapes = []
-        for _ in range(n_layers):
-            shapes.append(struct.unpack_from("<II", data, pos))
-            pos += 8
-    except struct.error:
-        raise TruncatedError(
-            f"header truncated at byte {len(data)}"
-        ) from None
+    r = BinaryReader(Path(path).read_bytes(), _MODEL_MAGIC, _MODEL_VERSION)
+    (n_layers,) = r.unpack("<I")
+    shapes = [r.unpack("<II") for _ in range(n_layers)]
     if not shapes:
         raise FormatError("model has zero layers")
     for k, (i, o) in enumerate(shapes):
@@ -292,21 +276,13 @@ def load_model(path: str | Path) -> EmbeddingModel:
             raise FormatError(
                 f"layer {k} takes {i} inputs, layer {k - 1} gives {shapes[k - 1][1]}"
             )
-    expected = pos + sum(8 * (i * o + o) for i, o in shapes)
-    if len(data) < expected:
-        raise TruncatedError(
-            f"expected {expected} bytes, file has only {len(data)}"
-        )
-    if len(data) > expected:
-        raise FormatError(f"expected {expected} bytes, file has {len(data)}")
-    weights, biases = [], []
-    for k, (i, o) in enumerate(shapes):
-        w = np.frombuffer(data, dtype="<f8", count=i * o, offset=pos).reshape(i, o)
-        pos += 8 * i * o
-        b = np.frombuffer(data, dtype="<f8", count=o, offset=pos)
-        pos += 8 * o
+    # One read of every parameter, so a short file names the full size.
+    sizes = [n for i, o in shapes for n in (i * o, o)]
+    params = np.split(r.array("<f8", sum(sizes)), np.cumsum(sizes)[:-1])
+    r.end("last parameter")
+    weights = [w.reshape(shape).copy() for w, shape in zip(params[::2], shapes)]
+    biases = [b.copy() for b in params[1::2]]
+    for k, (w, b) in enumerate(zip(weights, biases)):
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise FormatError(f"layer {k} has a NaN or infinite weight or bias")
-        weights.append(w.copy())
-        biases.append(b.copy())
     return EmbeddingModel(weights=weights, biases=biases)

@@ -88,32 +88,37 @@ def recall_at_n(
     dataset: str = "",
     model_fingerprint: str = "",
 ) -> RecallReport:
-    """Fraction of evaluated queries whose top-N holds a correct index."""
+    """Fraction of the ground truth's matched queries whose top-N holds a
+    correct index; a matched query with no result is a miss.  A result
+    for an unknown query is MissingGroundTruth, two results for one
+    query a VprError."""
     ns = sorted(ns)
-    hits = np.zeros(len(ns), dtype=np.int64)
-    evaluated = 0
+    ranked: dict[str, list[tuple[int, float]]] = {}
     for res in results:
         if res.query_id not in gt.matches:
             raise MissingGroundTruth(f"no ground truth for query {res.query_id!r}")
-        correct = gt.matches[res.query_id]
+        if res.query_id in ranked:
+            raise VprError(f"two results for query {res.query_id!r}")
+        ranked[res.query_id] = res.ranked
+    hits = np.zeros(len(ns), dtype=np.int64)
+    evaluated = 0
+    for qid, correct in gt.matches.items():
         if not correct:
             continue
         evaluated += 1
         first_hit = next(
-            (rank for rank, (idx, _) in enumerate(res.ranked) if idx in correct),
+            (rank for rank, (idx, _) in enumerate(ranked.get(qid, ())) if idx in correct),
             None,
         )
         if first_hit is not None:
-            for j, n in enumerate(ns):
-                if first_hit < n:
-                    hits[j] += 1
+            hits += [first_hit < n for n in ns]
     recalls = (hits / evaluated).tolist() if evaluated else [0.0] * len(ns)
     return RecallReport(
         dataset=dataset,
         model_fingerprint=model_fingerprint,
         ns=list(ns),
         recalls=recalls,
-        total_queries=len(results),
+        total_queries=len(gt.matches),
         evaluated_queries=evaluated,
     )
 

@@ -15,37 +15,12 @@ import numpy as np
 
 from .errors import DecodeError, NonFiniteValue, ShapeError
 
-_MAGIC = b"P6"
-
-
-def _read_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Parse `count` whitespace/comment separated ASCII integers.
-
-    Returns the integers and the offset of the first byte after the
-    single whitespace character that terminates the last token.
-    """
-    tokens: list[int] = []
-    pos = 0
-    while len(tokens) < count:
-        if pos >= len(data):
-            raise DecodeError("header ended prematurely")
-        c = data[pos : pos + 1]
-        if c.isspace():
-            pos += 1
-        elif c == b"#":
-            nl = data.find(b"\n", pos)
-            if nl < 0:
-                raise DecodeError("unterminated comment in header")
-            pos = nl + 1
-        else:
-            m = re.match(rb"\d+", data[pos:])
-            if m is None:
-                raise DecodeError(f"expected integer at byte {pos}")
-            tokens.append(int(m.group(0)))
-            pos += len(m.group(0))
-    if pos >= len(data) or not data[pos : pos + 1].isspace():
-        raise DecodeError("missing whitespace after maxval")
-    return tokens, pos + 1
+# P6, then width, height and maxval, then exactly one whitespace byte.
+# Separators are whitespace or '#' comments running to a newline: any
+# number after the magic, at least one between numbers (so '2255' is
+# never split into '2' and '255').
+_SEP = rb"(?:\s|#[^\n]*\n)"
+_HEADER = re.compile(rb"P6%s*(\d+)%s+(\d+)%s+(\d+)\s" % (_SEP, _SEP, _SEP))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
@@ -53,23 +28,21 @@ def read_ppm(path: str | Path) -> np.ndarray:
     an image with zero width or height is a DecodeError."""
     path = Path(path)
     data = path.read_bytes()
-    if not data.startswith(_MAGIC):
-        raise DecodeError(f"{path.name}: not a binary PPM (missing P6 magic)")
+    header = _HEADER.match(data)
+    if header is None:
+        raise DecodeError(f"{path.name}: not a binary PPM (bad or missing P6 header)")
     try:
-        (width, height, maxval), offset = _read_tokens(data[2:], 3)
-    except DecodeError as exc:
-        raise DecodeError(f"{path.name}: {exc}") from None
+        width, height, maxval = map(int, header.groups())
+    except ValueError:  # more digits than int() accepts
+        raise DecodeError(f"{path.name}: header number too long") from None
     if maxval != 255:
         raise DecodeError(f"{path.name}: unsupported maxval {maxval}")
     if width == 0 or height == 0:
         raise DecodeError(f"{path.name}: empty image ({width} x {height})")
-    body = data[2 + offset :]
-    expected = width * height * 3
-    if len(body) < expected:
-        raise DecodeError(
-            f"{path.name}: pixel data truncated ({len(body)} of {expected} bytes)"
-        )
-    raster = np.frombuffer(body[:expected], dtype=np.uint8)
+    expected, body = width * height * 3, len(data) - header.end()
+    if body < expected:
+        raise DecodeError(f"{path.name}: pixel data truncated ({body} of {expected} bytes)")
+    raster = np.frombuffer(data, np.uint8, expected, header.end())
     return raster.reshape(height, width, 3).astype(np.float64) / 255.0
 
 

@@ -18,9 +18,8 @@ from .errors import (
     ModelMismatch,
     NonFiniteValue,
     ShapeError,
-    TruncatedError,
 )
-from .manifest import atomic_write_bytes
+from .manifest import BinaryReader, atomic_write_bytes
 
 _MAP_MAGIC = b"VPRM"
 _MAP_VERSION = 1
@@ -180,49 +179,28 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
 def load_map(path: str | Path) -> DescriptorMap:
     """Inverse of save_map; bit-exact round trip.  Bytes after the
     fingerprint are a FormatError."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MAP_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}, expected {_MAP_MAGIC!r}")
-    try:
-        version, d, n, _flags = struct.unpack_from("<HIQH", data, 4)
-    except struct.error:
-        raise TruncatedError(f"header truncated at byte {len(data)}") from None
-    if version != _MAP_VERSION:
-        raise FormatError(f"unsupported map file version {version}")
-    pos = 4 + 16
-    need = pos + 4 * n * d + 16 * n
-    if len(data) < need:
-        raise TruncatedError(f"expected at least {need} bytes, file has {len(data)}")
-    desc = np.frombuffer(data, dtype="<f4", count=n * d, offset=pos).reshape(n, d)
-    pos += 4 * n * d
-    poses = np.frombuffer(data, dtype="<f8", count=2 * n, offset=pos).reshape(n, 2)
-    pos += 16 * n
+    r = BinaryReader(Path(path).read_bytes(), _MAP_MAGIC, _MAP_VERSION)
+    d, n, _flags = r.unpack("<IQH")
+    # Flat until the poses are read: with d = 0, an n beyond the file must
+    # be a TruncatedError, not an unrepresentable (n, 0) shape.
+    desc = r.array("<f4", n * d)
+    poses = r.array("<f8", n, 2)
+    desc = desc.reshape(n, d)
     finite = np.isfinite(desc).all(axis=1) & np.isfinite(poses).all(axis=1)
     if not finite.all():
         raise FormatError(f"row {int(np.argmin(finite))} has a non-finite descriptor or pose")
     ids = []
     for i in range(n):
+        (length,) = r.unpack("<H")
         try:
-            (length,) = struct.unpack_from("<H", data, pos)
-        except struct.error:
-            raise TruncatedError(f"id table truncated at byte {len(data)}") from None
-        pos += 2
-        if len(data) < pos + length:
-            raise TruncatedError(f"id table truncated at byte {len(data)}")
-        try:
-            ids.append(data[pos : pos + length].decode("utf-8"))
+            ids.append(r.take(length).decode("utf-8"))
         except UnicodeDecodeError:
             raise FormatError(f"id of row {i} is not valid UTF-8") from None
-        pos += length
-    if len(data) < pos + 32:
-        raise TruncatedError(
-            f"expected {pos + 32} bytes incl. fingerprint, file has {len(data)}"
-        )
-    if len(data) > pos + 32:
-        raise FormatError(f"{len(data) - pos - 32} bytes after the fingerprint at byte {pos + 32}")
+    fingerprint = r.take(32)
+    r.end("fingerprint")
     return DescriptorMap(
         descriptors=desc.copy(),
         poses=poses.copy(),
         ids=ids,
-        model_fingerprint=data[pos : pos + 32],
+        model_fingerprint=fingerprint,
     )

@@ -71,13 +71,18 @@ class FinetuneDataset:
 
     Invariants: the references are exactly the test-time reference set,
     every realized query carries its source reference's pose, and each
-    epoch yields multiplicity x len(references) queries.
+    epoch yields multiplicity x len(references) queries, so a multiplicity
+    below 1 is an InvalidMultiplicity.
     """
 
     references: list[ImageRecord]
     multiplicity: int
     augmentation_spec: AugmentationSpec
     seed: int
+
+    def __post_init__(self) -> None:
+        if self.multiplicity < 1:
+            raise InvalidMultiplicity(f"multiplicity must be >= 1, got {self.multiplicity}")
 
     def realize_epoch(self, epoch: int) -> list[tuple[int, ImageRecord]]:
         """Deterministic given (seed, epoch); fresh ops per epoch."""
@@ -99,16 +104,10 @@ def build_finetune_stream(
     seed: int,
 ) -> FinetuneDataset:
     """Wrap the reference side of a dataset as a finetuning stream."""
-    if multiplicity < 1:
-        raise InvalidMultiplicity(f"multiplicity must be >= 1, got {multiplicity}")
-    if not map_dataset.references:
+    stream = FinetuneDataset(map_dataset.references, multiplicity, spec, seed)
+    if not stream.references:
         raise VprError("cannot finetune on an empty reference set")
-    return FinetuneDataset(
-        references=map_dataset.references,
-        multiplicity=multiplicity,
-        augmentation_spec=spec,
-        seed=seed,
-    )
+    return stream
 
 
 @dataclass
@@ -283,10 +282,13 @@ def train(
     With a validation dataset, the returned model is the one from the
     epoch with the best validation Recall@1 and training stops early
     after `early_stop_patience` epochs without improvement. Without one,
-    the final epoch's parameters are returned.
+    the epoch with the lowest mean training loss is returned, the latest
+    among ties. A validation dataset with no queries is a VprError.
     """
     if not data.references:
         raise EmptyReferences("cannot train on zero references")
+    if validation is not None and not validation.queries:
+        raise VprError("validation dataset has no queries")
     log = TrainLog(mode="poseless" if config.poseless else "pose")
     model = model.copy()
     if config.epochs == 0:

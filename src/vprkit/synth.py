@@ -192,17 +192,17 @@ def generate_synthetic(spec: SynthWorldSpec) -> Dataset:
     each place also gets `queries_per_place` queries at the same pose in
     the query style with a small seeded pixel-translation jitter.
     """
-    palette_ref = _PALETTES[spec.reference_style.palette_id % len(_PALETTES)]
-    palette_qry = _PALETTES[spec.query_style.palette_id % len(_PALETTES)]
+    family_r, family_q = spec.reference_style.texture_family, spec.query_style.texture_family
+    palette_r = spec.reference_style.palette_id % len(_PALETTES)
+    palette_q = spec.query_style.palette_id % len(_PALETTES)
     width = len(str(spec.place_count - 1))
 
     references, queries = [], []
     for place in range(spec.place_count):
         pose = Pose(place * spec.spacing, 0.0)
-        family_r = spec.reference_style.texture_family
         base_r = _render_base(
             _place_primitives(spec.seed, place, family_r),
-            palette_ref,
+            _PALETTES[palette_r],
             spec.image_size,
             spec.seed,
             place,
@@ -212,13 +212,12 @@ def generate_synthetic(spec: SynthWorldSpec) -> Dataset:
         rid = f"r{place:0{width}d}"
         references.append(ImageRecord(id=rid, pixels=ref_img, pose=pose))
 
-        family_q = spec.query_style.texture_family
         base_q = (
             base_r
-            if family_q == family_r
+            if (family_q, palette_q) == (family_r, palette_r)
             else _render_base(
                 _place_primitives(spec.seed, place, family_q),
-                palette_qry,
+                _PALETTES[palette_q],
                 spec.image_size,
                 spec.seed,
                 place,

@@ -52,6 +52,12 @@ class TestSampleOp:
         with pytest.raises(VprError):
             AugmentationSpec.from_string("appearance,weather")
 
+    @pytest.mark.parametrize("text", ["", " , ", "appearance,", ",viewpoint"])
+    def test_empty_entry_is_refused(self, text):
+        """Only 'none' names the no-augmentation baseline."""
+        with pytest.raises(VprError, match="unknown augmentation category ''"):
+            AugmentationSpec.from_string(text)
+
     def test_sampled_sequence_is_pinned(self):
         """Tag and exact parameters of two draws per seed, for every spec
         the CLI offers. A change to the menu, its order, the ranges or the

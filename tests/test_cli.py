@@ -243,6 +243,75 @@ def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
     assert f"{results}:3:" in record["message"]
 
 
+def test_results_file_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_bytes(b"query_id,rank,ref_index,ref_id,distance\nq0,0,1,r\xff,0.5\n")
+    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results file fails first
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
+        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert f"{results}:2:" in record["message"]
+
+
+def test_ppm_with_an_overlong_header_number_exits_one(capsys, tmp_path):
+    ds = tmp_path / "ds"
+    (ds / "references").mkdir(parents=True)
+    (ds / "reference_poses.csv").write_text("id,x_m,y_m\nr0,0,0\n")
+    (ds / "references" / "r0.ppm").write_bytes(b"P6 " + b"9" * 5000 + b" 1 255\n")
+    model = tmp_path / "m.vprh"
+    vk.save_model(vk.init_model(seed=1), model)
+    code, _, err = run(
+        capsys, "build-map", "--dataset", str(ds), "--model", str(model),
+        "--out", str(tmp_path / "map"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "DecodeError" and "r0.ppm" in record["message"]
+
+
+def test_pretrain_with_no_validation_queries_selects_by_training_loss(
+    capsys, tmp_path, pipeline
+):
+    """--val-fraction 0 trains without validation: no validation recall
+    is logged, where scoring zero queries would log 0.000 every epoch."""
+    ds, _, _ = pipeline
+    code, out, _ = run(
+        capsys, "pretrain", "--dataset", ds, "--seed", "5", "--epochs", "2",
+        "--val-fraction", "0", "--out", str(tmp_path / "pre0"),
+    )
+    assert code == 0
+    rows = (Path(out.strip().splitlines()[-1]) / "trainlog.csv").read_text().splitlines()
+    recalls = [r.split(",")[2] for r in rows if r.startswith("epoch_val_recall1,")]
+    assert recalls == ["nan", "nan"]
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["--augment", ""], "unknown augmentation category ''"),
+        (["--augment", "appearance,"], "unknown augmentation category ''"),
+        (["--validation", "{refs}"], "no queries"),
+    ],
+    ids=["empty", "trailing-comma", "reference-only-validation"],
+)
+def test_rsf_input_that_would_pass_silently_exits_one(capsys, tmp_path, pipeline, argv, needle):
+    ds, model, _ = pipeline
+    refs = tmp_path / "refs"
+    shutil.copytree(Path(ds) / "references", refs / "references")
+    shutil.copy(Path(ds) / "reference_poses.csv", refs)
+    argv = [a.format(refs=refs) for a in argv]
+    code, _, err = run(
+        capsys, "rsf", "--model", model, "--dataset", ds, "--seed", "1", "--epochs", "1",
+        *argv, "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert needle in json.loads(err.strip().splitlines()[-1])["message"]
+
+
 def test_pretrain_on_empty_references_exits_one(capsys, tmp_path):
     ds = tmp_path / "empty"
     (ds / "references").mkdir(parents=True)

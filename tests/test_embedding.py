@@ -323,6 +323,19 @@ class TestInitAndSerialization:
         with pytest.raises(TruncatedError, match=str(len(full))):
             load_model(path)
 
+    @pytest.mark.parametrize("missing", [1, 8, 1000])
+    def test_cut_short_parameters_name_the_full_and_the_file_size(
+        self, tmp_path, small_model, missing
+    ):
+        path = tmp_path / "m.vprh"
+        save_model(small_model, path)
+        full = path.read_bytes()
+        path.write_bytes(full[:-missing])
+        with pytest.raises(TruncatedError) as exc:
+            load_model(path)
+        assert f"expected {len(full)} bytes" in str(exc.value)
+        assert str(len(full) - missing) in str(exc.value)
+
     @pytest.mark.parametrize(
         "shapes, why",
         [

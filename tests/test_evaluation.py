@@ -124,6 +124,19 @@ class TestRecall:
         assert rep.total_queries == 2
         assert rep.recalls == [1.0]
 
+    def test_query_without_a_result_counts_as_a_miss(self):
+        """Recall is over the ground truth: results for 1 of 4 queries
+        score that query's hit once in 4."""
+        gt = vk.ground_truth([P(0, 0)] * 4, [P(0, 0)], query_ids=["a", "b", "c", "d"])
+        rep = vk.recall_at_n([result("b", [(0, 0.1)])], gt, ns=[1])
+        assert rep.recalls == [0.25]
+        assert (rep.evaluated_queries, rep.total_queries) == (4, 4)
+
+    def test_two_results_for_one_query_are_rejected(self):
+        gt = vk.GroundTruth(matches={"a": frozenset({0}), "b": frozenset({1})})
+        with pytest.raises(VprError, match="'a'"):
+            vk.recall_at_n([result("a", [(0, 0.1)]), result("a", [(1, 0.1)])], gt)
+
     def test_monotone_in_n_and_permutation_invariant(self):
         rng = np.random.default_rng(1)
         n_refs = 50

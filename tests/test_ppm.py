@@ -96,3 +96,49 @@ def test_any_bytes_decode_to_a_non_empty_image_or_raise(head, body):
             return
     assert img.ndim == 3 and img.shape[2] == 3 and img.size > 0
     assert np.isfinite(img).all() and img.min() >= 0.0 and img.max() <= 1.0
+
+
+PIXELS = bytes(range(1, 13))  # a 2 x 2 body
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"P6# right after the magic\n2 2 255\n",
+        b"P62 2 255\n",
+        b"P6 2#glued to a number\n2 255\n",
+        b"P6\r2\n2\t255\n",
+        b"P6\x0b2\x0c2 \r\n255\n",
+        b"P6 2 2 255\t",
+    ],
+    ids=["comment-after-magic", "no-separator-after-magic", "comment-glued", "cr-lf-tab",
+         "vt-ff-crlf", "tab-ends-header"],
+)
+def test_header_grammar_accepts(tmp_path, header):
+    """Separators are whitespace or comments; none is needed after P6."""
+    (tmp_path / "h.ppm").write_bytes(header + PIXELS)
+    img = read_ppm(tmp_path / "h.ppm")
+    np.testing.assert_array_equal(quantize(img).ravel(), np.frombuffer(PIXELS, np.uint8))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P6 1 2255\nabcdef",  # '2255' is one number, never '2' then '255'
+        b"P6 2 2 255" + PIXELS,  # no whitespace after maxval
+        b"P6 2 2 255#c\n" + PIXELS,  # a comment does not end the header
+        b"P6 2 2 # no newline ends this comment",
+        b"P6 2 2",
+        b"P6 2 x 255\n" + PIXELS,
+        # More digits than int() parses by default (4,300).
+        b"P6 " + b"1" * 5000 + b" 2 255\n" + PIXELS,
+        b"P6 2 2 " + b"0" * 5000 + b"255\n" + PIXELS,
+    ],
+    ids=["2255-is-one-number", "no-whitespace-after-maxval", "comment-after-maxval",
+         "unterminated-comment", "no-maxval", "not-a-number", "overlong-width",
+         "overlong-maxval"],
+)
+def test_header_grammar_rejects(tmp_path, data):
+    (tmp_path / "h.ppm").write_bytes(data)
+    with pytest.raises(DecodeError, match="h.ppm"):
+        read_ppm(tmp_path / "h.ppm")

@@ -316,6 +316,14 @@ class TestMapSerialization:
         assert np.isfinite(dmap.descriptors).all() and np.isfinite(dmap.poses).all()
         assert len(dmap.model_fingerprint) == 32
 
+    @pytest.mark.parametrize("rows", [5, 2**62, 2**64 - 1])
+    def test_row_count_beyond_the_file_is_truncated_at_any_dim(self, tmp_path, rows):
+        """With D = 0 the descriptors take no bytes, so the poses must."""
+        path = tmp_path / "m.vprm"
+        path.write_bytes(b"VPRM" + struct.pack("<HIQH", 1, 0, rows, 1) + bytes(40))
+        with pytest.raises(TruncatedError):
+            load_map(path)
+
     def test_truncation(self, tmp_path):
         path = tmp_path / "m.vprm"
         save_map(toy_map([[1, 0], [0, 1]]), path)

@@ -182,6 +182,10 @@ class TestFinetuneStream:
                 tiny_world_module, 0, vk.AugmentationSpec(), seed=1
             )
 
+    def test_invalid_multiplicity_of_a_stream_built_directly(self, tiny_world_module):
+        with pytest.raises(InvalidMultiplicity):
+            vk.FinetuneDataset(tiny_world_module.references, 0, vk.AugmentationSpec(), seed=1)
+
 
 class TestMining:
     def test_hard_negative_prefers_feature_space_closest(self):
@@ -343,6 +347,17 @@ class TestTrain:
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         with pytest.raises(EmptyReferences):
             vk.train(model, data, vk.TrainConfig(epochs=1))
+
+    def test_validation_without_queries_is_rejected(self, tiny_world_module):
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        stream = vk.build_finetune_stream(
+            tiny_world_module.reference_only(), 1, vk.AugmentationSpec(), seed=0
+        )
+        with pytest.raises(VprError, match="no queries"):
+            vk.train(
+                model, stream, vk.TrainConfig(epochs=1),
+                validation=tiny_world_module.reference_only(),
+            )
 
     def test_zero_epochs_is_identity(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)

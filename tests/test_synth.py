@@ -61,6 +61,22 @@ def test_texture_families_render_distinct_images():
     assert not np.array_equal(imgs["blocks"], imgs["gradients"])
 
 
+@pytest.mark.parametrize("family", ["blocks", "stripes"])
+def test_query_palette_is_rendered(family):
+    """Queries in the reference family but another palette do not reuse
+    the reference texture: their pixels follow the query palette."""
+    def queries(palette):
+        spec = _spec(
+            reference_style=vk.StyleParams(palette_id=0, texture_family=family),
+            query_style=vk.StyleParams(palette_id=palette, texture_family=family),
+        )
+        return [q.pixels for q in vk.generate_synthetic(spec).queries]
+
+    same, other, wrapped = queries(0), queries(2), queries(4)
+    assert all(np.array_equal(a, b) for a, b in zip(same, wrapped))  # ids wrap mod 4
+    assert not any(np.array_equal(a, b) for a, b in zip(same, other))
+
+
 def test_pixel_range_and_shapes():
     ds = vk.generate_synthetic(
         _spec(query_style=vk.StyleParams(brightness_offset=0.5, noise_sigma=0.3))
