@@ -45,8 +45,6 @@ from .rsf import (
     FinetuneDataset,
     TrainConfig,
     TrainLog,
-    Triplet,
-    build_finetune_stream,
     mine_triplets,
     rsf_finetune,
     train,
@@ -71,10 +69,8 @@ __all__ = [
     "SynthWorldSpec",
     "TrainConfig",
     "TrainLog",
-    "Triplet",
     "apply",
     "backward",
-    "build_finetune_stream",
     "build_map",
     "evaluate_model",
     "extract_raw",

@@ -19,7 +19,6 @@ import numpy as np
 from .augmentation import AugmentationSpec, apply, sample_op
 from .dataset import Dataset, ImageRecord, pose_distances, record_poses
 from .embedding import (
-    RAW_DIM,
     EmbeddingModel,
     apply_gradients,
     backward,
@@ -97,19 +96,6 @@ class FinetuneDataset:
         return realized
 
 
-def build_finetune_stream(
-    map_dataset: Dataset,
-    multiplicity: int,
-    spec: AugmentationSpec,
-    seed: int,
-) -> FinetuneDataset:
-    """Wrap the reference side of a dataset as a finetuning stream."""
-    stream = FinetuneDataset(map_dataset.references, multiplicity, spec, seed)
-    if not stream.references:
-        raise VprError("cannot finetune on an empty reference set")
-    return stream
-
-
 @dataclass
 class TrainConfig:
     """Everything the training loop needs, all seedable and explicit.
@@ -142,25 +128,17 @@ class TrainConfig:
                 raise VprError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.negative_radius < self.positive_radius:
             raise VprError("negative_radius must be >= positive_radius")
-        if self.batch_size < 1:
-            raise VprError(f"batch_size must be at least 1, got {self.batch_size}")
-        if self.negatives_per_query < 1:
-            raise VprError(
-                f"negatives_per_query must be at least 1, got {self.negatives_per_query}"
-            )
+        for name in ("batch_size", "negatives_per_query", "early_stop_patience"):
+            if getattr(self, name) < 1:
+                raise VprError(f"{name} must be at least 1, got {getattr(self, name)}")
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise VprError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-@dataclass
-class Triplet:
-    """One mined training example; indices refer to the reference list."""
-
-    source: int
-    query_raw: np.ndarray
-    positive: int
-    negative: int
+# One epoch's triplets as aligned rows: (T, RAW_DIM) query raws and (T,)
+# int64 reference indices of the positives and of the negatives.
+Triplets = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -195,7 +173,7 @@ def _mine(
     pose_dists: np.ndarray,
     query_raws: np.ndarray,
     config: TrainConfig,
-) -> tuple[list[Triplet], int]:
+) -> tuple[Triplets, int]:
     """Pose-aware mining over (positive or -1, (N,) pose distances to the
     references, query raw) rows.
 
@@ -205,18 +183,19 @@ def _mine(
     """
     ref_descs = forward_batch(model, ref_raws)
     q_descs = forward_batch(model, query_raws)
-    triplets: list[Triplet] = []
+    rows: list[int] = []
+    negatives: list[int] = []
     skipped = 0
     for qi, positive in enumerate(positives.tolist()):
         candidates = np.flatnonzero(pose_dists[qi] > config.negative_radius)
         if positive < 0 or candidates.size == 0:
             skipped += 1
             continue
-        for neg in _hard_negatives(
-            q_descs[qi], ref_descs, candidates, config.negatives_per_query
-        ):
-            triplets.append(Triplet(positive, query_raws[qi], positive, neg))
-    return triplets, skipped
+        hard = _hard_negatives(q_descs[qi], ref_descs, candidates, config.negatives_per_query)
+        rows += [qi] * len(hard)
+        negatives += hard
+    picked = np.array(rows, dtype=np.int64)
+    return (query_raws[picked], positives[picked], np.array(negatives, dtype=np.int64)), skipped
 
 
 def mine_triplets(
@@ -224,33 +203,35 @@ def mine_triplets(
     finetune_ds: FinetuneDataset,
     config: TrainConfig,
     epoch: int,
-) -> tuple[list[Triplet], int]:
+) -> tuple[Triplets, int]:
     """Realize the epoch's queries and mine one triplet per (query, negative).
 
     Pose-mode: the positive is the source reference and negatives are the
     feature-closest references beyond negative_radius. Poseless mode draws
-    the negative uniformly among the other references. Returns the triplet
-    list and the number of queries skipped for lack of candidates.
+    the negative uniformly among the other references, so it needs two
+    references. Returns the triplets and the number of queries skipped for
+    lack of candidates.
     """
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
     realized = finetune_ds.realize_epoch(epoch)
-    sources = np.array([src for src, _ in realized])
+    sources = np.array([src for src, _ in realized], dtype=np.int64)
     query_raws = np.stack([query.raw for _, query in realized])
     if not config.poseless:
         pose_dists = pose_distances(
             [query.pose for _, query in realized], record_poses(finetune_ds.references)
         )
         return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
-    triplets = []
+    n_refs = len(finetune_ds.references)
+    if n_refs < 2:
+        raise VprError(f"poseless mining needs at least two references, got {n_refs}")
+    negatives = np.empty_like(sources)
     for qi, src in enumerate(sources.tolist()):
         rng = np.random.default_rng(
             np.random.SeedSequence([finetune_ds.seed, epoch, qi, 0x4E9])
         )
-        neg = int(rng.integers(0, len(finetune_ds.references) - 1))
-        if neg >= src:
-            neg += 1
-        triplets.append(Triplet(src, query_raws[qi], src, neg))
-    return triplets, 0
+        neg = int(rng.integers(0, n_refs - 1))
+        negatives[qi] = neg + (neg >= src)
+    return (query_raws, sources, negatives), 0
 
 
 def _labeled_rows(
@@ -258,16 +239,19 @@ def _labeled_rows(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mining inputs of a labeled dataset, fixed across epochs: per query
     the nearest reference within positive_radius (or -1), the pose
-    distances to the references and the query raw. InconsistentManifest
-    if a query has no pose."""
+    distances to the references and the query raw. VprError for poseless
+    mining or no queries; InconsistentManifest if a query has no pose."""
+    if config.poseless:
+        raise VprError("poseless mining applies only to reference-set finetuning")
+    if not dataset.queries:
+        raise VprError("cannot train on a labeled dataset with no queries")
     pose_dists = pose_distances(dataset.query_poses, dataset.reference_poses)
     positives = np.where(
         pose_dists.min(axis=1) <= config.positive_radius,
         np.argmin(pose_dists, axis=1),
         -1,
     )
-    query_raws = np.array([q.raw for q in dataset.queries]).reshape(-1, RAW_DIM)
-    return positives, pose_dists, query_raws
+    return positives, pose_dists, np.stack([q.raw for q in dataset.queries])
 
 
 def train(
@@ -283,43 +267,43 @@ def train(
     epoch with the best validation Recall@1 and training stops early
     after `early_stop_patience` epochs without improvement. Without one,
     the epoch with the lowest mean training loss is returned, the latest
-    among ties. A validation dataset with no queries is a VprError.
+    among ties. A validation dataset with no queries, and data from
+    which an epoch mines no triplet, are VprErrors.
     """
     if not data.references:
         raise EmptyReferences("cannot train on zero references")
     if validation is not None and not validation.queries:
         raise VprError("validation dataset has no queries")
+    ref_raws = np.stack([r.raw for r in data.references])
+    labeled_rows = None if isinstance(data, FinetuneDataset) else _labeled_rows(data, config)
     log = TrainLog(mode="poseless" if config.poseless else "pose")
     model = model.copy()
-    if config.epochs == 0:
-        return model, log
-
-    ref_raws = np.stack([r.raw for r in data.references])
-    if isinstance(data, Dataset):
-        labeled_rows = _labeled_rows(data, config)
     best_model = model.copy()
     best_val = -np.inf
     stale = 0
 
     for epoch in range(config.epochs):
         tic = time.perf_counter()
-        if isinstance(data, FinetuneDataset):
+        if labeled_rows is None:
             triplets, skipped = mine_triplets(model, data, config, epoch)
         else:
             triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
+        q_raws, positives, negatives = triplets
+        if not len(positives):
+            raise VprError(
+                f"epoch {epoch} mined no triplet: {skipped} queries skipped for lack "
+                "of a positive or of a reference beyond negative_radius"
+            )
         log.epoch_skipped_queries.append(skipped)
         order = np.random.default_rng(
             np.random.SeedSequence([config.seed, epoch, 0x5F0F])
-        ).permutation(len(triplets))
+        ).permutation(len(positives))
 
         epoch_losses: list[float] = []
         for start in range(0, len(order), config.batch_size):
-            batch = [triplets[ti] for ti in order[start : start + config.batch_size]]
-            n = len(batch)
-            queries = np.stack([t.query_raw for t in batch])
-            positives = ref_raws[[t.positive for t in batch]]
-            negatives = ref_raws[[t.negative for t in batch]]
-            raws = np.concatenate([queries, positives, negatives])
+            b = order[start : start + config.batch_size]
+            n = len(b)
+            raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
             f_q, f_p, f_n = forward_batch(model, raws).reshape(3, n, -1)
             upstream = np.zeros((3, n, f_q.shape[1]))
             batch_loss = 0.0
@@ -339,7 +323,7 @@ def train(
             log.step_losses.append(step_loss)
             epoch_losses.append(step_loss)
 
-        mean_loss = float(np.mean(epoch_losses)) if epoch_losses else 0.0
+        mean_loss = float(np.mean(epoch_losses))
         log.epoch_mean_loss.append(mean_loss)
         if validation is not None:
             report = evaluate_model(
@@ -375,11 +359,8 @@ def rsf_finetune(
 ) -> tuple[EmbeddingModel, TrainLog]:
     """Adapt a model to a test environment using only its reference side.
 
-    The test dataset's queries are never read: finetuning sees a
-    reference-only view, so test-query hygiene holds by construction.
+    The test dataset's queries are never read: finetuning sees only its
+    references, so test-query hygiene holds by construction.
     """
-    refs_only = test_dataset.reference_only()
-    stream = build_finetune_stream(
-        refs_only, config.aug_multiplicity, spec, config.seed
-    )
+    stream = FinetuneDataset(test_dataset.references, config.aug_multiplicity, spec, config.seed)
     return train(model, stream, config, validation=validation)

@@ -73,6 +73,10 @@ class SynthWorldSpec:
             raise InvalidSpec("place_count must be at least 2")
         if not 0 < self.spacing < math.inf:  # also rejects nan
             raise InvalidSpec(f"spacing must be positive and finite, got {self.spacing}")
+        if not math.isfinite((self.place_count - 1) * self.spacing):
+            raise InvalidSpec(
+                f"place poses must be finite: {self.place_count} places at spacing {self.spacing}"
+            )
         if self.queries_per_place < 1:
             raise InvalidSpec("queries_per_place must be at least 1")
         if self.image_size < 16:

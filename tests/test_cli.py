@@ -324,6 +324,36 @@ def test_pretrain_on_empty_references_exits_one(capsys, tmp_path):
     assert json.loads(err.strip().splitlines()[-1])["error"] == "EmptyReferences"
 
 
+@pytest.mark.parametrize(
+    "argv, refs, error, needle",
+    [
+        (["pretrain", "--val-fraction", "1"], None, "VprError", "labeled dataset with no queries"),
+        (["rsf", "--no-poses"], 1, "VprError", "at least two references, got 1"),
+        (["rsf"], 1, "VprError", "epoch 0 mined no triplet: 2 queries skipped"),
+        (["rsf"], 0, "EmptyReferences", "zero references"),
+    ],
+    ids=["all-queries-validate", "poseless-one-reference", "pose-one-reference", "no-reference"],
+)
+def test_training_that_can_form_no_triplet_exits_one(
+    capsys, tmp_path, pipeline, argv, refs, error, needle
+):
+    ds, model, _ = pipeline
+    if refs is not None:
+        full = vk.load_dataset(ds)
+        ds = tmp_path / "few"
+        vk.save_dataset(vk.Dataset(references=full.references[:refs]), ds)
+    if argv[0] == "rsf":
+        argv = [*argv, "--model", model]
+    code, _, err = run(
+        capsys, *argv, "--dataset", str(ds), "--seed", "1", "--epochs", "2",
+        "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == error and needle in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
 def test_retrieve_with_another_models_map_exits_one(capsys, tmp_path, pipeline):
     ds, _, dmap = pipeline
     other = tmp_path / "other.vprh"
@@ -437,6 +467,8 @@ def test_input_of_the_wrong_kind_is_a_usage_error(capsys, tmp_path, argv, messag
         ("--radius", "-1", "validation_radius"),
         ("--seed", "-1", "seed"),
         ("--epochs", "-1", "epochs"),
+        ("--patience", "0", "early_stop_patience"),
+        ("--patience", "-1", "early_stop_patience"),
     ],
 )
 def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, value, field):
@@ -459,6 +491,7 @@ def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, val
         (["--seed", "-1"], "InvalidSpec", "seed"),
         (["--jitter", "1000"], "InvalidSpec", "jitter_px"),
         (["--jitter", "-1"], "InvalidSpec", "jitter_px"),
+        (["--places", "3", "--spacing", "1e308"], "InvalidSpec", "spacing 1e+308"),
     ],
 )
 def test_bad_synth_gen_input_exits_one(capsys, tmp_path, argv, error, needle):

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -127,6 +128,8 @@ class TestTripletLoss:
         ("validation_radius", float("nan")),
         ("epochs", -1),
         ("seed", -1),
+        ("early_stop_patience", 0),
+        ("early_stop_patience", -1),
     ],
 )
 def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):
@@ -137,7 +140,7 @@ def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):
 @pytest.fixture(scope="module")
 def stream(tiny_world_module):
     spec = vk.AugmentationSpec.from_string("appearance")
-    return vk.build_finetune_stream(tiny_world_module.reference_only(), 3, spec, seed=8)
+    return vk.FinetuneDataset(tiny_world_module.references, 3, spec, seed=8)
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +180,11 @@ class TestFinetuneStream:
         )
 
     def test_invalid_multiplicity(self, tiny_world_module):
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         with pytest.raises(InvalidMultiplicity):
-            vk.build_finetune_stream(
-                tiny_world_module, 0, vk.AugmentationSpec(), seed=1
+            vk.rsf_finetune(
+                model, tiny_world_module, vk.TrainConfig(aug_multiplicity=0),
+                vk.AugmentationSpec(),
             )
 
     def test_invalid_multiplicity_of_a_stream_built_directly(self, tiny_world_module):
@@ -204,18 +209,21 @@ class TestMining:
     def test_mining_matches_brute_force_scan(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[16], output_dim=8, seed=6)
         config = vk.TrainConfig(negative_radius=25.0, seed=3)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 2, vk.AugmentationSpec(), seed=3
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 2, vk.AugmentationSpec(), seed=3
         )
-        triplets, skipped = vk.mine_triplets(model, stream, config, epoch=0)
+        (q_raws, positives, negatives), skipped = vk.mine_triplets(
+            model, stream, config, epoch=0
+        )
         assert skipped == 0
         ref_descs = vk.forward_batch(
             model, np.stack([vk.extract_raw(r) for r in stream.references])
         )
         realized = stream.realize_epoch(0)
-        assert len(triplets) == len(realized)
-        for t, (src, query) in zip(triplets, realized):
-            assert t.positive == src
+        assert len(positives) == len(negatives) == len(q_raws) == len(realized)
+        for qi, (src, query) in enumerate(realized):
+            assert positives[qi] == src
+            np.testing.assert_array_equal(q_raws[qi], vk.extract_raw(query))
             q_desc = vk.forward(model, vk.extract_raw(query))
             best = None
             for ri, rp in enumerate(r.pose for r in stream.references):
@@ -224,7 +232,7 @@ class TestMining:
                 d = float(np.linalg.norm(ref_descs[ri] - q_desc))
                 if best is None or d < best[0]:
                     best = (d, ri)
-            assert t.negative == best[1]
+            assert negatives[qi] == best[1]
 
     def test_singleton_candidate_is_always_mined(self):
         rng = np.random.default_rng(9)
@@ -233,30 +241,29 @@ class TestMining:
             for i in range(3)
         ]
         refs.append(vk.ImageRecord("r3", rng.random((16, 16, 3)), vk.Pose(500.0, 0.0)))
-        ds = vk.Dataset(references=refs)
-        stream = vk.build_finetune_stream(ds, 1, vk.AugmentationSpec(), seed=0)
+        stream = vk.FinetuneDataset(refs, 1, vk.AugmentationSpec(), seed=0)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(negative_radius=25.0)
-        triplets, skipped = vk.mine_triplets(model, stream, config, epoch=0)
+        (_, positives, negatives), skipped = vk.mine_triplets(model, stream, config, epoch=0)
         # queries sourced from r0..r2 can only use r3; r3's query uses any of r0..r2
-        for t in triplets:
-            if t.source != 3:
-                assert t.negative == 3
+        for positive, negative in zip(positives, negatives):
+            if positive != 3:
+                assert negative == 3
 
     def test_poseless_mode_reproducible_and_never_source(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(poseless=True, seed=5)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 4, vk.AugmentationSpec(), seed=5
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 4, vk.AugmentationSpec(), seed=5
         )
         runs = []
         for _ in range(2):
             negs = []
             for epoch in range(10):
-                triplets, _ = vk.mine_triplets(model, stream, config, epoch)
-                for t in triplets:
-                    assert t.negative != t.source
-                    negs.append(t.negative)
+                (_, positives, negatives), _ = vk.mine_triplets(model, stream, config, epoch)
+                for positive, negative in zip(positives, negatives):
+                    assert negative != positive
+                    negs.append(negative)
             runs.append(negs)
         assert runs[0] == runs[1]
 
@@ -266,13 +273,13 @@ class TestMining:
             vk.ImageRecord(f"r{i}", rng.random((16, 16, 3)), vk.Pose(i * 1.0, 0.0))
             for i in range(4)
         ]
-        ds = vk.Dataset(references=refs)
-        stream = vk.build_finetune_stream(ds, 1, vk.AugmentationSpec(), seed=0)
+        stream = vk.FinetuneDataset(refs, 1, vk.AugmentationSpec(), seed=0)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        triplets, skipped = vk.mine_triplets(
+        (q_raws, positives, negatives), skipped = vk.mine_triplets(
             model, stream, vk.TrainConfig(negative_radius=25.0), epoch=0
         )
-        assert triplets == []
+        assert q_raws.shape == (0, vk.embedding.RAW_DIM)
+        assert len(positives) == len(negatives) == 0
         assert skipped == 4
 
 
@@ -302,7 +309,9 @@ class TestLabeledMining:
             ds = vk.Dataset(references=refs, queries=queries)
             model = vk.init_model(hidden_dims=[8], output_dim=6, seed=trial)
             ref_raws = np.stack([vk.extract_raw(r) for r in refs])
-            triplets, skipped = _mine(model, ref_raws, *_labeled_rows(ds, config), config)
+            (q_raws, positives, negatives), skipped = _mine(
+                model, ref_raws, *_labeled_rows(ds, config), config
+            )
 
             ref_descs = vk.forward_batch(model, ref_raws)
             expected, expected_skipped = [], 0
@@ -316,13 +325,13 @@ class TestLabeledMining:
                 q_desc = vk.forward(model, vk.extract_raw(query))
                 far.sort(key=lambda ri: (float(np.linalg.norm(ref_descs[ri] - q_desc)), ri))
                 expected += [(positive, neg, qi) for neg in far[: config.negatives_per_query]]
-            assert [(t.positive, t.negative) for t in triplets] == [e[:2] for e in expected]
-            for t, (_, _, qi) in zip(triplets, expected):
-                np.testing.assert_array_equal(t.query_raw, vk.extract_raw(queries[qi]))
-            assert all(t.source == t.positive for t in triplets)
+            assert list(zip(positives.tolist(), negatives.tolist())) == [e[:2] for e in expected]
+            assert len(q_raws) == len(expected)
+            for q_raw, (_, _, qi) in zip(q_raws, expected):
+                np.testing.assert_array_equal(q_raw, vk.extract_raw(queries[qi]))
             assert skipped == expected_skipped
             total_skipped += skipped
-            total_mined += len(triplets)
+            total_mined += len(positives)
         assert total_skipped > 0 and total_mined > 0  # both branches exercised
 
     def test_queries_without_poses_are_rejected(self, tiny_world_module):
@@ -348,10 +357,40 @@ class TestTrain:
         with pytest.raises(EmptyReferences):
             vk.train(model, data, vk.TrainConfig(epochs=1))
 
+    def test_poseless_labeled_dataset_is_rejected(self, tiny_world_module):
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(VprError, match="poseless mining applies only to reference-set"):
+            vk.train(model, tiny_world_module, vk.TrainConfig(epochs=1, poseless=True))
+
+    def test_labeled_dataset_without_queries_is_rejected(self, tiny_world_module):
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(VprError, match="labeled dataset with no queries"):
+            vk.train(model, tiny_world_module.reference_only(), vk.TrainConfig(epochs=1))
+
+    def test_epoch_that_mines_no_triplet_is_rejected(self):
+        rng = np.random.default_rng(2)
+        refs = [
+            vk.ImageRecord(f"r{i}", rng.random((16, 16, 3)), vk.Pose(i * 1.0, 0.0))
+            for i in range(4)
+        ]
+        stream = vk.FinetuneDataset(refs, 1, vk.AugmentationSpec(), seed=0)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(VprError, match="epoch 0 mined no triplet: 4 queries skipped"):
+            vk.train(model, stream, vk.TrainConfig(epochs=2))
+
+    def test_poseless_mining_needs_two_references(self, tiny_world_module):
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references[:1], 2, vk.AugmentationSpec(), seed=0
+        )
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        config = vk.TrainConfig(poseless=True)
+        with pytest.raises(VprError, match="at least two references, got 1"):
+            vk.mine_triplets(model, stream, config, epoch=0)
+
     def test_validation_without_queries_is_rejected(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 1, vk.AugmentationSpec(), seed=0
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 1, vk.AugmentationSpec(), seed=0
         )
         with pytest.raises(VprError, match="no queries"):
             vk.train(
@@ -361,8 +400,8 @@ class TestTrain:
 
     def test_zero_epochs_is_identity(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 1, vk.AugmentationSpec(), seed=0
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 1, vk.AugmentationSpec(), seed=0
         )
         out, log = vk.train(model, stream, vk.TrainConfig(epochs=0))
         assert out.fingerprint() == model.fingerprint()
@@ -370,8 +409,8 @@ class TestTrain:
 
     def test_log_structure(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(), 2, vk.AugmentationSpec(), seed=0
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 2, vk.AugmentationSpec(), seed=0
         )
         config = vk.TrainConfig(epochs=3, batch_size=4, early_stop_patience=99)
         _, log = vk.train(model, stream, config, validation=tiny_world_module)
@@ -385,8 +424,8 @@ class TestTrain:
 
     def test_descent_on_fixed_mined_set(self, tiny_world_module):
         model = vk.init_model(seed=1)
-        stream = vk.build_finetune_stream(
-            tiny_world_module.reference_only(),
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references,
             3,
             vk.AugmentationSpec.from_string("appearance"),
             seed=0,
@@ -429,8 +468,8 @@ class TestTrain:
             model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
             models, out = [("init", model)], []
             for epochs in (1, 4):
-                stream = vk.build_finetune_stream(
-                    prepare(target).reference_only(), 2, vk.AugmentationSpec(), seed=0
+                stream = vk.FinetuneDataset(
+                    prepare(target).references, 2, vk.AugmentationSpec(), seed=0
                 )
                 config = vk.TrainConfig(
                     epochs=epochs, learning_rate=0.05, batch_size=4, early_stop_patience=99
@@ -494,3 +533,88 @@ class TestHygiene:
         spec = vk.AugmentationSpec.from_string("appearance")
         vk.rsf_finetune(model, ds, config, spec)
         assert counting.accesses == 0
+
+
+
+@pytest.fixture(scope="module")
+def labeled_split():
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=6,
+            spacing=30.0,
+            reference_style=vk.StyleParams(texture_family="blocks"),
+            query_style=vk.StyleParams(texture_family="stripes", brightness_offset=-0.2),
+            queries_per_place=3,
+            image_size=32,
+            seed=2,
+        )
+    )
+    return vk.split_validation(world, 0.3, seed=5)
+
+
+def _rsf_run(**overrides):
+    def run(tiny_world, _split):
+        config = vk.TrainConfig(
+            epochs=3, learning_rate=1e-2, margin=0.4, batch_size=4,
+            early_stop_patience=99, seed=7, **overrides,
+        )
+        spec = vk.AugmentationSpec.from_string("appearance,viewpoint")
+        model = vk.init_model(hidden_dims=[16], output_dim=8, seed=1)
+        return vk.rsf_finetune(model, tiny_world, config, spec)
+
+    return run
+
+
+def _labeled_run(validate, batch_size):
+    # 13 training queries x 3 negatives = 39 triplets: batches of 4 and 5 are ragged.
+    def run(_tiny_world, split):
+        train_split, val_split = split
+        config = vk.TrainConfig(
+            epochs=3, learning_rate=1e-2, margin=0.4, batch_size=batch_size,
+            negatives_per_query=3, early_stop_patience=99, seed=9,
+        )
+        model = vk.init_model(hidden_dims=[16], output_dim=8, seed=2)
+        return vk.train(model, train_split, config, validation=val_split if validate else None)
+
+    return run
+
+
+# (run, sha256 of the trained parameters as EmbeddingModel.fingerprint,
+# sha256 of the float64 step losses), recorded when each triplet was still
+# a Python object; mining into aligned index arrays must not move a bit.
+TRAINING_BITS = {
+    "pose-rsf": (
+        _rsf_run(),
+        "e3d244564d90d1c734590d3091f1c43a2358849466934648f42e7957da615a4e",
+        "2de4a3918708f00ba31b7a09907f3a9b9becbddab40c9bb58b63c0e9110c6350",
+    ),
+    "poseless-rsf": (
+        _rsf_run(poseless=True),
+        "4dc80511a232ec0659d89c5766bb143cd7f025e0cb63de28ddd1df1e100c9a07",
+        "c1830237b5cd53a41a53038c30e1323efa4e69c6e8a2d99de39bb47c42fd56e4",
+    ),
+    "two-negatives": (
+        _rsf_run(negatives_per_query=2),
+        "7bfa51d36a01373475d832586a7100945f8558dec688a5d2d351f08fbd97d15b",
+        "335c35d4f6d924f03b1412286b0e3aa010dde89a48bb76f08c550f5dae18fda4",
+    ),
+    "labeled-validated": (
+        _labeled_run(True, 4),
+        "c53c82ebdb8619b44e0dbf9a6f7a8ff06da7150c1421f0b3875d5f2225c1e29a",
+        "fc8ed590b7588ecca72ebb6d29b4fbf05ecb6f36890cc650047e9f344ab1a389",
+    ),
+    "labeled-ragged-batches": (
+        _labeled_run(False, 5),
+        "c3f8f39d7c207822b5f6feddaed7d3edd9fd2aea6ead88704b9c5a93033080ed",
+        "1769f18b25b18faa889601d452ad961ab23545f3ce4127762f21a383dcdd93eb",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", TRAINING_BITS)
+def test_training_bits_match_the_parent(case, tiny_world_module, labeled_split):
+    run, params_sha, losses_sha = TRAINING_BITS[case]
+    model, log = run(tiny_world_module, labeled_split)
+    losses = np.asarray(log.step_losses, dtype=np.float64).tobytes()
+    assert model.fingerprint_hex() == params_sha
+    assert hashlib.sha256(losses).hexdigest() == losses_sha

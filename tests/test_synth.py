@@ -96,6 +96,8 @@ def test_invalid_specs_rejected():
     for spacing in (float("nan"), float("inf")):
         with pytest.raises(InvalidSpec, match="spacing"):
             _spec(spacing=spacing)
+    with pytest.raises(InvalidSpec, match="poses must be finite"):
+        _spec(place_count=3, spacing=1e308)  # the third pose, 2e308, overflows
     with pytest.raises(InvalidSpec, match="seed"):
         _spec(seed=-1)
     for jitter_px in (-1, 32, 1000):  # _spec has image_size 32
