@@ -159,12 +159,23 @@ def _warp_perspective(img: np.ndarray, disp: tuple[float, ...]) -> np.ndarray:
 
 
 def _crop_resize(img: np.ndarray, scale: float, ox: float, oy: float) -> np.ndarray:
+    # sample_bilinear on the crop grid, which is separable: each source row
+    # is gathered once, then the columns, with every pixel's float
+    # operations unchanged.
     h, w = img.shape[:2]
-    y0, x0 = oy * (h - 1), ox * (w - 1)
-    ys = y0 + np.linspace(0.0, scale * (h - 1), h)
-    xs = x0 + np.linspace(0.0, scale * (w - 1), w)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    return sample_bilinear(img, grid_y, grid_x)
+    ys = np.clip(oy * (h - 1) + np.linspace(0.0, scale * (h - 1), h), 0.0, h - 1.0)
+    xs = np.clip(ox * (w - 1) + np.linspace(0.0, scale * (w - 1), w), 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[:, None, None]
+    fx = (xs - x0)[:, None]
+    top, bot = img[y0], img[y1]
+    # np.take keeps the gathered columns C-contiguous, as the grid's were.
+    top = np.take(top, x0, axis=1) * (1 - fx) + np.take(top, x1, axis=1) * fx
+    bot = np.take(bot, x0, axis=1) * (1 - fx) + np.take(bot, x1, axis=1) * fx
+    return top * (1 - fy) + bot * fy
 
 
 def apply(

@@ -54,17 +54,17 @@ def extract_raw(image: ImageRecord) -> np.ndarray:
 def extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:
     img = resize_area(np.asarray(pixels, dtype=np.float64), WORK_SIZE, WORK_SIZE)
     y = img @ LUMA_WEIGHTS
-    c1 = img[..., 0] - y  # R - Y
-    c2 = img[..., 2] - y  # B - Y
 
     # 3x3 central-difference gradients; borders carry zero gradient.
     gx = np.zeros_like(y)
     gy = np.zeros_like(y)
     gx[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / 2.0
     gy[1:-1, :] = (y[2:, :] - y[:-2, :]) / 2.0
-    mag = np.hypot(gx, gy)
-    # Orientation folded to [0, 180), 4 bins of 45 degrees.
-    ang = np.mod(np.degrees(np.arctan2(gy, gx)), 180.0)
+    # Orientation folded to [0, 180), 4 bins of 45 degrees.  The angle lies
+    # in [-180, 180], where np.mod(d, 180) is d, plus 180 below zero, and
+    # 0 at 180 (arctan2(+0, x < 0) is pi).
+    d = np.degrees(np.arctan2(gy, gx))
+    ang = np.where(d < 0, d + 180.0, np.where(d == 180.0, 0.0, d))
     bins = np.minimum((ang / 45.0).astype(np.int64), _HIST_BINS - 1)
 
     ps = WORK_SIZE // PATCH_GRID
@@ -75,14 +75,23 @@ def extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:
             PATCH_GRID, PATCH_GRID, ps * ps
         )
 
-    yp, mp, bp = patches(y), patches(mag), patches(bins)
-    features = np.empty((PATCH_GRID, PATCH_GRID, 8))
-    features[..., 0] = yp.mean(axis=-1)
-    features[..., 1] = yp.std(axis=-1)
-    features[..., 2] = patches(c1).mean(axis=-1)
-    features[..., 3] = patches(c2).mean(axis=-1)
-    for b in range(_HIST_BINS):
-        features[..., 4 + b] = np.sum(mp * (bp == b), axis=-1)
+    def mean(p: np.ndarray) -> np.ndarray:
+        # The pairwise sum and the division of .mean, without its overhead.
+        return np.add.reduce(p, axis=-1) / (ps * ps)
+
+    # Temporaries stay at one (64, 64) plane or less: with 128 KB ones,
+    # glibc's malloc grew and trimmed the heap on every call, at about 100
+    # page faults each.
+    yp, mp, bp = patches(y), patches(np.hypot(gx, gy)), patches(bins)
+    luma = mean(yp)
+    dev = yp - luma[..., None]
+    dev *= dev  # .std's own steps: square in place, mean, sqrt
+    hist = [np.add.reduce(mp * (bp == b), axis=-1) for b in range(_HIST_BINS)]
+    features = np.stack(
+        [luma, np.sqrt(mean(dev)), mean(patches(img[..., 0] - y)),
+         mean(patches(img[..., 2] - y)), *hist],
+        axis=-1,
+    )
     return features.reshape(RAW_DIM)
 
 
@@ -255,9 +264,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
     for w in model.weights:
         parts.append(struct.pack("<II", *w.shape))
     for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
-    atomic_write_bytes(Path(path), b"".join(parts))
+        parts.append(np.ascontiguousarray(w, dtype="<f8"))
+        parts.append(np.ascontiguousarray(b, dtype="<f8"))
+    atomic_write_bytes(Path(path), *parts)
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

@@ -30,12 +30,26 @@ def _overlap_weights(src: int, dst: int) -> np.ndarray:
 
 
 def resize_area(img: np.ndarray, height: int, width: int) -> np.ndarray:
-    """Resize (H, W, C) or (H, W) by exact area averaging."""
-    wy = _overlap_weights(img.shape[0], height)
-    wx = _overlap_weights(img.shape[1], width)
+    """Resize (H, W, C) or (H, W) by exact area averaging.
+
+    At the same size the weights are the identity and the two products
+    are skipped.  For finite input the result has the products' bits:
+    the values unchanged, with -0.0 turned into 0.0.  A single value
+    still goes through the products, which are then one multiplication
+    and keep -0.0.
+    """
     flat = np.atleast_3d(img)
-    out = np.tensordot(wy, flat, axes=(1, 0))  # (height, W, C)
-    out = np.tensordot(out, wx, axes=(1, 1)).transpose(0, 2, 1)  # (height, width, C)
+    if img.shape[:2] == (height, width) and img.size > 1:
+        # A copy in the (H, C, W) memory layout the products leave:
+        # `img @ LUMA_WEIGHTS` gives other bits on another layout.
+        out = np.array(flat.transpose(0, 2, 1), dtype=np.float64, order="C")
+        out += 0.0
+        out = out.transpose(0, 2, 1)
+    else:
+        wy = _overlap_weights(img.shape[0], height)
+        wx = _overlap_weights(img.shape[1], width)
+        out = np.tensordot(wy, flat, axes=(1, 0))  # (height, W, C)
+        out = np.tensordot(out, wx, axes=(1, 1)).transpose(0, 2, 1)  # (height, width, C)
     return out.reshape(height, width, *img.shape[2:])
 
 

@@ -44,12 +44,16 @@ def hash_input(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
+def atomic_write_bytes(path: Path, *parts) -> None:
+    """Write the parts one after another as the file at ``path``, or
+    leave the file as it was.  A part is anything ``write`` takes: bytes
+    or a C-contiguous array, so large arrays are written without a copy."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

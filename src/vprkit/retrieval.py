@@ -158,22 +158,24 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     float64 poses, length-prefixed UTF-8 ids, 32-byte model fingerprint.
     Written atomically."""
     n, d = dmap.descriptors.shape
-    parts = [
-        _MAP_MAGIC,
-        struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED),
-        np.ascontiguousarray(dmap.descriptors, dtype="<f4").tobytes(),
-        np.ascontiguousarray(dmap.poses, dtype="<f8").tobytes(),
-    ]
+    ids = []
     for i, rid in enumerate(dmap.ids):
         raw = rid.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise FormatError(f"id of row {i} is {len(raw)} UTF-8 bytes, at most 65535 fit")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
+        ids.append(struct.pack("<H", len(raw)))
+        ids.append(raw)
     if len(dmap.model_fingerprint) != 32:
         raise FormatError("model fingerprint must be 32 bytes")
-    parts.append(dmap.model_fingerprint)
-    atomic_write_bytes(Path(path), b"".join(parts))
+    atomic_write_bytes(
+        Path(path),
+        _MAP_MAGIC,
+        struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED),
+        np.ascontiguousarray(dmap.descriptors, dtype="<f4"),
+        np.ascontiguousarray(dmap.poses, dtype="<f8"),
+        b"".join(ids),
+        dmap.model_fingerprint,
+    )
 
 
 def load_map(path: str | Path) -> DescriptorMap:

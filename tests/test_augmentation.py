@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.augmentation import (
@@ -9,8 +10,10 @@ from vprkit.augmentation import (
     VIEWPOINT_KINDS,
     AugmentationOp,
     AugmentationSpec,
+    _crop_resize,
 )
 from vprkit.errors import VprError
+from vprkit.imageops import sample_bilinear
 
 
 def rng_for(seed):
@@ -134,3 +137,37 @@ class TestApply:
         out = vk.apply(img, AugmentationOp("grayscale"), rng_for(0))
         np.testing.assert_array_equal(out.pixels[..., 0], out.pixels[..., 1])
         np.testing.assert_array_equal(out.pixels[..., 1], out.pixels[..., 2])
+
+
+def oracle_crop_resize(img, scale, ox, oy):
+    """_crop_resize as it was before it became separable: sample_bilinear
+    on the full crop grid."""
+    h, w = img.shape[:2]
+    y0, x0 = oy * (h - 1), ox * (w - 1)
+    ys = y0 + np.linspace(0.0, scale * (h - 1), h)
+    xs = x0 + np.linspace(0.0, scale * (w - 1), w)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    return sample_bilinear(img, grid_y, grid_x)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 99),
+    w=st.integers(1, 99),
+    scale=st.floats(0.01, 1.0) | st.just(1.0),
+    ox=unit,
+    oy=unit,
+)
+@example(seed=0, h=64, w=64, scale=0.8, ox=0.1, oy=0.05)
+@example(seed=1, h=64, w=64, scale=1.0, ox=0.0, oy=0.0)
+def test_crop_resize_equals_the_full_grid_oracle(seed, h, w, scale, ox, oy):
+    img = rng_for(seed).random((h, w, 3))
+    want = oracle_crop_resize(img, scale, ox, oy)
+    got = _crop_resize(img, scale, ox, oy)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tempfile
 from pathlib import Path
@@ -7,9 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import vprkit as vk
+from vprkit import presets
 from vprkit.colorops import LUMA_WEIGHTS
 from vprkit.embedding import (
+    PATCH_GRID,
     RAW_DIM,
+    WORK_SIZE,
+    _HIST_BINS,
     _trace,
     backward,
     extract_raw_pixels,
@@ -25,6 +30,7 @@ from vprkit.errors import (
     TruncatedError,
     VprError,
 )
+from test_imageops import oracle_resize_area
 
 
 def make_record(pixels, rid="x"):
@@ -40,7 +46,114 @@ def model_bytes(shapes):
     return header + np.arange(count, dtype="<f8").tobytes()
 
 
+def oracle_extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:
+    """extract_raw_pixels as it was before its exact fast paths (np.mod,
+    .mean, .std), on the resize through the products."""
+    img = oracle_resize_area(np.asarray(pixels, dtype=np.float64), WORK_SIZE, WORK_SIZE)
+    y = img @ LUMA_WEIGHTS
+    c1 = img[..., 0] - y  # R - Y
+    c2 = img[..., 2] - y  # B - Y
+
+    # 3x3 central-difference gradients; borders carry zero gradient.
+    gx = np.zeros_like(y)
+    gy = np.zeros_like(y)
+    gx[:, 1:-1] = (y[:, 2:] - y[:, :-2]) / 2.0
+    gy[1:-1, :] = (y[2:, :] - y[:-2, :]) / 2.0
+    mag = np.hypot(gx, gy)
+    # Orientation folded to [0, 180), 4 bins of 45 degrees.
+    ang = np.mod(np.degrees(np.arctan2(gy, gx)), 180.0)
+    bins = np.minimum((ang / 45.0).astype(np.int64), _HIST_BINS - 1)
+
+    ps = WORK_SIZE // PATCH_GRID
+
+    def patches(arr: np.ndarray) -> np.ndarray:
+        # (8, 8, ps*ps): row-major patch grid, flattened pixels per patch
+        return arr.reshape(PATCH_GRID, ps, PATCH_GRID, ps).transpose(0, 2, 1, 3).reshape(
+            PATCH_GRID, PATCH_GRID, ps * ps
+        )
+
+    yp, mp, bp = patches(y), patches(mag), patches(bins)
+    features = np.empty((PATCH_GRID, PATCH_GRID, 8))
+    features[..., 0] = yp.mean(axis=-1)
+    features[..., 1] = yp.std(axis=-1)
+    features[..., 2] = patches(c1).mean(axis=-1)
+    features[..., 3] = patches(c2).mean(axis=-1)
+    for b in range(_HIST_BINS):
+        features[..., 4 + b] = np.sum(mp * (bp == b), axis=-1)
+    return features.reshape(RAW_DIM)
+
+
+def drawn_image(seed: int, h: int, w: int, values: str) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    if values == "uniform":
+        return rng.random((h, w, 3))
+    if values == "k/255":
+        return rng.integers(0, 256, (h, w, 3)) / 255.0
+    if values == "flat":
+        return np.full((h, w, 3), rng.random())
+    if values == "signed zeros":
+        return rng.choice([0.0, -0.0, 0.25], (h, w, 3))
+    if values == "tiny gradients":
+        return 0.5 + 1e-14 * rng.standard_normal((h, w, 3))
+    if values == "ulp steps":
+        # Columns 0, 0, 1, 1, ... (|gx| = 0.5) on rows a few ulps apart:
+        # angles so near 0 that some negative d have d + 180 == 180.0.
+        cols = (np.arange(w) // 2 % 2).astype(np.float64)
+        steps = cols[None, :, None] + rng.integers(-2, 3, (h, 1, 1)) * 2.0**-52
+        return np.repeat(steps, 3, axis=2)
+    # Equal rows falling to the right: gy = +-0 with gx < 0, where arctan2
+    # gives +-pi; some rows are all -0.0.
+    img = np.tile(np.linspace(1.0, 0.0, w)[None, :, None], (h, 1, 3))
+    img[rng.random(h) < 0.3] = -0.0
+    return img
+
+
+IMAGE_VALUES = [
+    "uniform", "k/255", "flat", "signed zeros", "tiny gradients", "ulp steps", "falling rows"
+]
+
+
 class TestExtractRaw:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(1, 130),
+        w=st.integers(1, 130),
+        values=st.sampled_from(IMAGE_VALUES),
+    )
+    @example(seed=0, h=64, w=64, values="uniform")
+    @example(seed=1, h=64, w=64, values="k/255")
+    @example(seed=2, h=64, w=64, values="flat")
+    @example(seed=3, h=64, w=64, values="signed zeros")
+    @example(seed=4, h=64, w=64, values="tiny gradients")
+    @example(seed=5, h=64, w=64, values="ulp steps")
+    @example(seed=6, h=64, w=64, values="falling rows")
+    def test_equals_the_oracle_bit_for_bit(self, seed, h, w, values):
+        pixels = drawn_image(seed, h, w, values)
+        want = oracle_extract_raw_pixels(pixels)
+        got = extract_raw_pixels(pixels)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_domain_gap_raws_are_pinned(self):
+        """The raws of domain_gap_pair()'s 180 images and of one epoch of
+        world B's references augmented as in the acceptance pipeline.
+        These 64x64 images take the same-size resize, which the small
+        worlds of the trained-bits digests do not."""
+        world_a, world_b = presets.domain_gap_pair()
+        stream = vk.FinetuneDataset(
+            world_b.references, 3, vk.AugmentationSpec.from_string("appearance,viewpoint"),
+            seed=200,
+        )
+        records = world_a.references + world_a.queries + world_b.references + world_b.queries
+        records += [rec for _, rec in stream.realize_epoch(0)]
+        h = hashlib.sha256()
+        for rec in records:
+            h.update(rec.raw.tobytes())
+        assert h.hexdigest() == (
+            "600b5c81a5d866366e0ed70727f84ab16633e151f682a5a3ad7fa56d60364753"
+        )
+
     def test_constant_gray_has_zero_std_and_histograms(self):
         raw = extract_raw_pixels(np.full((64, 64, 3), 0.5))
         feats = raw.reshape(8, 8, 8)

@@ -273,6 +273,25 @@ class TestMapSerialization:
             save_map(back, Path(tmp) / "again.vprm")
             assert (Path(tmp) / "again.vprm").read_bytes() == path.read_bytes()
 
+    def test_file_bytes_equal_the_joined_parts(self, tiny_world, small_model, tmp_path):
+        """save_map writes its parts one by one; the file is the one the
+        whole file joined in memory gave."""
+        dmap = vk.build_map(tiny_world, small_model)
+        dmap.ids[0] = "é" * 3
+        n, d = dmap.descriptors.shape
+        parts = [
+            b"VPRM",
+            struct.pack("<HIQH", 1, d, n, 1),
+            np.ascontiguousarray(dmap.descriptors, dtype="<f4").tobytes(),
+            np.ascontiguousarray(dmap.poses, dtype="<f8").tobytes(),
+        ]
+        for rid in dmap.ids:
+            raw = rid.encode("utf-8")
+            parts += [struct.pack("<H", len(raw)), raw]
+        parts.append(dmap.model_fingerprint)
+        save_map(dmap, tmp_path / "m.vprm")
+        assert (tmp_path / "m.vprm").read_bytes() == b"".join(parts)
+
     # 70,000 characters; 33,000 characters that take 66,000 UTF-8 bytes.
     @pytest.mark.parametrize("long_id", ["x" * 70_000, "é" * 33_000], ids=["ascii", "utf8"])
     def test_overlong_id_is_rejected_before_writing(self, tmp_path, long_id):
