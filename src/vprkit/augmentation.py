@@ -9,6 +9,7 @@ as training queries whose ground-truth place is known for free.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -16,29 +17,6 @@ from .colorops import adjust_contrast, luma, rotate_hue
 from .dataset import ImageRecord
 from .errors import VprError
 from .imageops import sample_bilinear
-
-APPEARANCE_KINDS = (
-    "identity",
-    "brightness",
-    "contrast",
-    "hue_shift",
-    "grayscale",
-    "gamma",
-    "gaussian_noise",
-    "box_blur",
-)
-VIEWPOINT_KINDS = ("identity", "crop_resize", "horizontal_flip", "perspective_jitter")
-
-DEFAULT_RANGES: dict[str, tuple[float, float]] = {
-    "brightness": (-0.3, 0.3),
-    "contrast": (0.6, 1.6),
-    "hue_shift": (-40.0, 40.0),
-    "gamma": (0.5, 2.0),
-    "gaussian_noise": (0.01, 0.08),
-    "box_blur": (1, 2),
-    "crop_scale": (0.7, 1.0),
-    "perspective": (0.0, 0.10),  # corner displacement as fraction of side
-}
 
 
 @dataclass(frozen=True)
@@ -81,39 +59,8 @@ class AugmentationSpec:
         return cls(categories=frozenset(p.strip() for p in text.split(",")))
 
     def enabled_kinds(self) -> list[str]:
-        """The sampled menu. Flips stay out of it: they can alias symmetric
-        synthetic scenes."""
-        kinds: list[str] = []
-        if "appearance" in self.categories:
-            kinds += [k for k in APPEARANCE_KINDS if k != "identity"]
-        if "viewpoint" in self.categories:
-            kinds += ["crop_resize", "perspective_jitter"]
-        return kinds
-
-
-def sample_op(spec: AugmentationSpec, rng: np.random.Generator) -> AugmentationOp:
-    """Uniformly pick an enabled kind, then its parameters from DEFAULT_RANGES."""
-    kinds = spec.enabled_kinds()
-    if not kinds:
-        return AugmentationOp("identity")
-    kind = kinds[int(rng.integers(0, len(kinds)))]
-    if kind in ("brightness", "contrast", "hue_shift", "gamma", "gaussian_noise"):
-        lo, hi = DEFAULT_RANGES[kind]
-        return AugmentationOp(kind, (float(rng.uniform(lo, hi)),))
-    if kind == "box_blur":
-        lo, hi = DEFAULT_RANGES[kind]
-        return AugmentationOp(kind, (float(rng.integers(int(lo), int(hi) + 1)),))
-    if kind == "crop_resize":
-        lo, hi = DEFAULT_RANGES["crop_scale"]
-        scale = float(rng.uniform(lo, hi))
-        ox = float(rng.uniform(0.0, 1.0 - scale))
-        oy = float(rng.uniform(0.0, 1.0 - scale))
-        return AugmentationOp(kind, (scale, ox, oy))
-    if kind == "perspective_jitter":
-        _, hi = DEFAULT_RANGES["perspective"]
-        disp = rng.uniform(-hi, hi, size=8)
-        return AugmentationOp(kind, tuple(float(d) for d in disp))
-    return AugmentationOp(kind)  # grayscale
+        """The sampled menu: the enabled categories' kinds in table order."""
+        return [kind for kind, op in _OPS.items() if op.category in self.categories]
 
 
 def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
@@ -178,36 +125,74 @@ def _crop_resize(img: np.ndarray, scale: float, ox: float, oy: float) -> np.ndar
     return top * (1 - fy) + bot * fy
 
 
+# The draws return Python floats: the sampled-sequence digest hashes their repr.
+def _uniform(lo: float, hi: float) -> Callable:
+    return lambda rng: (float(rng.uniform(lo, hi)),)
+
+
+def _no_params(rng: np.random.Generator) -> tuple[float, ...]:
+    return ()
+
+
+def _crop_params(rng: np.random.Generator) -> tuple[float, ...]:
+    """The crop's side as a fraction of the image's, then its x and y offsets."""
+    scale = float(rng.uniform(0.7, 1.0))
+    return scale, float(rng.uniform(0.0, 1.0 - scale)), float(rng.uniform(0.0, 1.0 - scale))
+
+
+def _corner_shifts(rng: np.random.Generator) -> tuple[float, ...]:
+    """Each corner's (x, y) displacement as a fraction of the shorter side."""
+    return tuple(float(d) for d in rng.uniform(-0.10, 0.10, size=8))
+
+
+class _Op(NamedTuple):
+    """One kind: the category whose menu samples it (None: applied only),
+    its parameter draw and its transform of (pixels, params, rng)."""
+
+    category: str | None
+    draw: Callable[[np.random.Generator], tuple[float, ...]]
+    transform: Callable[[np.ndarray, tuple[float, ...], np.random.Generator], np.ndarray]
+
+
+# In menu order. Flips are on no menu: they can alias symmetric synthetic scenes.
+_OPS: dict[str, _Op] = {
+    "identity": _Op(None, _no_params, lambda img, p, rng: img.copy()),
+    "brightness": _Op("appearance", _uniform(-0.3, 0.3), lambda img, p, rng: img + p[0]),
+    "contrast": _Op("appearance", _uniform(0.6, 1.6),
+                    lambda img, p, rng: adjust_contrast(img, p[0])),
+    "hue_shift": _Op("appearance", _uniform(-40.0, 40.0),
+                     lambda img, p, rng: rotate_hue(img, p[0])),
+    "grayscale": _Op("appearance", _no_params,
+                     lambda img, p, rng: np.repeat(luma(img)[..., None], 3, axis=-1)),
+    "gamma": _Op("appearance", _uniform(0.5, 2.0),
+                 lambda img, p, rng: np.clip(img, 0.0, 1.0) ** p[0]),
+    "gaussian_noise": _Op("appearance", _uniform(0.01, 0.08),
+                          lambda img, p, rng: img + rng.normal(0.0, p[0], size=img.shape)),
+    "box_blur": _Op("appearance", lambda rng: (float(rng.integers(1, 3)),),  # radius 1 or 2
+                    lambda img, p, rng: _box_blur(img, int(p[0]))),
+    "crop_resize": _Op("viewpoint", _crop_params, lambda img, p, rng: _crop_resize(img, *p)),
+    "horizontal_flip": _Op(None, _no_params, lambda img, p, rng: img[:, ::-1, :].copy()),
+    "perspective_jitter": _Op("viewpoint", _corner_shifts,
+                              lambda img, p, rng: _warp_perspective(img, p)),
+}
+
+
+def sample_op(spec: AugmentationSpec, rng: np.random.Generator) -> AugmentationOp:
+    """Uniformly pick an enabled kind, then draw its parameters."""
+    kinds = spec.enabled_kinds()
+    if not kinds:
+        return AugmentationOp("identity")
+    kind = kinds[int(rng.integers(0, len(kinds)))]
+    return AugmentationOp(kind, _OPS[kind].draw(rng))
+
+
 def apply(
     image: ImageRecord, op: AugmentationOp, rng: np.random.Generator
 ) -> ImageRecord:
     """Apply one op; same dimensions, pixels clamped to [0, 1], pose kept."""
-    img = image.pixels
-    kind = op.kind
-    if kind == "identity":
-        out = img.copy()
-    elif kind == "brightness":
-        out = img + op.params[0]
-    elif kind == "contrast":
-        out = adjust_contrast(img, op.params[0])
-    elif kind == "hue_shift":
-        out = rotate_hue(img, op.params[0])
-    elif kind == "grayscale":
-        out = np.repeat(luma(img)[..., None], 3, axis=-1)
-    elif kind == "gamma":
-        out = np.clip(img, 0.0, 1.0) ** op.params[0]
-    elif kind == "gaussian_noise":
-        out = img + rng.normal(0.0, op.params[0], size=img.shape)
-    elif kind == "box_blur":
-        out = _box_blur(img, int(op.params[0]))
-    elif kind == "crop_resize":
-        out = _crop_resize(img, *op.params)
-    elif kind == "horizontal_flip":
-        out = img[:, ::-1, :].copy()
-    elif kind == "perspective_jitter":
-        out = _warp_perspective(img, op.params)
-    else:
-        raise VprError(f"unknown augmentation kind {kind!r}")
+    if op.kind not in _OPS:
+        raise VprError(f"unknown augmentation kind {op.kind!r}")
+    out = _OPS[op.kind].transform(image.pixels, op.params, rng)
     return ImageRecord(
         id=f"{image.id}#{op.tag()}",
         pixels=np.clip(out, 0.0, 1.0),

@@ -216,10 +216,8 @@ def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") 
     lines += [
         f"epoch_val_recall1,{i},{v:.6f}" for i, v in enumerate(log.epoch_val_recall1)
     ]
-    lines += [
-        f"epoch_skipped_queries,{i},{v}"
-        for i, v in enumerate(log.epoch_skipped_queries)
-    ]
+    for record in ("epoch_skipped_queries", "epoch_triplets", "epoch_active_triplets"):
+        lines += [f"{record},{i},{v}" for i, v in enumerate(getattr(log, record))]
     # Wall time: the one record that differs between same-seed runs.
     lines += [f"epoch_seconds,{i},{v:.6f}" for i, v in enumerate(log.epoch_seconds)]
     lines.append(f"selected_epoch,0,{log.selected_epoch}")

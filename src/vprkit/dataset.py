@@ -32,6 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
+from .manifest import atomic_write_text
 from .ppm import read_ppm, write_ppm
 
 EARTH_RADIUS_M = 6378137.0
@@ -216,22 +217,27 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
-    """Write a dataset back to the standard directory layout."""
+    """Write a dataset back to the standard directory layout, each file
+    atomically. A record with no pose is an InconsistentManifest, raised
+    before any file is written."""
     root = Path(root_path)
-    _save_side(dataset.references, root / "references", root / "reference_poses.csv")
+    sides = [("references", "reference_poses.csv", dataset.references)]
     if dataset.queries:
-        _save_side(dataset.queries, root / "queries", root / "query_poses.csv")
+        sides.append(("queries", "query_poses.csv", dataset.queries))
+    manifests = [_pose_manifest(records) for _, _, records in sides]
+    for (images, manifest, records), text in zip(sides, manifests):
+        (root / images).mkdir(parents=True, exist_ok=True)
+        for rec in records:
+            write_ppm(root / images / f"{rec.id}.ppm", rec.pixels)
+        atomic_write_text(root / manifest, text)
 
 
-def _save_side(records: list[ImageRecord], image_dir: Path, manifest: Path) -> None:
-    image_dir.mkdir(parents=True, exist_ok=True)
+def _pose_manifest(records: list[ImageRecord]) -> str:
+    """The records' pose manifest, in id order."""
+    records = sorted(records, key=lambda r: r.id)
     lines = ["id,x_m,y_m"]
-    for rec in sorted(records, key=lambda r: r.id):
-        write_ppm(image_dir / f"{rec.id}.ppm", rec.pixels)
-        if rec.pose is None:
-            raise InconsistentManifest(f"record {rec.id!r} has no pose to persist")
-        lines.append(f"{rec.id},{rec.pose.x!r},{rec.pose.y!r}")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    lines += [f"{r.id},{p.x!r},{p.y!r}" for r, p in zip(records, record_poses(records))]
+    return "\n".join(lines) + "\n"
 
 
 def split_validation(

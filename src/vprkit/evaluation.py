@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +47,24 @@ def ground_truth(
 ) -> GroundTruth:
     """A query matches reference i iff their pose distance is <= radius.
     Distances are computed one query row at a time, so memory stays O(N)
-    however many queries there are."""
+    however many queries there are. ``query_ids`` name the queries in
+    order: a count other than the poses' is a ShapeError, a repeated id
+    a VprError."""
     _check_radius(radius)
     qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
     rp = np.asarray(reference_poses, np.float64)
     if query_ids is None:
         query_ids = [str(i) for i in range(len(qp))]
-    return GroundTruth({
+    if len(query_ids) != len(qp):
+        raise ShapeError(f"{len(query_ids)} query ids for {len(qp)} query poses")
+    matches = {
         qid: frozenset(np.flatnonzero(pose_distances(qp[qi], rp)[0] <= radius).tolist())
         for qi, qid in enumerate(query_ids)
-    })
+    }
+    if len(matches) < len(query_ids):
+        repeated = next(qid for qid, n in Counter(query_ids).items() if n > 1)
+        raise VprError(f"query id {repeated!r} is repeated")
+    return GroundTruth(matches)
 
 
 @dataclass
@@ -68,12 +79,23 @@ class RecallReport:
     evaluated_queries: int
 
     def rows(self) -> list[str]:
-        """Machine-readable CSV rows, one per cutoff."""
+        """Machine-readable CSV rows, one per cutoff. A field holding a
+        comma, a quote or a line break is quoted as RFC 4180 says."""
         return [
-            f"{self.model_fingerprint},{self.dataset},{n},{r:.6f},"
-            f"{self.evaluated_queries},{self.total_queries}"
+            _csv_row([
+                self.model_fingerprint, self.dataset, n, f"{r:.6f}",
+                self.evaluated_queries, self.total_queries,
+            ])
             for n, r in zip(self.ns, self.recalls)
         ]
+
+
+def _csv_row(fields: list) -> str:
+    """One CSV row without its line end, quoted as little as RFC 4180 allows."""
+    out = io.StringIO()
+    # A "\r\n" line end makes the writer quote fields holding either byte.
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2]
 
 
 def format_recall(value: float) -> str:
@@ -141,7 +163,7 @@ def evaluate_model(
         query_ids=[q.id for q in dataset.queries],
     )
     return recall_at_n(
-        results, gt, ns, dataset=name, model_fingerprint=model.fingerprint_hex()
+        results, gt, ns, dataset=name, model_fingerprint=dmap.model_fingerprint.hex()
     )
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DecodeError, NonFiniteValue, ShapeError
+from .manifest import atomic_write_bytes
 
 # P6, then width, height and maxval, then exactly one whitespace byte.
 # Separators are whitespace or '#' comments running to a newline: any
@@ -61,7 +62,7 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     height, width = pixels.shape[:2]
     raster = quantize(pixels)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + raster.tobytes())
+    atomic_write_bytes(Path(path), header, np.ascontiguousarray(raster))
 
 
 def quantize(pixels: np.ndarray) -> np.ndarray:

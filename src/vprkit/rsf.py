@@ -150,6 +150,8 @@ class TrainLog:
     epoch_val_recall1: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
     epoch_skipped_queries: list[int] = field(default_factory=list)
+    epoch_triplets: list[int] = field(default_factory=list)
+    epoch_active_triplets: list[int] = field(default_factory=list)  # loss > 0
     selected_epoch: int = -1
     mode: str = ""
 
@@ -300,6 +302,7 @@ def train(
         ).permutation(len(positives))
 
         epoch_losses: list[float] = []
+        active = 0
         for start in range(0, len(order), config.batch_size):
             b = order[start : start + config.batch_size]
             n = len(b)
@@ -316,6 +319,7 @@ def train(
                         f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
                     )
                 batch_loss += loss
+                active += loss > 0
             grads = backward(model, raws, upstream.reshape(3 * n, -1))
             grads.scale(1.0 / n)
             apply_gradients(model, grads, config.learning_rate)
@@ -323,6 +327,8 @@ def train(
             log.step_losses.append(step_loss)
             epoch_losses.append(step_loss)
 
+        log.epoch_triplets.append(len(positives))
+        log.epoch_active_triplets.append(active)
         mean_loss = float(np.mean(epoch_losses))
         log.epoch_mean_loss.append(mean_loss)
         if validation is not None:

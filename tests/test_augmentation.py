@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.augmentation import (
-    APPEARANCE_KINDS,
-    VIEWPOINT_KINDS,
+    _OPS,
     AugmentationOp,
     AugmentationSpec,
+    _box_blur,
     _crop_resize,
+    _warp_perspective,
 )
+from vprkit.colorops import adjust_contrast, luma, rotate_hue
 from vprkit.errors import VprError
 from vprkit.imageops import sample_bilinear
 
@@ -78,7 +81,7 @@ class TestSampleOp:
         )
 
 
-ALL_KINDS = sorted(set(APPEARANCE_KINDS) | set(VIEWPOINT_KINDS))
+ALL_KINDS = sorted(_OPS)
 
 
 def op_for(kind):
@@ -171,3 +174,180 @@ def test_crop_resize_equals_the_full_grid_oracle(seed, h, w, scale, ox, oy):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.strides == want.strides
     assert got.tobytes() == want.tobytes()
+
+
+# The menu, ranges, sample_op and apply as they were before the kinds
+# became one table: the oracles of the table-driven code.
+APPEARANCE_KINDS = (
+    "identity",
+    "brightness",
+    "contrast",
+    "hue_shift",
+    "grayscale",
+    "gamma",
+    "gaussian_noise",
+    "box_blur",
+)
+VIEWPOINT_KINDS = ("identity", "crop_resize", "horizontal_flip", "perspective_jitter")
+
+DEFAULT_RANGES: dict[str, tuple[float, float]] = {
+    "brightness": (-0.3, 0.3),
+    "contrast": (0.6, 1.6),
+    "hue_shift": (-40.0, 40.0),
+    "gamma": (0.5, 2.0),
+    "gaussian_noise": (0.01, 0.08),
+    "box_blur": (1, 2),
+    "crop_scale": (0.7, 1.0),
+    "perspective": (0.0, 0.10),  # corner displacement as fraction of side
+}
+
+
+def oracle_enabled_kinds(spec):
+    kinds: list[str] = []
+    if "appearance" in spec.categories:
+        kinds += [k for k in APPEARANCE_KINDS if k != "identity"]
+    if "viewpoint" in spec.categories:
+        kinds += ["crop_resize", "perspective_jitter"]
+    return kinds
+
+
+def oracle_sample_op(spec, rng):
+    kinds = oracle_enabled_kinds(spec)
+    if not kinds:
+        return AugmentationOp("identity")
+    kind = kinds[int(rng.integers(0, len(kinds)))]
+    if kind in ("brightness", "contrast", "hue_shift", "gamma", "gaussian_noise"):
+        lo, hi = DEFAULT_RANGES[kind]
+        return AugmentationOp(kind, (float(rng.uniform(lo, hi)),))
+    if kind == "box_blur":
+        lo, hi = DEFAULT_RANGES[kind]
+        return AugmentationOp(kind, (float(rng.integers(int(lo), int(hi) + 1)),))
+    if kind == "crop_resize":
+        lo, hi = DEFAULT_RANGES["crop_scale"]
+        scale = float(rng.uniform(lo, hi))
+        ox = float(rng.uniform(0.0, 1.0 - scale))
+        oy = float(rng.uniform(0.0, 1.0 - scale))
+        return AugmentationOp(kind, (scale, ox, oy))
+    if kind == "perspective_jitter":
+        _, hi = DEFAULT_RANGES["perspective"]
+        disp = rng.uniform(-hi, hi, size=8)
+        return AugmentationOp(kind, tuple(float(d) for d in disp))
+    return AugmentationOp(kind)  # grayscale
+
+
+def oracle_apply(image, op, rng):
+    img = image.pixels
+    kind = op.kind
+    if kind == "identity":
+        out = img.copy()
+    elif kind == "brightness":
+        out = img + op.params[0]
+    elif kind == "contrast":
+        out = adjust_contrast(img, op.params[0])
+    elif kind == "hue_shift":
+        out = rotate_hue(img, op.params[0])
+    elif kind == "grayscale":
+        out = np.repeat(luma(img)[..., None], 3, axis=-1)
+    elif kind == "gamma":
+        out = np.clip(img, 0.0, 1.0) ** op.params[0]
+    elif kind == "gaussian_noise":
+        out = img + rng.normal(0.0, op.params[0], size=img.shape)
+    elif kind == "box_blur":
+        out = _box_blur(img, int(op.params[0]))
+    elif kind == "crop_resize":
+        out = _crop_resize(img, *op.params)
+    elif kind == "horizontal_flip":
+        out = img[:, ::-1, :].copy()
+    elif kind == "perspective_jitter":
+        out = _warp_perspective(img, op.params)
+    else:
+        raise VprError(f"unknown augmentation kind {kind!r}")
+    return vk.ImageRecord(
+        id=f"{image.id}#{op.tag()}",
+        pixels=np.clip(out, 0.0, 1.0),
+        pose=image.pose,
+    )
+
+
+SPEC_TEXTS = ("none", "appearance", "viewpoint", "appearance,viewpoint")
+
+
+def test_the_table_holds_the_eleven_kinds():
+    assert set(_OPS) == set(APPEARANCE_KINDS) | set(VIEWPOINT_KINDS)
+    assert len(_OPS) == 11
+
+
+@pytest.mark.parametrize("text", SPEC_TEXTS)
+def test_enabled_kinds_equal_the_oracle_menu(text):
+    spec = AugmentationSpec.from_string(text)
+    assert spec.enabled_kinds() == oracle_enabled_kinds(spec)
+
+
+@st.composite
+def free_ops(draw):
+    """An op of any kind, its parameters drawn freely in their domain."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    one = {
+        "brightness": st.floats(-1.0, 1.0),
+        "contrast": st.floats(0.0, 3.0),
+        "hue_shift": st.floats(-400.0, 400.0),
+        "gamma": st.floats(0.1, 3.0),
+        "gaussian_noise": st.floats(0.0, 0.2),
+        "box_blur": st.integers(0, 4).map(float),
+    }
+    if kind in one:
+        params = (draw(one[kind]),)
+    elif kind == "crop_resize":
+        params = (draw(st.floats(0.01, 1.0)), draw(unit), draw(unit))
+    elif kind == "perspective_jitter":
+        params = tuple(draw(st.lists(st.floats(-0.2, 0.2), min_size=8, max_size=8)))
+    else:
+        params = ()
+    return AugmentationOp(kind, params)
+
+
+# (spec, seed): the op that the spec's menu draws from the seed.
+spec_draws = st.tuples(st.sampled_from(SPEC_TEXTS), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    op=free_ops() | spec_draws,
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 80),
+    w=st.integers(1, 80),
+    posed=st.booleans(),
+)
+@example(op=AugmentationOp("identity"), seed=0, h=64, w=64, posed=True)
+@example(op=AugmentationOp("horizontal_flip"), seed=0, h=64, w=64, posed=False)
+def test_sample_and_apply_equal_the_oracles(op, seed, h, w, posed):
+    """Same op, same draws consumed, and the same record: pixel bytes,
+    dtype, strides, id and pose; or the same error."""
+    rng_new, rng_old = rng_for(seed), rng_for(seed)
+    if isinstance(op, tuple):
+        text, draw_seed = op
+        spec = AugmentationSpec.from_string(text)
+        rng_new, rng_old = rng_for(draw_seed), rng_for(draw_seed)
+        op = oracle_sample_op(spec, rng_old)
+        got = vk.sample_op(spec, rng_new)
+        assert got == op and repr(got.params) == repr(op.params)
+    pixels = rng_for(seed).random((h, w, 3)) * 1.4 - 0.2
+    image = vk.ImageRecord(id="r7", pixels=pixels, pose=vk.Pose(3.0, -4.0) if posed else None)
+    try:
+        want = oracle_apply(image, op, rng_old)
+    except np.linalg.LinAlgError as exc:  # the singular warp of a 1-pixel-wide image
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            vk.apply(image, op, rng_new)
+        return
+    got = vk.apply(image, op, rng_new)
+    assert got.pixels.dtype == want.pixels.dtype
+    assert got.pixels.shape == want.pixels.shape
+    assert got.pixels.strides == want.pixels.strides
+    assert got.pixels.tobytes() == want.pixels.tobytes()
+    assert (got.id, got.pose) == (want.id, want.pose)
+    assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+def test_unknown_kind_is_a_vpr_error():
+    with pytest.raises(VprError, match="unknown augmentation kind 'sepia'"):
+        vk.apply(constant_image(), AugmentationOp("sepia"), rng_for(0))

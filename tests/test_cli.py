@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import shutil
@@ -76,6 +77,39 @@ def test_retrieve_then_evaluate_wiring(capsys, tmp_path, pipeline):
     assert "R@1=" in out and "R@5=" in out
 
 
+def test_every_report_row_parses_into_the_headers_fields(capsys, tmp_path, pipeline):
+    """Labels holding commas or quotes are quoted, so each row of every
+    report CSV reads back as the header's six fields."""
+    ds, model, dmap = pipeline
+
+    def rows_of(*argv):
+        code, out, _ = run(capsys, *argv, "--out", str(tmp_path / "runs"))
+        assert code == 0
+        (path,) = Path(out.strip().splitlines()[-1]).glob("*.csv")
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["model_fingerprint", "dataset", "N", "recall", "evaluated", "total"]
+        assert all(len(row) == 6 for row in rows)
+        return rows[1:]
+
+    code, out, _ = run(
+        capsys, "retrieve", "--map", dmap, "--model", model, "--dataset", ds,
+        "--out", str(tmp_path / "ret"),
+    )
+    results = out.strip().splitlines()[-1] + "/results.csv"
+    name = 'a,b "c"'
+    evaluated = rows_of(
+        "evaluate", "--results", results, "--map", dmap, "--dataset", ds, "--name", name
+    )
+    assert [row[1] for row in evaluated] == [name] * 3
+    finetune = ["--model", model, "--dataset", ds, "--seed", "9", "--epochs", "1"]
+    labels = [row[1] for row in rows_of("ablate-aug", *finetune)]
+    assert labels == [x for x in ("none", "appearance", "viewpoint", "appearance,viewpoint")
+                      for _ in range(2)]  # --ns 1,5
+    assert len(rows_of("ablate-poses", *finetune)) == 6
+    assert len(rows_of("xeval", "--models", model, "--datasets", ds)) == 2
+
+
 def test_manifest_hashes_verify_against_inputs(capsys, tmp_path, pipeline):
     ds, model, dmap = pipeline
     manifest = json.loads(
@@ -149,6 +183,14 @@ def test_trainlog_records_epoch_seconds(tmp_path, pipeline):
     seconds = [row.split(",") for row in log if row.startswith("epoch_seconds,")]
     assert [index for _, index, _ in seconds] == ["0"]  # --epochs 1
     assert float(seconds[0][2]) > 0
+
+
+def test_trainlog_records_triplets_and_active_triplets(tmp_path, pipeline):
+    log = next((tmp_path / "pre").glob("*/trainlog.csv")).read_text().splitlines()
+    rows = {row.rsplit(",", 1)[0]: int(row.rsplit(",", 1)[1]) for row in log
+            if row.startswith(("epoch_triplets,", "epoch_active_triplets,"))}
+    assert set(rows) == {"epoch_triplets,0", "epoch_active_triplets,0"}  # --epochs 1
+    assert 0 <= rows["epoch_active_triplets,0"] <= rows["epoch_triplets,0"] > 0
 
 
 @pytest.mark.parametrize("ns", ["1,,5", "a", "0,1", ""])

@@ -219,6 +219,22 @@ def test_record_poses_reach_files_maps_and_ground_truth_unchanged(small_model, r
     )
 
 
+@pytest.mark.parametrize("side", ["references", "queries"])
+def test_saving_a_record_without_a_pose_writes_no_file(tmp_path, side):
+    """Every pose on both sides is checked before the first file is written:
+    a half-written dataset failed to load with ManifestMissing."""
+    rng = np.random.default_rng(0)
+    records = [
+        vk.ImageRecord(rid, rng.random((8, 8, 3)), pose)
+        for rid, pose in (("a", Pose(0.0, 0.0)), ("b", None), ("c", Pose(1.0, 0.0)))
+    ]
+    posed = [vk.ImageRecord(r.id, r.pixels, Pose(5.0, 5.0)) for r in records]
+    ds = vk.Dataset(records, posed) if side == "references" else vk.Dataset(posed, records)
+    with pytest.raises(InconsistentManifest, match="record 'b' has no pose"):
+        save_dataset(ds, tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_missing_pose_is_named_by_the_pose_lists(tiny_world):
     queries = [vk.ImageRecord(q.id, q.pixels) for q in tiny_world.queries]
     ds = vk.Dataset(tiny_world.references, queries)

@@ -42,6 +42,17 @@ class TestGroundTruth:
         gt = vk.ground_truth([P(1000.0)], [P(0.0)], radius=25.0)
         assert gt.unmatched == ["0"]
 
+    @pytest.mark.parametrize("ids", [["a"], ["a", "b", "c"], []])
+    def test_query_ids_other_than_one_per_pose_are_a_shape_error(self, ids):
+        """Fewer ids dropped queries silently; more raised a bare IndexError."""
+        with pytest.raises(ShapeError, match=f"{len(ids)} query ids for 2 query poses"):
+            vk.ground_truth([P(0.0), P(50.0)], [P(0.0)], query_ids=ids)
+
+    def test_repeated_query_id_is_refused_naming_it(self):
+        """The later query's empty set overwrote the earlier one's {0}."""
+        with pytest.raises(VprError, match="query id 'q' is repeated"):
+            vk.ground_truth([P(0.0), P(50.0), P(0.0)], [P(0.0)], query_ids=["q", "q", "r"])
+
     def test_symmetry_transposes_relation(self):
         rng = np.random.default_rng(0)
         qs = [P(float(x), float(y)) for x, y in rng.uniform(-50, 50, (8, 2))]
@@ -188,6 +199,23 @@ def test_evaluate_model_needs_query_poses(tiny_world, small_model):
     queries = [vk.ImageRecord(q.id, q.pixels) for q in tiny_world.queries]
     with pytest.raises(InconsistentManifest, match=repr(queries[0].id)):
         vk.evaluate_model(small_model, vk.Dataset(tiny_world.references, queries))
+
+
+def test_evaluate_model_hashes_the_model_once_per_use(tiny_world, small_model, monkeypatch):
+    """build_map records the fingerprint and retrieve_all checks it; the
+    report reads it off the map instead of hashing the model a third time."""
+    calls = []
+    fingerprint = vk.EmbeddingModel.fingerprint
+
+    def counting(model):
+        calls.append(model)
+        return fingerprint(model)
+
+    monkeypatch.setattr(vk.EmbeddingModel, "fingerprint", counting)
+    report = vk.evaluate_model(small_model, tiny_world, ns=(1,))
+    assert len(calls) == 2
+    monkeypatch.undo()
+    assert report.model_fingerprint == small_model.fingerprint_hex()
 
 
 class TestGeneralizationMatrix:

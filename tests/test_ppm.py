@@ -22,6 +22,19 @@ def test_round_trip_is_exact_on_quantized_values(tmp_path):
     assert (tmp_path / "y.ppm").read_bytes() == path.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda a: a[::-1, ::2], lambda a: a.transpose(1, 0, 2)],
+    ids=["fortran", "strided", "transposed"],
+)
+def test_any_memory_layout_writes_the_c_order_bytes(tmp_path, layout):
+    pixels = layout(np.random.default_rng(4).random((6, 10, 3)))
+    write_ppm(tmp_path / "a.ppm", pixels)
+    header = f"P6\n{pixels.shape[1]} {pixels.shape[0]}\n255\n".encode()
+    assert (tmp_path / "a.ppm").read_bytes() == header + quantize(pixels).tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.ppm"]  # no temporary file left
+
+
 def test_header_comments_are_skipped(tmp_path):
     body = bytes(range(2 * 2 * 3))
     (tmp_path / "c.ppm").write_bytes(b"P6\n# a comment\n2 2\n# more\n255\n" + body)

@@ -618,3 +618,27 @@ def test_training_bits_match_the_parent(case, tiny_world_module, labeled_split):
     losses = np.asarray(log.step_losses, dtype=np.float64).tobytes()
     assert model.fingerprint_hex() == params_sha
     assert hashlib.sha256(losses).hexdigest() == losses_sha
+
+
+@pytest.mark.parametrize("case", TRAINING_BITS)
+def test_log_counts_every_triplet_and_every_active_one(
+    case, tiny_world_module, labeled_split, monkeypatch
+):
+    """Per epoch, TrainLog's triplet and active-triplet (loss > 0) counts
+    equal the calls of triplet_loss and their positive losses."""
+    losses = []
+    triplet_loss = vk.rsf.triplet_loss
+
+    def counting(*args):
+        out = triplet_loss(*args)
+        losses.append(out[0])
+        return out
+
+    monkeypatch.setattr(vk.rsf, "triplet_loss", counting)
+    _, log = TRAINING_BITS[case][0](tiny_world_module, labeled_split)
+    assert sum(log.epoch_triplets) == len(losses)
+    assert len(log.epoch_triplets) == len(log.epoch_active_triplets) == len(log.epoch_seconds)
+    ends = np.cumsum(log.epoch_triplets)
+    for start, end, active in zip(ends - log.epoch_triplets, ends, log.epoch_active_triplets):
+        assert active == sum(loss > 0 for loss in losses[start:end])
+    assert 0 < sum(log.epoch_active_triplets) < len(losses)
