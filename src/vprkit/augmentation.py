@@ -15,7 +15,7 @@ import numpy as np
 
 from .colorops import adjust_contrast, luma, rotate_hue
 from .dataset import ImageRecord
-from .errors import VprError
+from .errors import ShapeError, VprError
 from .imageops import sample_bilinear
 
 
@@ -79,26 +79,30 @@ def _box_blur(img: np.ndarray, radius: int) -> np.ndarray:
 
 
 def _homography_from_corners(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """3x3 matrix mapping each dst corner (x, y) to its src corner."""
-    a = np.zeros((8, 8))
-    b = np.zeros(8)
-    for i, ((x, y), (u, v)) in enumerate(zip(dst, src)):
-        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y]
-        b[2 * i] = u
-        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y]
-        b[2 * i + 1] = v
-    h = np.linalg.solve(a, b)
+    """3x3 matrix mapping each dst corner (x, y) to its src corner (u, v).
+
+    Corner i gives rows 2i and 2i + 1 of the 8x8 system:
+    [x, y, 1, 0, 0, 0, -u x, -u y] = u and [0, 0, 0, x, y, 1, -v x, -v y] = v.
+    """
+    a = np.zeros((4, 2, 8))
+    a[:, 0, :3] = a[:, 1, 3:6] = np.column_stack([dst, np.ones(4)])
+    a[:, :, 6:] = -src[:, :, None] * dst[:, None, :]
+    h = np.linalg.solve(a.reshape(8, 8), src.reshape(8))
     return np.append(h, 1.0).reshape(3, 3)
 
 
 def _warp_perspective(img: np.ndarray, disp: tuple[float, ...]) -> np.ndarray:
     h, w = img.shape[:2]
+    if h < 2 or w < 2:
+        # Two destination corners would coincide and the system be singular.
+        raise ShapeError(f"perspective_jitter needs an image at least 2x2, got {h}x{w}")
     side = float(min(h, w))
     corners_dst = np.array([[0, 0], [w - 1, 0], [w - 1, h - 1], [0, h - 1]], float)
     d = np.asarray(disp, dtype=np.float64).reshape(4, 2) * side
     corners_src = corners_dst + d
     hom = _homography_from_corners(corners_dst, corners_src)
-    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    ys = np.arange(h, dtype=np.float64)[:, None]
+    xs = np.arange(w, dtype=np.float64)
     denom = hom[2, 0] * xs + hom[2, 1] * ys + hom[2, 2]
     u = (hom[0, 0] * xs + hom[0, 1] * ys + hom[0, 2]) / denom
     v = (hom[1, 0] * xs + hom[1, 1] * ys + hom[1, 2]) / denom
@@ -189,12 +193,26 @@ def sample_op(spec: AugmentationSpec, rng: np.random.Generator) -> AugmentationO
 def apply(
     image: ImageRecord, op: AugmentationOp, rng: np.random.Generator
 ) -> ImageRecord:
-    """Apply one op; same dimensions, pixels clamped to [0, 1], pose kept."""
+    """Apply one op; same dimensions, pixels clamped to [0, 1], pose kept.
+
+    An identity copy whose pixels equal its source's shares the source's
+    ``raw`` if that has been computed, so it is not extracted again.
+    """
     if op.kind not in _OPS:
         raise VprError(f"unknown augmentation kind {op.kind!r}")
     out = _OPS[op.kind].transform(image.pixels, op.params, rng)
-    return ImageRecord(
+    record = ImageRecord(
         id=f"{image.id}#{op.tag()}",
         pixels=np.clip(out, 0.0, 1.0),
         pose=image.pose,
+    )
+    if op.kind == "identity" and "raw" in vars(image) and _same_array(record.pixels, image.pixels):
+        record.raw = image.raw  # the source's cached feature: same pixels, same bits
+    return record
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape, strides and bytes: extract_raw gives the same bits."""
+    return (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides) and (
+        a.tobytes() == b.tobytes()
     )

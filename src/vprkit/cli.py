@@ -24,6 +24,7 @@ from .dataset import load_dataset, read_utf8, save_dataset, split_validation
 from .embedding import init_model, load_model, save_model
 from .errors import ShapeError, VprError
 from .evaluation import (
+    _csv_row,
     evaluate_model,
     format_matrix,
     format_recall,
@@ -218,8 +219,11 @@ def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") 
     ]
     for record in ("epoch_skipped_queries", "epoch_triplets", "epoch_active_triplets"):
         lines += [f"{record},{i},{v}" for i, v in enumerate(getattr(log, record))]
-    # Wall time: the one record that differs between same-seed runs.
-    lines += [f"epoch_seconds,{i},{v:.6f}" for i, v in enumerate(log.epoch_seconds)]
+    # Wall times, the records that differ between same-seed runs: each
+    # epoch's, then its stages'.
+    for record in ("epoch_seconds", "epoch_mine_seconds", "epoch_step_seconds",
+                   "epoch_validate_seconds"):
+        lines += [f"{record},{i},{v:.6f}" for i, v in enumerate(getattr(log, record))]
     lines.append(f"selected_epoch,0,{log.selected_epoch}")
     atomic_write_text(ctx.path(name), "\n".join(lines) + "\n")
 
@@ -369,9 +373,10 @@ def cmd_xeval(args) -> RunContext:
     matrix = generalization_matrix(models, datasets, args.radius, args.ns)
     rows = ["model_fingerprint,dataset,N,recall,evaluated,total"]
     for (mname, model), row in zip(models, matrix):
-        for cell in row:
+        for (dname, _), cell in zip(datasets, row):
             if isinstance(cell, Exception):
-                rows.append(f"{model.fingerprint_hex()},error,{type(cell).__name__},,,")
+                error = f"error:{type(cell).__name__}"
+                rows.append(_csv_row([model.fingerprint_hex(), dname, "", error, "", ""]))
             else:
                 rows.extend(cell.rows())
     atomic_write_text(ctx.path("xeval.csv"), "\n".join(rows) + "\n")

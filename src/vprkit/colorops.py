@@ -32,6 +32,10 @@ def _hsv_planes(
     return np.mod(h / 6.0, 1.0), s, maxc
 
 
+# Per sector of the hue wheel, the index into (v, q, p, t) of r, g and b.
+_SECTOR_PLANES = np.array([[0, 1, 2, 2, 3, 0], [3, 0, 0, 1, 2, 2], [2, 2, 3, 0, 0, 1]])
+
+
 def _rgb_planes(
     h: np.ndarray, s: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -42,12 +46,12 @@ def _rgb_planes(
     p = v * (1.0 - s)
     q = v * (1.0 - s * f)
     t = v * (1.0 - s * (1.0 - f))
-    i = i.astype(np.int64) % 6
-    return (
-        np.choose(i, [v, q, p, p, t, v]),
-        np.choose(i, [t, v, v, q, p, p]),
-        np.choose(i, [p, p, t, v, v, q]),
-    )
+    sector = i.astype(np.int64) % 6
+    # Each channel takes, per pixel, the sector's plane of the stacked
+    # (v, q, p, t) planes: one flat `take` instead of an np.choose.
+    stacked = np.stack([v, q, p, t]).reshape(-1)
+    cols = np.arange(v.size).reshape(v.shape)
+    return tuple(stacked.take(plane_of[sector] * v.size + cols) for plane_of in _SECTOR_PLANES)
 
 
 def rotate_hue(rgb: np.ndarray, degrees: float) -> np.ndarray:

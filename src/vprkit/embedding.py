@@ -232,13 +232,20 @@ def backward(
     ups = np.asarray(upstream, dtype=np.float64)
     if raws.ndim == 1:
         raws, ups = raws[None], ups[None]
-    f, acts, norms = _trace(model, raws)
-    if ups.shape != f.shape:
+    trace = _trace(model, raws)
+    if ups.shape != trace[0].shape:
         raise ShapeError(
             f"upstream has shape {np.shape(upstream)}, expected "
             f"{model.output_dim} values per raw row"
         )
-    g = (ups - f * np.sum(f * ups, axis=1, keepdims=True)) / norms
+    return _backward(model, trace, ups)
+
+
+def _backward(model: EmbeddingModel, trace: tuple, upstream: np.ndarray) -> ParamGradients:
+    """``backward`` from the batch's ``_trace`` and its (N, D) float64
+    upstreams, so that a training step traces the head once."""
+    f, acts, norms = trace
+    g = (upstream - f * np.sum(f * upstream, axis=1, keepdims=True)) / norms
     weights, biases = [], []
     for k in range(len(model.weights) - 1, -1, -1):
         weights.append(acts[k].T @ g)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import RetrievalResult, build_map, retrieve_all
-from .embedding import EmbeddingModel
+from .retrieval import RetrievalResult, build_map, knn
+from .embedding import EmbeddingModel, forward
 
 DEFAULT_RADIUS_M = 25.0
 DEFAULT_NS = (1, 5, 10)
@@ -152,10 +152,13 @@ def evaluate_model(
     ns: tuple[int, ...] = DEFAULT_NS,
     name: str = "",
 ) -> RecallReport:
-    """Build map, retrieve every query, score Recall@N in one call."""
+    """Build map, retrieve every query, score Recall@N in one call.
+
+    The queries go to knn directly: retrieve_all's model check would hash
+    the model again, and the map was built by this model."""
     dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
-    results = retrieve_all(dmap, dataset, model, k)
+    results = [knn(dmap, forward(model, q.raw), k, query_id=q.id) for q in dataset.queries]
     gt = ground_truth(
         dataset.query_poses,
         dataset.reference_poses,

@@ -56,18 +56,27 @@ def resize_area(img: np.ndarray, height: int, width: int) -> np.ndarray:
 def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample (H, W, C) at fractional coordinates with edge clamping.
 
-    ys/xs are arrays of the same shape; the result has that shape plus
-    the channel axis.
+    ys/xs are arrays of the same shape; the result is a fresh C-order
+    array of that shape plus the channel axis.  The four neighbours are
+    gathered with `take` from contiguous channel planes, which is several
+    times faster than fancy-indexing (H, W, C), and blended on (C, ...)
+    planes with the float operations of a per-pixel blend.
     """
-    h, w = img.shape[:2]
+    h, w, c = img.shape
     ys = np.clip(ys, 0.0, h - 1.0)
     xs = np.clip(xs, 0.0, w - 1.0)
     y0 = np.floor(ys).astype(np.int64)
     x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
-    fy = (ys - y0)[..., None]
-    fx = (xs - x0)[..., None]
-    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
-    bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+    row0 = y0 * w
+    row1 = np.minimum(y0 + 1, h - 1) * w
+    fy = ys - y0
+    fx = xs - x0
+    planes = np.ascontiguousarray(np.moveaxis(img, -1, 0)).reshape(c, h * w)
+    top = planes.take(row0 + x0, axis=1) * (1 - fx) + planes.take(row0 + x1, axis=1) * fx
+    bot = planes.take(row1 + x0, axis=1) * (1 - fx) + planes.take(row1 + x1, axis=1) * fx
+    # Written through a (C, ...) view of a new (..., C) array: a copy of a
+    # transposed view would keep odd strides on 1-pixel axes.
+    out = np.empty((*np.shape(ys), c), dtype=np.result_type(top, fy))
+    np.add(top * (1 - fy), bot * fy, out=np.moveaxis(out, -1, 0))
+    return out

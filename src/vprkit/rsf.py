@@ -18,12 +18,7 @@ import numpy as np
 
 from .augmentation import AugmentationSpec, apply, sample_op
 from .dataset import Dataset, ImageRecord, pose_distances, record_poses
-from .embedding import (
-    EmbeddingModel,
-    apply_gradients,
-    backward,
-    forward_batch,
-)
+from .embedding import EmbeddingModel, _backward, _trace, apply_gradients, forward_batch
 from .errors import (
     EmptyReferences,
     InvalidMultiplicity,
@@ -149,6 +144,11 @@ class TrainLog:
     epoch_mean_loss: list[float] = field(default_factory=list)
     epoch_val_recall1: list[float] = field(default_factory=list)
     epoch_seconds: list[float] = field(default_factory=list)
+    # Stages of each epoch's seconds: realize, extract and mine; the batch
+    # loop; validation.  They add up to at most epoch_seconds.
+    epoch_mine_seconds: list[float] = field(default_factory=list)
+    epoch_step_seconds: list[float] = field(default_factory=list)
+    epoch_validate_seconds: list[float] = field(default_factory=list)
     epoch_skipped_queries: list[int] = field(default_factory=list)
     epoch_triplets: list[int] = field(default_factory=list)
     epoch_active_triplets: list[int] = field(default_factory=list)  # loss > 0
@@ -290,6 +290,7 @@ def train(
             triplets, skipped = mine_triplets(model, data, config, epoch)
         else:
             triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
+        mined = time.perf_counter()
         q_raws, positives, negatives = triplets
         if not len(positives):
             raise VprError(
@@ -303,11 +304,13 @@ def train(
 
         epoch_losses: list[float] = []
         active = 0
+        stepping = time.perf_counter()
         for start in range(0, len(order), config.batch_size):
             b = order[start : start + config.batch_size]
             n = len(b)
             raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
-            f_q, f_p, f_n = forward_batch(model, raws).reshape(3, n, -1)
+            trace = _trace(model, raws)
+            f_q, f_p, f_n = trace[0].reshape(3, n, -1)
             upstream = np.zeros((3, n, f_q.shape[1]))
             batch_loss = 0.0
             for i in range(n):
@@ -320,13 +323,14 @@ def train(
                     )
                 batch_loss += loss
                 active += loss > 0
-            grads = backward(model, raws, upstream.reshape(3 * n, -1))
+            grads = _backward(model, trace, upstream.reshape(3 * n, -1))
             grads.scale(1.0 / n)
             apply_gradients(model, grads, config.learning_rate)
             step_loss = batch_loss / n
             log.step_losses.append(step_loss)
             epoch_losses.append(step_loss)
 
+        validating = time.perf_counter()
         log.epoch_triplets.append(len(positives))
         log.epoch_active_triplets.append(active)
         mean_loss = float(np.mean(epoch_losses))
@@ -339,7 +343,11 @@ def train(
         else:
             val_score = -mean_loss
         log.epoch_val_recall1.append(val_score if validation is not None else np.nan)
-        log.epoch_seconds.append(time.perf_counter() - tic)
+        done = time.perf_counter()
+        log.epoch_mine_seconds.append(mined - tic)
+        log.epoch_step_seconds.append(validating - stepping)
+        log.epoch_validate_seconds.append(done - validating)
+        log.epoch_seconds.append(done - tic)
 
         # >= keeps the latest epoch among ties: a saturated validation set
         # must not freeze training at epoch 0.

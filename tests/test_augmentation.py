@@ -1,5 +1,4 @@
 import hashlib
-import re
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from vprkit.augmentation import (
     _warp_perspective,
 )
 from vprkit.colorops import adjust_contrast, luma, rotate_hue
-from vprkit.errors import VprError
+from vprkit.errors import ShapeError, VprError
 from vprkit.imageops import sample_bilinear
 
 
@@ -142,15 +141,60 @@ class TestApply:
         np.testing.assert_array_equal(out.pixels[..., 1], out.pixels[..., 2])
 
 
+def oracle_sample_bilinear(img, ys, xs):
+    """sample_bilinear as it was before it gathered from channel planes:
+    four fancy-index gathers on (H, W, C)."""
+    h, w = img.shape[:2]
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(np.int64)
+    x0 = np.floor(xs).astype(np.int64)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    fy = (ys - y0)[..., None]
+    fx = (xs - x0)[..., None]
+    top = img[y0, x0] * (1 - fx) + img[y0, x1] * fx
+    bot = img[y1, x0] * (1 - fx) + img[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
+
+
+def oracle_warp_perspective(img, disp):
+    """_warp_perspective as it was before its grid was broadcast and its
+    system built with array ops; it samples with the oracle sampler."""
+    h, w = img.shape[:2]
+    side = float(min(h, w))
+    corners_dst = np.array([[0, 0], [w - 1, 0], [w - 1, h - 1], [0, h - 1]], float)
+    corners_src = corners_dst + np.asarray(disp, dtype=np.float64).reshape(4, 2) * side
+    a = np.zeros((8, 8))
+    b = np.zeros(8)
+    for i, ((x, y), (u, v)) in enumerate(zip(corners_dst, corners_src)):
+        a[2 * i] = [x, y, 1, 0, 0, 0, -u * x, -u * y]
+        b[2 * i] = u
+        a[2 * i + 1] = [0, 0, 0, x, y, 1, -v * x, -v * y]
+        b[2 * i + 1] = v
+    hom = np.append(np.linalg.solve(a, b), 1.0).reshape(3, 3)
+    ys, xs = np.meshgrid(np.arange(h, dtype=np.float64), np.arange(w, dtype=np.float64), indexing="ij")
+    denom = hom[2, 0] * xs + hom[2, 1] * ys + hom[2, 2]
+    u = (hom[0, 0] * xs + hom[0, 1] * ys + hom[0, 2]) / denom
+    v = (hom[1, 0] * xs + hom[1, 1] * ys + hom[1, 2]) / denom
+    return oracle_sample_bilinear(img, v, u)
+
+
 def oracle_crop_resize(img, scale, ox, oy):
-    """_crop_resize as it was before it became separable: sample_bilinear
-    on the full crop grid."""
+    """_crop_resize as it was before it became separable: the oracle
+    sampler on the full crop grid."""
     h, w = img.shape[:2]
     y0, x0 = oy * (h - 1), ox * (w - 1)
     ys = y0 + np.linspace(0.0, scale * (h - 1), h)
     xs = x0 + np.linspace(0.0, scale * (w - 1), w)
     grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    return sample_bilinear(img, grid_y, grid_x)
+    return oracle_sample_bilinear(img, grid_y, grid_x)
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
 
 
 unit = st.floats(0.0, 1.0)
@@ -169,15 +213,58 @@ unit = st.floats(0.0, 1.0)
 @example(seed=1, h=64, w=64, scale=1.0, ox=0.0, oy=0.0)
 def test_crop_resize_equals_the_full_grid_oracle(seed, h, w, scale, ox, oy):
     img = rng_for(seed).random((h, w, 3))
-    want = oracle_crop_resize(img, scale, ox, oy)
-    got = _crop_resize(img, scale, ox, oy)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.strides == want.strides
-    assert got.tobytes() == want.tobytes()
+    assert_same_array(_crop_resize(img, scale, ox, oy), oracle_crop_resize(img, scale, ox, oy))
+
+
+# Coordinates reach past both edges, so the clamp is exercised.
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 80),
+    w=st.integers(1, 80),
+    grid=st.lists(st.integers(0, 9), min_size=0, max_size=3).map(tuple),
+    layout=st.sampled_from(["C", "F", "strided"]),
+)
+@example(seed=0, h=1, w=1, grid=(1, 1), layout="C")
+@example(seed=0, h=64, w=64, grid=(64, 64), layout="C")
+def test_sample_bilinear_equals_the_fancy_index_oracle(seed, h, w, grid, layout):
+    """Bytes and strides, on 1-pixel images and axes and any input layout."""
+    rng = rng_for(seed)
+    img = rng.random((h, w, 3))
+    if layout == "F":
+        img = np.asfortranarray(img)
+    elif layout == "strided":
+        img = rng.random((h, 2 * w, 3))[:, ::2]
+    ys = rng.uniform(-2.0, h + 1.0, grid)
+    xs = rng.uniform(-2.0, w + 1.0, grid)
+    assert_same_array(sample_bilinear(img, ys, xs), oracle_sample_bilinear(img, ys, xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(1, 80),
+    w=st.integers(1, 80),
+    disp=st.lists(st.floats(-0.2, 0.2), min_size=8, max_size=8).map(tuple),
+)
+@example(seed=0, h=64, w=64, disp=tuple(np.linspace(-0.08, 0.08, 8)))
+@example(seed=0, h=1, w=8, disp=(0.0,) * 8)
+@example(seed=0, h=8, w=1, disp=(0.0,) * 8)
+@example(seed=0, h=1, w=1, disp=(0.0,) * 8)
+def test_warp_perspective_equals_the_oracle_or_names_the_size(seed, h, w, disp):
+    img = rng_for(seed).random((h, w, 3))
+    try:
+        want = oracle_warp_perspective(img, disp)
+    except np.linalg.LinAlgError:  # two corners coincide on a 1-pixel side
+        with pytest.raises(ShapeError, match=f"at least 2x2, got {h}x{w}"):
+            _warp_perspective(img, disp)
+        return
+    assert_same_array(_warp_perspective(img, disp), want)
 
 
 # The menu, ranges, sample_op and apply as they were before the kinds
-# became one table: the oracles of the table-driven code.
+# became one table: the oracles of the table-driven code.  The apply
+# oracle warps with the oracle warp and never shares a raw.
 APPEARANCE_KINDS = (
     "identity",
     "brightness",
@@ -259,7 +346,7 @@ def oracle_apply(image, op, rng):
     elif kind == "horizontal_flip":
         out = img[:, ::-1, :].copy()
     elif kind == "perspective_jitter":
-        out = _warp_perspective(img, op.params)
+        out = oracle_warp_perspective(img, op.params)
     else:
         raise VprError(f"unknown augmentation kind {kind!r}")
     return vk.ImageRecord(
@@ -322,7 +409,8 @@ spec_draws = st.tuples(st.sampled_from(SPEC_TEXTS), st.integers(0, 2**32 - 1))
 @example(op=AugmentationOp("horizontal_flip"), seed=0, h=64, w=64, posed=False)
 def test_sample_and_apply_equal_the_oracles(op, seed, h, w, posed):
     """Same op, same draws consumed, and the same record: pixel bytes,
-    dtype, strides, id and pose; or the same error."""
+    dtype, strides, id and pose; or, where the oracle's warp is singular,
+    a VprError."""
     rng_new, rng_old = rng_for(seed), rng_for(seed)
     if isinstance(op, tuple):
         text, draw_seed = op
@@ -335,8 +423,8 @@ def test_sample_and_apply_equal_the_oracles(op, seed, h, w, posed):
     image = vk.ImageRecord(id="r7", pixels=pixels, pose=vk.Pose(3.0, -4.0) if posed else None)
     try:
         want = oracle_apply(image, op, rng_old)
-    except np.linalg.LinAlgError as exc:  # the singular warp of a 1-pixel-wide image
-        with pytest.raises(type(exc), match=re.escape(str(exc))):
+    except np.linalg.LinAlgError:  # the singular warp of a 1-pixel-wide image
+        with pytest.raises(VprError, match=f"got {h}x{w}"):
             vk.apply(image, op, rng_new)
         return
     got = vk.apply(image, op, rng_new)
@@ -346,6 +434,44 @@ def test_sample_and_apply_equal_the_oracles(op, seed, h, w, posed):
     assert got.pixels.tobytes() == want.pixels.tobytes()
     assert (got.id, got.pose) == (want.id, want.pose)
     assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    op=free_ops(),
+    seed=st.integers(0, 2**32 - 1),
+    h=st.integers(2, 40),
+    w=st.integers(2, 40),
+    values=st.sampled_from(["in range", "out of range", "signed zeros"]),
+    layout=st.sampled_from(["C", "F"]),
+    read_first=st.booleans(),
+)
+@example(op=AugmentationOp("identity"), seed=0, h=64, w=64, values="in range",
+         layout="C", read_first=True)
+@example(op=AugmentationOp("identity"), seed=0, h=8, w=8, values="out of range",
+         layout="C", read_first=True)
+@example(op=AugmentationOp("identity"), seed=0, h=8, w=8, values="in range",
+         layout="F", read_first=True)
+def test_every_record_raw_is_its_own_extraction(op, seed, h, w, values, layout, read_first):
+    """An identity copy shares its source's computed raw when the clip
+    changed no value and the copy has the source's layout; shared or not,
+    each raw has the bits of extracting the copy itself."""
+    rng = rng_for(seed)
+    if values == "in range":
+        pixels = rng.random((h, w, 3))
+    elif values == "out of range":
+        pixels = rng.random((h, w, 3)) * 1.4 - 0.2
+    else:
+        pixels = rng.choice([0.0, -0.0, 0.5], (h, w, 3))
+    image = vk.ImageRecord(id="r", pixels=np.asarray(pixels, order=layout))
+    if read_first:
+        image.raw
+    got = vk.apply(image, op, rng)
+    assert ("raw" in vars(image)) == read_first  # apply never extracts the source
+    in_range = ((0.0 <= pixels) & (pixels <= 1.0)).all()
+    shared = op.kind == "identity" and read_first and in_range and layout == "C"
+    assert (got.raw is image.raw) == shared
+    assert got.raw.tobytes() == vk.extract_raw(got).tobytes()
 
 
 def test_unknown_kind_is_a_vpr_error():

@@ -185,6 +185,21 @@ def test_trainlog_records_epoch_seconds(tmp_path, pipeline):
     assert float(seconds[0][2]) > 0
 
 
+def test_trainlog_records_stage_seconds(tmp_path, pipeline):
+    log = next((tmp_path / "pre").glob("*/trainlog.csv")).read_text().splitlines()
+    records = ("epoch_seconds", "epoch_mine_seconds", "epoch_step_seconds",
+               "epoch_validate_seconds")
+    rows = {}
+    for row in log:
+        record, index, value = row.split(",")
+        if record in records:
+            rows[record, index] = float(value)
+    assert set(rows) == {(record, "0") for record in records}  # --epochs 1
+    stages = [rows[record, "0"] for record in records[1:]]
+    assert min(stages) >= 0
+    assert sum(stages) <= rows["epoch_seconds", "0"] + 2e-6  # each printed to 1e-6
+
+
 def test_trainlog_records_triplets_and_active_triplets(tmp_path, pipeline):
     log = next((tmp_path / "pre").glob("*/trainlog.csv")).read_text().splitlines()
     rows = {row.rsplit(",", 1)[0]: int(row.rsplit(",", 1)[1]) for row in log
@@ -394,6 +409,37 @@ def test_training_that_can_form_no_triplet_exits_one(
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == error and needle in record["message"]
     assert not (tmp_path / "o").exists()
+
+
+def test_perspective_jitter_on_one_pixel_high_images_exits_one(capsys, tmp_path, pipeline):
+    _, model, _ = pipeline
+    pixels = np.random.default_rng(0).random((1, 8, 3))
+    refs = [vk.ImageRecord(f"r{i}", pixels, vk.Pose(100.0 * i, 0.0)) for i in range(4)]
+    vk.save_dataset(vk.Dataset(references=refs), tmp_path / "thin")
+    code, _, err = run(
+        capsys, "rsf", "--model", model, "--dataset", str(tmp_path / "thin"), "--seed", "1",
+        "--augment", "viewpoint", "--epochs", "1", "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ShapeError" and "got 1x8" in record["message"]
+
+
+def test_xeval_error_row_names_its_dataset(capsys, tmp_path, pipeline):
+    ds, model, _ = pipeline
+    empty = tmp_path / "empty"
+    (empty / "references").mkdir(parents=True)
+    (empty / "reference_poses.csv").write_text("id,x_m,y_m\n")
+    code, out, _ = run(
+        capsys, "xeval", "--models", model, "--datasets", f"{ds},{empty}",
+        "--out", str(tmp_path / "x"),
+    )
+    assert code == 0
+    with (Path(out.strip().splitlines()[-1]) / "xeval.csv").open(newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert all(len(row) == len(header) == 6 for row in rows)
+    fingerprint = vk.load_model(model).fingerprint_hex()
+    assert rows[-1] == [fingerprint, "empty", "", "error:EmptyReferences", "", ""]
 
 
 def test_retrieve_with_another_models_map_exits_one(capsys, tmp_path, pipeline):

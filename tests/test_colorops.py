@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vprkit.colorops import rotate_hue
+from vprkit.colorops import _rgb_planes, rotate_hue
 
 
 # The (H, W, 3) hue rotation that the channel-plane rotate_hue replaced,
@@ -96,3 +96,44 @@ def test_rotate_hue_on_a_rendered_size_image_matches_oracle():
     rgb = np.random.default_rng(0).uniform(-0.1, 1.1, (64, 64, 3))
     for deg in (35.0, -40.0, 360.0):
         assert rotate_hue(rgb, deg).tobytes() == oracle_rotate_hue(rgb, deg).tobytes()
+
+
+def oracle_rgb_planes(h, s, v):
+    """_rgb_planes as it was before it took from the stacked planes: one
+    np.choose per channel."""
+    h6 = h * 6.0
+    i = np.floor(h6)
+    f = h6 - i
+    p = v * (1.0 - s)
+    q = v * (1.0 - s * f)
+    t = v * (1.0 - s * (1.0 - f))
+    i = i.astype(np.int64) % 6
+    return (
+        np.choose(i, [v, q, p, p, t, v]),
+        np.choose(i, [t, v, v, q, p, p]),
+        np.choose(i, [p, p, t, v, v, q]),
+    )
+
+
+# Hue on and next to the sector edges k/6, and past [0, 1), where the
+# sector index wraps.
+hues = st.floats(-1.0, 2.0) | st.integers(-6, 12).map(lambda k: k / 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    hsv=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6).map(
+            lambda shape: (3,) + shape
+        ),
+        elements=hues,
+    ),
+)
+def test_rgb_planes_match_the_choose_oracle(hsv):
+    h, s, v = hsv[0], np.clip(hsv[1], 0.0, 1.0), np.clip(hsv[2], 0.0, 1.0)
+    for got, want in zip(_rgb_planes(h, s, v), oracle_rgb_planes(h, s, v)):
+        got, want = np.asarray(got), np.asarray(want)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.tobytes() == want.tobytes()

@@ -202,8 +202,9 @@ def test_evaluate_model_needs_query_poses(tiny_world, small_model):
 
 
 def test_evaluate_model_hashes_the_model_once_per_use(tiny_world, small_model, monkeypatch):
-    """build_map records the fingerprint and retrieve_all checks it; the
-    report reads it off the map instead of hashing the model a third time."""
+    """build_map records the fingerprint; the queries go to knn on that
+    map without retrieve_all's check, and the report reads the fingerprint
+    off the map instead of hashing the model again."""
     calls = []
     fingerprint = vk.EmbeddingModel.fingerprint
 
@@ -213,7 +214,7 @@ def test_evaluate_model_hashes_the_model_once_per_use(tiny_world, small_model, m
 
     monkeypatch.setattr(vk.EmbeddingModel, "fingerprint", counting)
     report = vk.evaluate_model(small_model, tiny_world, ns=(1,))
-    assert len(calls) == 2
+    assert len(calls) == 1
     monkeypatch.undo()
     assert report.model_fingerprint == small_model.fingerprint_hex()
 

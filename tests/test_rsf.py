@@ -642,3 +642,15 @@ def test_log_counts_every_triplet_and_every_active_one(
     for start, end, active in zip(ends - log.epoch_triplets, ends, log.epoch_active_triplets):
         assert active == sum(loss > 0 for loss in losses[start:end])
     assert 0 < sum(log.epoch_active_triplets) < len(losses)
+
+
+@pytest.mark.parametrize("case", TRAINING_BITS)
+def test_log_times_each_epochs_stages(case, tiny_world_module, labeled_split):
+    """Mining, the batch loop and validation: one value per epoch each,
+    none negative, adding up to at most the epoch's seconds."""
+    _, log = TRAINING_BITS[case][0](tiny_world_module, labeled_split)
+    stages = [log.epoch_mine_seconds, log.epoch_step_seconds, log.epoch_validate_seconds]
+    assert all(len(stage) == len(log.epoch_seconds) > 0 for stage in stages)
+    for epoch, total in enumerate(log.epoch_seconds):
+        seconds = [stage[epoch] for stage in stages]
+        assert min(seconds) >= 0 and sum(seconds) <= total
