@@ -29,7 +29,9 @@ def _hsv_planes(
     h = np.where(nonzero & (maxc == r), bc - gc, 0.0)
     h = np.where(nonzero & (maxc == g) & (maxc != r), 2.0 + rc - bc, h)
     h = np.where(nonzero & (maxc == b) & (maxc != r) & (maxc != g), 4.0 + gc - rc, h)
-    return np.mod(h / 6.0, 1.0), s, maxc
+    h /= 6.0
+    h -= np.floor(h)  # np.mod(h, 1.0), as in rotate_hue
+    return h, s, maxc
 
 
 # Per sector of the hue wheel, the index into (v, q, p, t) of r, g and b.
@@ -62,7 +64,11 @@ def rotate_hue(rgb: np.ndarray, degrees: float) -> np.ndarray:
     """
     planes = np.ascontiguousarray(np.moveaxis(np.clip(rgb, 0.0, 1.0), -1, 0))
     h, s, v = _hsv_planes(*planes)
-    h = np.mod(h + degrees / 360.0, 1.0)
+    # np.mod(h, 1.0) in place: x - floor(x) rounds the exact fraction once,
+    # as np.mod does (its fmod is exact, and below zero both round
+    # x - trunc(x) + 1), and a zero fraction is +0.0 in both.
+    h += degrees / 360.0
+    h -= np.floor(h)
     return np.stack(_rgb_planes(h, s, v), axis=-1)
 
 

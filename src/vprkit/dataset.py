@@ -17,6 +17,8 @@ query rows when there are no references.
 In memory, each pose is stored once, on its ``ImageRecord``. A
 ``Dataset(references, queries)`` holds only the two record lists; its
 ``reference_poses`` / ``query_poses`` are read from the records.
+``rsf.rsf_finetune`` keeps its last finetuning stream on the dataset it
+adapts to, as each record keeps its ``raw``.
 """
 
 from __future__ import annotations

@@ -164,11 +164,22 @@ def _trace(
 
     Returns (descriptors, activations per layer input, guarded (N, 1) norms).
     """
+    return _layers(model, _batch(model, raws))
+
+
+def _batch(model: EmbeddingModel, raws: np.ndarray) -> np.ndarray:
     a = np.asarray(raws, dtype=np.float64)
     if a.ndim != 2 or a.shape[1] != model.input_dim:
         raise ShapeError(
             f"raw batch has shape {a.shape}, model expects (N, {model.input_dim})"
         )
+    return a
+
+
+def _layers(
+    model: EmbeddingModel, a: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """``_trace`` over the last axis of a float64 array of raws."""
     acts = [a]
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -176,10 +187,20 @@ def _trace(
         if k < last:
             a = np.tanh(a)
         acts.append(a)
-    # The bits of np.linalg.norm(a, axis=1), without its per-call overhead.
-    norms = np.sqrt(np.add.reduce(a * a, axis=1, keepdims=True))
+    # The bits of np.linalg.norm(a, axis=-1), without its per-call overhead.
+    norms = np.sqrt(np.add.reduce(a * a, axis=-1, keepdims=True))
     norms[norms < 1e-12] += 1e-12
     return a / norms, acts, norms
+
+
+def _encode_rows(model: EmbeddingModel, raws: np.ndarray) -> np.ndarray:
+    """``forward`` of each row of an (N, F) batch, bit for bit, in one call.
+
+    As an (N, 1, F) stack, every row goes through the layers as the (1, F)
+    matrix of a one-row ``forward`` and takes its GEMV; a 2-D batch takes
+    GEMM, whose bits depend on the row count.
+    """
+    return _layers(model, _batch(model, raws)[:, None, :])[0][:, 0]
 
 
 def forward(model: EmbeddingModel, raw: np.ndarray) -> np.ndarray:

@@ -12,8 +12,8 @@ import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import RetrievalResult, build_map, knn
-from .embedding import EmbeddingModel, forward
+from .retrieval import RetrievalResult, _encode, build_map, knn
+from .embedding import EmbeddingModel
 
 DEFAULT_RADIUS_M = 25.0
 DEFAULT_NS = (1, 5, 10)
@@ -158,7 +158,8 @@ def evaluate_model(
     the model again, and the map was built by this model."""
     dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
-    results = [knn(dmap, forward(model, q.raw), k, query_id=q.id) for q in dataset.queries]
+    descs = _encode(model, dataset.queries)
+    results = [knn(dmap, d, k, query_id=q.id) for q, d in zip(dataset.queries, descs)]
     gt = ground_truth(
         dataset.query_poses,
         dataset.reference_poses,

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
-from .embedding import EmbeddingModel, forward
+from .dataset import Dataset, ImageRecord
+from .embedding import EmbeddingModel, _encode_rows
 from .errors import (
     EmptyReferences,
     FormatError,
@@ -26,6 +26,7 @@ _MAP_VERSION = 1
 _FLAG_NORMALIZED = 1
 _U32 = 2.0**-24  # unit roundoff of float32
 _U64 = 2.0**-53  # unit roundoff of float64
+_ENCODE_BLOCK = 64
 
 
 @dataclass
@@ -68,13 +69,23 @@ class RetrievalResult:
     ranked: list[tuple[int, float]]  # (reference index, L2 distance)
 
 
+def _encode(model: EmbeddingModel, records: list[ImageRecord]) -> np.ndarray:
+    """(N, D) descriptors of the records' raws, each row ``forward``'s bits,
+    encoded _ENCODE_BLOCK rows at a time so that the temporaries stay small
+    beside a large map's images."""
+    out = np.empty((len(records), model.output_dim))
+    for i in range(0, len(records), _ENCODE_BLOCK):
+        block = records[i : i + _ENCODE_BLOCK]
+        out[i : i + len(block)] = _encode_rows(model, np.stack([rec.raw for rec in block]))
+    return out
+
+
 def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
     """Encode every reference image; rows follow the dataset's id order."""
     if not dataset.references:
         raise EmptyReferences("cannot build a map from zero references")
-    rows = [forward(model, rec.raw) for rec in dataset.references]
     return DescriptorMap(
-        descriptors=np.asarray(rows, dtype=np.float32),
+        descriptors=_encode(model, dataset.references).astype(np.float32),
         poses=np.asarray(dataset.reference_poses, dtype=np.float64),
         ids=[rec.id for rec in dataset.references],
         model_fingerprint=model.fingerprint(),
@@ -149,7 +160,8 @@ def retrieve_all(
     ModelMismatch unless the map was built by this model."""
     if dmap.model_fingerprint != model.fingerprint():
         raise ModelMismatch(f"map built by model {dmap.model_fingerprint.hex()}, not this one")
-    return [knn(dmap, forward(model, rec.raw), k, query_id=rec.id) for rec in dataset.queries]
+    descs = _encode(model, dataset.queries)
+    return [knn(dmap, d, k, query_id=rec.id) for rec, d in zip(dataset.queries, descs)]
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:

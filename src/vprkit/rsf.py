@@ -11,8 +11,10 @@ engine also pretrains on a labeled dataset with real queries.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -64,31 +66,51 @@ class FinetuneDataset:
     """Per-epoch realizable stream of augmented queries over a reference set.
 
     Invariants: the references are exactly the test-time reference set,
-    every realized query carries its source reference's pose, and each
-    epoch yields multiplicity x len(references) queries, so a multiplicity
-    below 1 is an InvalidMultiplicity.
+    kept as a tuple of the records given; every realized query carries its
+    source reference's pose, and each epoch yields multiplicity x
+    len(references) queries, so a multiplicity below 1 is an
+    InvalidMultiplicity.
     """
 
-    references: list[ImageRecord]
+    references: Sequence[ImageRecord]
     multiplicity: int
     augmentation_spec: AugmentationSpec
     seed: int
+    _epochs: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
             raise InvalidMultiplicity(f"multiplicity must be >= 1, got {self.multiplicity}")
+        self.references = tuple(self.references)
 
     def realize_epoch(self, epoch: int) -> list[tuple[int, ImageRecord]]:
         """Deterministic given (seed, epoch); fresh ops per epoch."""
-        realized = []
+        return list(self._realize(epoch))
+
+    def _realize(self, epoch: int) -> Iterator[tuple[int, ImageRecord]]:
         for i, ref in enumerate(self.references):
             for m in range(self.multiplicity):
                 rng = np.random.default_rng(
                     np.random.SeedSequence([self.seed, epoch, i, m])
                 )
                 op = sample_op(self.augmentation_spec, rng)
-                realized.append((i, apply(ref, op, rng)))
-        return realized
+                yield i, apply(ref, op, rng)
+
+    def epoch_raws(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """The epoch's (N*M,) int64 source indices and (N*M, RAW_DIM) query
+        raws, both read-only.  The backbone is frozen, so they depend on the
+        stream alone, never on the model: each epoch is realized and
+        extracted on first use and kept.  Each realized image is dropped
+        once its raw is read."""
+        if epoch not in self._epochs:
+            rows = [(src, query.raw) for src, query in self._realize(epoch)]
+            sources = np.array([src for src, _ in rows], dtype=np.int64)
+            raws = np.stack([raw for _, raw in rows])
+            sources.flags.writeable = raws.flags.writeable = False
+            self._epochs[epoch] = sources, raws
+        return self._epochs[epoch]
 
 
 @dataclass
@@ -206,7 +228,8 @@ def mine_triplets(
     config: TrainConfig,
     epoch: int,
 ) -> tuple[Triplets, int]:
-    """Realize the epoch's queries and mine one triplet per (query, negative).
+    """Mine one triplet per (query, negative) over the epoch's queries,
+    realized once per stream (``FinetuneDataset.epoch_raws``).
 
     Pose-mode: the positive is the source reference and negatives are the
     feature-closest references beyond negative_radius. Poseless mode draws
@@ -215,13 +238,11 @@ def mine_triplets(
     lack of candidates.
     """
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
-    realized = finetune_ds.realize_epoch(epoch)
-    sources = np.array([src for src, _ in realized], dtype=np.int64)
-    query_raws = np.stack([query.raw for _, query in realized])
+    sources, query_raws = finetune_ds.epoch_raws(epoch)
     if not config.poseless:
-        pose_dists = pose_distances(
-            [query.pose for _, query in realized], record_poses(finetune_ds.references)
-        )
+        # Every realized query keeps its source's pose.
+        ref_poses = np.asarray(record_poses(finetune_ds.references), dtype=np.float64)
+        pose_dists = pose_distances(ref_poses[sources], ref_poses)
         return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
     n_refs = len(finetune_ds.references)
     if n_refs < 2:
@@ -375,6 +396,22 @@ def rsf_finetune(
 
     The test dataset's queries are never read: finetuning sees only its
     references, so test-query hygiene holds by construction.
+
+    The epochs' query raws do not depend on the model, so the last stream
+    is kept on the dataset, as each record keeps its ``raw``, and a later
+    call reuses it when it draws the same stream: the same reference
+    records in the same order, multiplicity, spec and seed.  Any other
+    call replaces it.
     """
-    stream = FinetuneDataset(test_dataset.references, config.aug_multiplicity, spec, config.seed)
+    refs = test_dataset.references
+    stream = vars(test_dataset).get("_rsf_stream")
+    if not (
+        stream is not None
+        and (stream.multiplicity, stream.augmentation_spec, stream.seed)
+        == (config.aug_multiplicity, spec, config.seed)
+        and len(stream.references) == len(refs)
+        and all(map(operator.is_, stream.references, refs))
+    ):
+        stream = FinetuneDataset(refs, config.aug_multiplicity, spec, config.seed)
+        test_dataset._rsf_stream = stream
     return train(model, stream, config, validation=validation)

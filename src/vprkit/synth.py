@@ -101,24 +101,28 @@ class _Primitive:
     strength: float
 
 
+# Bounds of each primitive's first five draws: cx, cy, w, h and angle.
+_SHAPE_LO = np.array([0.05, 0.05, 0.10, 0.10, 0.0])
+_SHAPE_RANGE = np.array([0.95, 0.95, 0.45, 0.45, np.pi]) - _SHAPE_LO
+
+
 def _place_primitives(seed: int, place: int, family: str) -> list[_Primitive]:
-    """12 seeded primitives; depends only on (seed, place, family)."""
+    """12 seeded primitives; depends only on (seed, place, family).
+
+    A primitive's five shape values take five consecutive doubles u, each
+    as lo + (hi - lo) * u, which is how five scalar ``rng.uniform(lo, hi)``
+    calls draw them."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, place, 0x7E47]))
-    prims = []
-    for _ in range(12):
-        prims.append(
-            _Primitive(
-                kind=family,
-                cx=rng.uniform(0.05, 0.95),
-                cy=rng.uniform(0.05, 0.95),
-                w=rng.uniform(0.10, 0.45),
-                h=rng.uniform(0.10, 0.45),
-                angle=rng.uniform(0.0, np.pi),
-                color_idx=int(rng.integers(0, 4)),
-                strength=rng.uniform(0.5, 1.0),
-            )
+    # Arguments are evaluated, and so drawn, left to right.
+    return [
+        _Primitive(
+            family,
+            *(_SHAPE_LO + _SHAPE_RANGE * rng.random(5)).tolist(),  # cx, cy, w, h, angle
+            color_idx=int(rng.integers(0, 4)),
+            strength=rng.uniform(0.5, 1.0),
         )
-    return prims
+        for _ in range(12)
+    ]
 
 
 def _render_base(

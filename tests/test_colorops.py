@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from vprkit.colorops import _rgb_planes, rotate_hue
+from vprkit.colorops import _hsv_planes, _rgb_planes, rotate_hue
 
 
 # The (H, W, 3) hue rotation that the channel-plane rotate_hue replaced,
@@ -96,6 +96,65 @@ def test_rotate_hue_on_a_rendered_size_image_matches_oracle():
     rgb = np.random.default_rng(0).uniform(-0.1, 1.1, (64, 64, 3))
     for deg in (35.0, -40.0, 360.0):
         assert rotate_hue(rgb, deg).tobytes() == oracle_rotate_hue(rgb, deg).tobytes()
+
+
+# _hsv_planes and the hue step of rotate_hue as they were before the hue
+# fold became x - floor(x), kept verbatim as the oracle.
+def oracle_hsv_planes(r, g, b):
+    maxc = np.maximum(np.maximum(r, g), b)
+    minc = np.minimum(np.minimum(r, g), b)
+    delta = maxc - minc
+    s = np.where(maxc > 0, delta / np.maximum(maxc, 1e-20), 0.0)
+    nonzero = delta > 0
+    safe = np.maximum(delta, 1e-20)
+    rc = (maxc - r) / safe
+    gc = (maxc - g) / safe
+    bc = (maxc - b) / safe
+    h = np.where(nonzero & (maxc == r), bc - gc, 0.0)
+    h = np.where(nonzero & (maxc == g) & (maxc != r), 2.0 + rc - bc, h)
+    h = np.where(nonzero & (maxc == b) & (maxc != r) & (maxc != g), 4.0 + gc - rc, h)
+    return np.mod(h / 6.0, 1.0), s, maxc
+
+
+def oracle_rotated_hue(rgb, degrees):
+    planes = np.ascontiguousarray(np.moveaxis(np.clip(rgb, 0.0, 1.0), -1, 0))
+    h, s, v = oracle_hsv_planes(*planes)
+    return np.mod(h + degrees / 360.0, 1.0), s, v
+
+
+channel_planes = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6).map(
+        lambda shape: (3,) + shape
+    ),
+    elements=channel_values | st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=channel_planes, deg=degrees | st.floats(-720.0, 720.0))
+@example(planes=np.array([[0.0, -0.0], [-0.0, 0.25], [-0.0, 0.0]]), deg=-360.0)
+def test_hue_fold_matches_the_mod_oracle(planes, deg):
+    """Signed zeros, out-of-range channels and whole turns: the folded hue
+    has np.mod's bytes, and so does what rotate_hue feeds _rgb_planes."""
+    for got, want in zip(_hsv_planes(*planes), oracle_hsv_planes(*planes)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    rgb = np.moveaxis(planes, 0, -1)
+    h, s, v = oracle_rotated_hue(rgb, deg)
+    want = np.stack(_rgb_planes(h, s, v), axis=-1)
+    assert rotate_hue(rgb, deg).tobytes() == want.tobytes()
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=st.floats(allow_nan=False, allow_infinity=False))
+@example(x=-0.0)
+@example(x=-1e-300)
+@example(x=-2.0**-60)
+@example(x=-(1.0 - 2.0**-53))
+def test_x_minus_floor_is_mod_one(x):
+    a = np.array([x])
+    a -= np.floor(a)
+    assert a.tobytes() == np.mod(np.array([x]), 1.0).tobytes()
 
 
 def oracle_rgb_planes(h, s, v):

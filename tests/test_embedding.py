@@ -15,6 +15,7 @@ from vprkit.embedding import (
     RAW_DIM,
     WORK_SIZE,
     _HIST_BINS,
+    _encode_rows,
     _trace,
     backward,
     extract_raw_pixels,
@@ -268,6 +269,34 @@ class TestForward:
     def test_batch_forward_takes_only_a_matrix(self, small_model, shape):
         with pytest.raises(ShapeError):
             forward_batch(small_model, np.zeros(shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        head=st.sampled_from([([256], 128), ([64], 32), ([16], 8), ([256, 64], 32)]),
+        n=st.integers(1, 200),
+        seed=st.integers(0, 2**32 - 1),
+        layout=st.sampled_from(["C", "F", "strided"]),
+    )
+    def test_encode_rows_has_each_rows_forward_bits(self, head, n, seed, layout):
+        """One call over the batch gives per-row forward's bytes: GEMM over
+        the whole batch would not (its bits depend on the row count)."""
+        hidden, out = head
+        model = vk.init_model(hidden_dims=hidden, output_dim=out, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        raws = rng.normal(size=(n, RAW_DIM)) * rng.uniform(0.01, 10.0)
+        if layout == "F":
+            raws = np.asfortranarray(raws)
+        elif layout == "strided":
+            raws = np.repeat(raws, 2, axis=1)[:, ::2]
+        got = _encode_rows(model, raws)
+        want = np.array([forward(model, raw) for raw in raws])
+        assert got.shape == want.shape == (n, out)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(RAW_DIM,), (3, 7), (2, 1, RAW_DIM)])
+    def test_encode_rows_takes_only_a_matrix(self, small_model, shape):
+        with pytest.raises(ShapeError):
+            _encode_rows(small_model, np.zeros(shape))
 
     def test_batch_matches_single(self, small_model):
         rng = np.random.default_rng(3)

@@ -185,6 +185,21 @@ class TestBuildMap:
             np.testing.assert_allclose(dmap.descriptors[i], f, atol=1e-6)
         assert dmap.model_fingerprint == small_model.fingerprint()
 
+    def test_blocks_of_rows_keep_each_rows_forward_bits(self, small_model):
+        """build_map and retrieve_all encode in blocks; a ragged last block
+        and several full ones give per-row forward's bytes."""
+        rng = np.random.default_rng(8)
+        recs = [vk.ImageRecord(f"r{i:03d}", None, vk.Pose(30.0 * i, 0.0)) for i in range(150)]
+        for rec in recs:
+            rec.raw = rng.normal(size=vk.embedding.RAW_DIM)
+        ds = vk.Dataset(recs, recs[:70])
+        dmap = vk.build_map(ds, small_model)
+        rows = np.array([vk.forward(small_model, rec.raw) for rec in recs], dtype=np.float32)
+        assert dmap.descriptors.tobytes() == rows.tobytes()
+        got = vk.retrieve_all(dmap, ds, small_model, k=3)
+        want = [vk.knn(dmap, vk.forward(small_model, q.raw), 3, query_id=q.id) for q in recs[:70]]
+        assert got == want
+
     def test_empty_references_rejected(self, small_model):
         ds = vk.Dataset(references=[])
         with pytest.raises(EmptyReferences):

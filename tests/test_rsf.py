@@ -1,9 +1,12 @@
 import collections
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.errors import (
@@ -143,8 +146,7 @@ def stream(tiny_world_module):
     return vk.FinetuneDataset(tiny_world_module.references, 3, spec, seed=8)
 
 
-@pytest.fixture(scope="module")
-def tiny_world_module():
+def _tiny_world():
     return vk.generate_synthetic(
         vk.SynthWorldSpec(
             place_count=5,
@@ -156,6 +158,11 @@ def tiny_world_module():
             seed=4,
         )
     )
+
+
+@pytest.fixture(scope="module")
+def tiny_world_module():
+    return _tiny_world()
 
 
 class TestFinetuneStream:
@@ -654,3 +661,135 @@ def test_log_times_each_epochs_stages(case, tiny_world_module, labeled_split):
     for epoch, total in enumerate(log.epoch_seconds):
         seconds = [stage[epoch] for stage in stages]
         assert min(seconds) >= 0 and sum(seconds) <= total
+
+
+def _counting_extractions(monkeypatch) -> list:
+    """Patch extract_raw to record each record it extracts; returns the list."""
+    extracted = []
+    real = vk.embedding.extract_raw
+
+    def counting(rec):
+        extracted.append(rec)
+        return real(rec)
+
+    monkeypatch.setattr(vk.embedding, "extract_raw", counting)
+    return extracted
+
+
+class TestStreamReuse:
+    """rsf_finetune keeps the last stream on the dataset it adapts to and
+    reuses it only for the same records, multiplicity, spec and seed."""
+
+    def test_poseless_after_the_pose_arm_trains_the_bits_of_poseless_alone(
+        self, monkeypatch
+    ):
+        _, params_sha, losses_sha = TRAINING_BITS["poseless-rsf"]
+        extracted = _counting_extractions(monkeypatch)
+        world = _tiny_world()
+        _rsf_run()(world, None)
+        before = len(extracted)
+        shared, shared_log = _rsf_run(poseless=True)(world, None)
+        assert len(extracted) == before  # the pose arm's stream, reused
+        alone, alone_log = _rsf_run(poseless=True)(_tiny_world(), None)
+        for model, log in ((shared, shared_log), (alone, alone_log)):
+            losses = np.asarray(log.step_losses, dtype=np.float64).tobytes()
+            assert model.fingerprint_hex() == params_sha
+            assert hashlib.sha256(losses).hexdigest() == losses_sha
+
+    def test_only_the_same_stream_is_reused(self, monkeypatch):
+        world = _tiny_world()
+        n = len(world.references)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        base = vk.TrainConfig(epochs=1, aug_multiplicity=2, seed=3)
+        appearance = vk.AugmentationSpec.from_string("appearance")
+        viewpoint = vk.AugmentationSpec.from_string("viewpoint")
+        extracted = _counting_extractions(monkeypatch)
+
+        def extractions(ds, spec=appearance, **changes):
+            start = len(extracted)
+            vk.rsf_finetune(model, ds, dataclasses.replace(base, **changes), spec)
+            return len(extracted) - start
+
+        assert extractions(world) == n + 2 * n  # references, then one epoch of queries
+        assert extractions(world) == 0
+        assert extractions(world, poseless=True, learning_rate=0.5) == 0
+        assert extractions(world, seed=4) == 2 * n
+        assert extractions(world, seed=3) == 2 * n  # only the last stream is kept
+        assert extractions(world, viewpoint) == 2 * n
+        assert extractions(world, aug_multiplicity=3) == 3 * n
+        # Records with equal pixels are other records: extracted anew.
+        copies = vk.Dataset([vk.ImageRecord(r.id, r.pixels, r.pose) for r in world.references])
+        assert extractions(copies, aug_multiplicity=3) == n + 3 * n
+        # Another dataset over the same records has its own stream.
+        assert extractions(vk.Dataset(world.references), aug_multiplicity=3) == 3 * n
+        extra = vk.ImageRecord("r9", world.references[0].pixels.copy(), vk.Pose(900.0, 0.0))
+        world.references.append(extra)
+        assert extractions(world, aug_multiplicity=3) == 1 + 3 * (n + 1)
+        assert extractions(world, aug_multiplicity=3) == 0
+
+    def test_the_stream_is_freed_with_its_dataset(self):
+        world = _tiny_world()
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        vk.rsf_finetune(model, world, vk.TrainConfig(epochs=1), vk.AugmentationSpec())
+        stream = weakref.ref(world._rsf_stream)
+        del world
+        gc.collect()
+        assert stream() is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        multiplicity=st.integers(1, 3),
+        label=st.sampled_from(["none", "appearance", "viewpoint", "appearance,viewpoint"]),
+        seed=st.integers(0, 2**32 - 1),
+        epoch=st.integers(0, 50),
+        n_refs=st.integers(1, 5),
+    )
+    def test_epoch_raws_equal_a_fresh_realization(
+        self, tiny_world_module, multiplicity, label, seed, epoch, n_refs
+    ):
+        refs = tiny_world_module.references[:n_refs]
+        spec = vk.AugmentationSpec.from_string(label)
+        stream = vk.FinetuneDataset(refs, multiplicity, spec, seed)
+        sources, raws = stream.epoch_raws(epoch)
+        fresh = vk.FinetuneDataset(
+            [vk.ImageRecord(r.id, r.pixels.copy(), r.pose) for r in refs],
+            multiplicity, spec, seed,
+        ).realize_epoch(epoch)
+        assert sources.dtype == np.int64
+        assert sources.tolist() == [src for src, _ in fresh]
+        assert raws.tobytes() == np.stack([vk.extract_raw(q) for _, q in fresh]).tobytes()
+        assert not sources.flags.writeable and not raws.flags.writeable
+        memo = stream.epoch_raws(epoch)
+        assert memo[0] is sources and memo[1] is raws
+
+    @pytest.mark.parametrize("poseless", [False, True])
+    def test_mined_arrays_cannot_write_into_the_memo(self, tiny_world_module, poseless):
+        stream = vk.FinetuneDataset(tiny_world_module.references, 2, vk.AugmentationSpec(), 5)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        config = vk.TrainConfig(poseless=poseless, negative_radius=40.0)
+        triplets, _ = vk.mine_triplets(model, stream, config, epoch=0)
+        memo = [a.copy() for a in stream.epoch_raws(0)]
+        for arr in triplets:
+            try:
+                arr[...] = 0
+            except ValueError:  # a read-only view of the memo
+                pass
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stream.epoch_raws(0), memo))
+
+    @pytest.mark.parametrize("poseless", [False, True])
+    def test_errors_arrive_in_the_same_order(self, poseless):
+        """Realizing comes first: a 1x8 warp is a ShapeError before a
+        missing pose is an InconsistentManifest, on every call."""
+        pixels = np.random.default_rng(0).random((1, 8, 3))
+        ds = vk.Dataset([vk.ImageRecord(f"r{i}", pixels, None) for i in range(4)])
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        config = vk.TrainConfig(epochs=1, poseless=poseless)
+        for _ in range(2):
+            with pytest.raises(ShapeError, match="1x8"):
+                vk.rsf_finetune(model, ds, config, vk.AugmentationSpec.from_string("viewpoint"))
+        appearance = vk.AugmentationSpec.from_string("appearance")
+        if poseless:  # needs no pose; the pose arm after it reuses its epoch
+            vk.rsf_finetune(model, ds, config, appearance)
+        for _ in range(2):
+            with pytest.raises(InconsistentManifest, match="'r0' has no pose"):
+                vk.rsf_finetune(model, ds, dataclasses.replace(config, poseless=False), appearance)

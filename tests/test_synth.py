@@ -159,6 +159,38 @@ def test_render_base_matches_oracle_bit_for_bit(seed, place, family, palette_id,
     assert got.tobytes() == want.tobytes()
 
 
+def oracle_place_primitives(seed: int, place: int, family: str) -> list:
+    """_place_primitives as it was before one call drew the five shape
+    values: a scalar rng.uniform per value."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, place, 0x7E47]))
+    prims = []
+    for _ in range(12):
+        prims.append(
+            synth._Primitive(
+                kind=family,
+                cx=rng.uniform(0.05, 0.95),
+                cy=rng.uniform(0.05, 0.95),
+                w=rng.uniform(0.10, 0.45),
+                h=rng.uniform(0.10, 0.45),
+                angle=rng.uniform(0.0, np.pi),
+                color_idx=int(rng.integers(0, 4)),
+                strength=rng.uniform(0.5, 1.0),
+            )
+        )
+    return prims
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    place=st.integers(0, 100_000),
+    family=st.sampled_from(synth.TEXTURE_FAMILIES),
+)
+def test_place_primitives_match_the_scalar_draws(seed, place, family):
+    got = synth._place_primitives(seed, place, family)
+    assert repr(got) == repr(oracle_place_primitives(seed, place, family))
+
+
 def pixel_digest(*datasets):
     h = hashlib.sha256()
     for ds in datasets:
