@@ -158,7 +158,7 @@ class _Op(NamedTuple):
     transform: Callable[[np.ndarray, tuple[float, ...], np.random.Generator], np.ndarray]
 
 
-# In menu order. Flips are on no menu: they can alias symmetric synthetic scenes.
+# In menu order.
 _OPS: dict[str, _Op] = {
     "identity": _Op(None, _no_params, lambda img, p, rng: img.copy()),
     "brightness": _Op("appearance", _uniform(-0.3, 0.3), lambda img, p, rng: img + p[0]),
@@ -175,7 +175,6 @@ _OPS: dict[str, _Op] = {
     "box_blur": _Op("appearance", lambda rng: (float(rng.integers(1, 3)),),  # radius 1 or 2
                     lambda img, p, rng: _box_blur(img, int(p[0]))),
     "crop_resize": _Op("viewpoint", _crop_params, lambda img, p, rng: _crop_resize(img, *p)),
-    "horizontal_flip": _Op(None, _no_params, lambda img, p, rng: img[:, ::-1, :].copy()),
     "perspective_jitter": _Op("viewpoint", _corner_shifts,
                               lambda img, p, rng: _warp_perspective(img, p)),
 }

@@ -36,7 +36,8 @@ _EPS = 1e-12
 def triplet_loss(
     f_q: np.ndarray, f_p: np.ndarray, f_n: np.ndarray, margin: float
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Hinge loss max(d(q,p) - d(q,n) + margin, 0) and its gradients.
+    """Hinge loss max(d(q,p) - d(q,n) + margin, 0) and its gradients, with
+    d the Euclidean distance over all elements, summed in row-major order.
 
     Returns (loss, dL/df_q, dL/df_p, dL/df_n); all gradients are zero on
     the flat side of the hinge.
@@ -46,19 +47,22 @@ def triplet_loss(
         raise ShapeError(
             f"descriptor shapes differ: {f_q.shape}, {f_p.shape}, {f_n.shape}"
         )
-    if margin <= 0:
-        raise VprError(f"margin must be positive, got {margin}")
-    dqp_vec = f_q - f_p
-    dqn_vec = f_q - f_n
-    d_qp = float(np.linalg.norm(dqp_vec))
-    d_qn = float(np.linalg.norm(dqn_vec))
-    loss = d_qp - d_qn + margin
-    zero = np.zeros_like(f_q)
-    if loss <= 0:
-        return 0.0, zero, zero.copy(), zero.copy()
-    u_qp = dqp_vec / (d_qp + _EPS)
-    u_qn = dqn_vec / (d_qn + _EPS)
-    return loss, u_qp - u_qn, -u_qp, u_qn
+    if not 0 < margin < math.inf:  # False for nan too
+        raise VprError(f"margin must be positive and finite, got {margin}")
+    losses, grads = _hinge(np.stack([f_q, f_p, f_n]).reshape(3, 1, -1), margin)
+    return (float(losses[0]), *grads.reshape(3, *f_q.shape))
+
+
+def _hinge(f: np.ndarray, margin: float) -> tuple[np.ndarray, np.ndarray]:
+    """triplet_loss of each row of a (3, T, D) stack of q, p and n rows: the
+    (T,) losses, a nan kept, and the (3, T, D) gradients.  The stacked
+    vector-vector matmul takes np.linalg.norm's dot, so the bits match."""
+    d = f[0] - f[1:]  # q - p, q - n
+    dist = np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0]  # (2, T, 1)
+    loss = dist[0, :, 0] - dist[1, :, 0] + margin
+    u_qp, u_qn = d / (dist + _EPS)
+    grads = np.where((loss <= 0)[:, None], 0.0, np.stack([u_qp - u_qn, -u_qp, u_qn]))
+    return np.maximum(loss, 0.0), grads
 
 
 @dataclass
@@ -331,23 +335,16 @@ def train(
             n = len(b)
             raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
             trace = _trace(model, raws)
-            f_q, f_p, f_n = trace[0].reshape(3, n, -1)
-            upstream = np.zeros((3, n, f_q.shape[1]))
-            batch_loss = 0.0
-            for i in range(n):
-                loss, upstream[0, i], upstream[1, i], upstream[2, i] = triplet_loss(
-                    f_q[i], f_p[i], f_n[i], config.margin
+            losses, upstream = _hinge(trace[0].reshape(3, n, -1), config.margin)
+            if not np.isfinite(losses).all():
+                raise NumericalDivergence(
+                    f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
                 )
-                if not np.isfinite(loss):
-                    raise NumericalDivergence(
-                        f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
-                    )
-                batch_loss += loss
-                active += loss > 0
+            active += int(np.count_nonzero(losses))
             grads = _backward(model, trace, upstream.reshape(3 * n, -1))
             grads.scale(1.0 / n)
             apply_gradients(model, grads, config.learning_rate)
-            step_loss = batch_loss / n
+            step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
             log.step_losses.append(step_loss)
             epoch_losses.append(step_loss)
 

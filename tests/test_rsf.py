@@ -13,15 +13,51 @@ from vprkit.errors import (
     EmptyReferences,
     InconsistentManifest,
     InvalidMultiplicity,
+    NumericalDivergence,
     ShapeError,
     VprError,
 )
-from vprkit.rsf import _hard_negatives, _labeled_rows, _mine
+from vprkit.rsf import _hard_negatives, _hinge, _labeled_rows, _mine
 
 
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def oracle_triplet_loss(f_q, f_p, f_n, margin):
+    """The scalar hinge that triplet_loss computed before it became the
+    one-row case of the batched hinge."""
+    f_q, f_p, f_n = (np.asarray(v, dtype=np.float64) for v in (f_q, f_p, f_n))
+    dqp_vec = f_q - f_p
+    dqn_vec = f_q - f_n
+    d_qp = float(np.linalg.norm(dqp_vec))
+    d_qn = float(np.linalg.norm(dqn_vec))
+    loss = d_qp - d_qn + margin
+    zero = np.zeros_like(f_q)
+    if loss <= 0:
+        return 0.0, zero, zero.copy(), zero.copy()
+    u_qp = dqp_vec / (d_qp + 1e-12)
+    u_qn = dqn_vec / (d_qn + 1e-12)
+    return loss, u_qp - u_qn, -u_qp, u_qn
+
+
+def assert_same_hinge(got, want):
+    """Loss and the three gradients: same type of loss, same shapes, same bytes."""
+    assert type(got[0]) is type(want[0]) is float
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        g, w = np.asarray(g), np.asarray(w)
+        assert (g.dtype, g.shape) == (w.dtype, w.shape)
+        assert g.tobytes() == w.tobytes()
+
+
+def assert_rows_are_the_oracle(f, margin, losses, grads):
+    """Each row of a batched hinge equals the oracle on that row alone."""
+    assert losses.shape == f.shape[1:2] and grads.shape == f.shape
+    for i in range(f.shape[1]):
+        row = (float(losses[i]), grads[0, i], grads[1, i], grads[2, i])
+        assert_same_hinge(row, oracle_triplet_loss(f[0, i], f[1, i], f[2, i], margin))
 
 
 class TestTripletLoss:
@@ -57,6 +93,12 @@ class TestTripletLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             vk.triplet_loss(np.zeros(2), np.zeros(3), np.zeros(2), 0.1)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_margin_must_be_positive_and_finite(self, margin):
+        f = unit([1.0, 2.0])
+        with pytest.raises(VprError, match="margin must be positive and finite"):
+            vk.triplet_loss(f, f, -f, margin)
 
     def test_formula_oracle_thousand_triples(self):
         rng = np.random.default_rng(0)
@@ -110,6 +152,84 @@ class TestTripletLoss:
                     ana = total.weights[k][i, j]
                     worst = max(worst, abs(num - ana) / max(1e-8, abs(num), abs(ana)))
         assert worst < 1e-4
+
+
+# Rows of a (3, T, D) hinge stack: free draws, and rows that pin a case.
+ROW_KINDS = ("free", "q=p", "q=n", "all equal", "boundary")
+
+
+@st.composite
+def hinge_stacks(draw):
+    """A (3, T, D) stack of q, p and n rows and a margin.  Unit-norm rows
+    are what the head emits; raw rows mix scales.  A "boundary" row is a
+    copy of row 0 with q = p and the margin set to |q - n| on that row,
+    so its loss is exactly zero; other rows land on both sides of it."""
+    t, d = draw(st.integers(1, 40)), draw(st.integers(1, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scales = 10.0 ** rng.integers(-3, 4, size=(3, t, 1))
+    f = rng.normal(size=(3, t, d)) * scales
+    if draw(st.booleans()):
+        f /= np.linalg.norm(f, axis=-1, keepdims=True)
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=t, max_size=t))
+    boundary = draw(st.booleans())
+    if boundary:
+        f[1, 0] = f[0, 0]
+    for i, kind in enumerate(kinds):
+        if kind == "q=p":
+            f[1, i] = f[0, i]
+        elif kind == "q=n":
+            f[2, i] = f[0, i]
+        elif kind == "all equal":
+            f[1:, i] = f[0, i]
+        elif kind == "boundary" and boundary:
+            f[:, i] = f[:, 0]
+    if boundary and float(np.linalg.norm(f[0, 0] - f[2, 0])) > 0:
+        margin = float(np.linalg.norm(f[0, 0] - f[2, 0]))
+    else:
+        margin = draw(st.floats(1e-6, 10.0))
+    return f, margin
+
+
+class TestBatchedHinge:
+    @settings(max_examples=300, deadline=None)
+    @given(stack=hinge_stacks())
+    def test_rows_equal_the_scalar_oracle_bit_for_bit(self, stack):
+        f, margin = stack
+        losses, grads = _hinge(f, margin)
+        assert_rows_are_the_oracle(f, margin, losses, grads)
+        for i in range(f.shape[1]):
+            assert_same_hinge(
+                vk.triplet_loss(f[0, i], f[1, i], f[2, i], margin),
+                oracle_triplet_loss(f[0, i], f[1, i], f[2, i], margin),
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.just(()),
+            st.tuples(st.integers(1, 256)),
+            st.tuples(st.integers(1, 16), st.integers(1, 16)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        same=st.sampled_from(["none", "q=p", "q=n"]),
+        margin=st.floats(1e-6, 10.0),
+    )
+    def test_triplet_loss_of_any_shape_equals_the_oracle(self, shape, seed, same, margin):
+        f_q, f_p, f_n = np.random.default_rng(seed).normal(size=(3, *shape))
+        if same == "q=p":
+            f_p = f_q.copy()
+        elif same == "q=n":
+            f_n = f_q.copy()
+        assert_same_hinge(
+            vk.triplet_loss(f_q, f_p, f_n, margin), oracle_triplet_loss(f_q, f_p, f_n, margin)
+        )
+
+    def test_the_boundary_is_an_exact_zero_and_nan_stays_nan(self):
+        f = np.stack([unit([1.0, 0.0]), unit([1.0, 0.0]), unit([0.0, 1.0])])[:, None, :]
+        f = np.concatenate([f, np.full_like(f, np.nan)], axis=1)
+        losses, grads = _hinge(f, float(np.linalg.norm(f[0, 0] - f[2, 0])))
+        assert losses[0] == 0.0 and not grads[:, 0].any()
+        assert np.isnan(losses[1]) and np.isnan(grads[:, 1]).all()
 
 
 @pytest.mark.parametrize(
@@ -632,23 +752,63 @@ def test_log_counts_every_triplet_and_every_active_one(
     case, tiny_world_module, labeled_split, monkeypatch
 ):
     """Per epoch, TrainLog's triplet and active-triplet (loss > 0) counts
-    equal the calls of triplet_loss and their positive losses."""
+    equal the rows of the hinge's calls and their positive losses, and
+    every row is the scalar oracle's hinge, bit for bit."""
     losses = []
-    triplet_loss = vk.rsf.triplet_loss
+    hinge = vk.rsf._hinge
 
-    def counting(*args):
-        out = triplet_loss(*args)
-        losses.append(out[0])
+    def recording(f, margin):
+        out = hinge(f, margin)
+        assert_rows_are_the_oracle(f, margin, *out)
+        losses.extend(out[0].tolist())
         return out
 
-    monkeypatch.setattr(vk.rsf, "triplet_loss", counting)
+    monkeypatch.setattr(vk.rsf, "_hinge", recording)
     _, log = TRAINING_BITS[case][0](tiny_world_module, labeled_split)
     assert sum(log.epoch_triplets) == len(losses)
     assert len(log.epoch_triplets) == len(log.epoch_active_triplets) == len(log.epoch_seconds)
     ends = np.cumsum(log.epoch_triplets)
     for start, end, active in zip(ends - log.epoch_triplets, ends, log.epoch_active_triplets):
+        assert type(active) is int
         assert active == sum(loss > 0 for loss in losses[start:end])
     assert 0 < sum(log.epoch_active_triplets) < len(losses)
+
+
+@pytest.mark.parametrize("batch_size", [16, 39])
+def test_each_step_loss_sums_its_rows_in_order(batch_size, labeled_split, monkeypatch):
+    """The step loss is the left-to-right sum of the hinge's rows over the
+    batch size; NumPy's pairwise sum regroups batches of eight or more."""
+    calls = []
+    hinge = vk.rsf._hinge
+
+    def recording(f, margin):
+        out = hinge(f, margin)
+        calls.append(out[0].tolist())
+        return out
+
+    monkeypatch.setattr(vk.rsf, "_hinge", recording)
+    _, log = _labeled_run(False, batch_size)(None, labeled_split)
+    want = []
+    for losses in calls:
+        total = 0.0
+        for loss in losses:
+            total += loss
+        want.append(total / len(losses))
+    assert np.asarray(log.step_losses).tobytes() == np.asarray(want).tobytes()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_head_weight_is_a_numerical_divergence(value):
+    """A nan, or an inf that the normalization turns into nan, reaches the
+    first step's loss; training stops there instead of stepping on."""
+    model = vk.init_model(hidden_dims=[16], output_dim=8, seed=1)
+    model.weights[-1][0, 0] = value
+    config = vk.TrainConfig(epochs=3, learning_rate=1e-2, margin=0.4, batch_size=4, seed=7)
+    spec = vk.AugmentationSpec.from_string("appearance,viewpoint")
+    with np.errstate(invalid="ignore"), pytest.raises(
+        NumericalDivergence, match="non-finite loss at epoch 0, step 0$"
+    ):
+        vk.rsf_finetune(model, _tiny_world(), config, spec)
 
 
 @pytest.mark.parametrize("case", TRAINING_BITS)
