@@ -192,26 +192,12 @@ def sample_op(spec: AugmentationSpec, rng: np.random.Generator) -> AugmentationO
 def apply(
     image: ImageRecord, op: AugmentationOp, rng: np.random.Generator
 ) -> ImageRecord:
-    """Apply one op; same dimensions, pixels clamped to [0, 1], pose kept.
-
-    An identity copy whose pixels equal its source's shares the source's
-    ``raw`` if that has been computed, so it is not extracted again.
-    """
+    """Apply one op; same dimensions, pixels clamped to [0, 1], pose kept."""
     if op.kind not in _OPS:
         raise VprError(f"unknown augmentation kind {op.kind!r}")
     out = _OPS[op.kind].transform(image.pixels, op.params, rng)
-    record = ImageRecord(
+    return ImageRecord(
         id=f"{image.id}#{op.tag()}",
         pixels=np.clip(out, 0.0, 1.0),
         pose=image.pose,
-    )
-    if op.kind == "identity" and "raw" in vars(image) and _same_array(record.pixels, image.pixels):
-        record.raw = image.raw  # the source's cached feature: same pixels, same bits
-    return record
-
-
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    """Same dtype, shape, strides and bytes: extract_raw gives the same bits."""
-    return (a.dtype, a.shape, a.strides) == (b.dtype, b.shape, b.strides) and (
-        a.tobytes() == b.tobytes()
     )

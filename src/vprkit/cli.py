@@ -34,7 +34,7 @@ from .evaluation import (
     recall_at_n,
 )
 from .manifest import RunContext, atomic_write_text
-from .retrieval import RetrievalResult, build_map, load_map, retrieve_all, save_map
+from .retrieval import DescriptorMap, RetrievalResult, build_map, load_map, retrieve_all, save_map
 from .rsf import TrainConfig, TrainLog, rsf_finetune, train
 from .synth import StyleParams, SynthWorldSpec, generate_synthetic
 
@@ -213,7 +213,8 @@ def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
 def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") -> None:
     lines = ["record,index,value"]
     lines += [f"step_loss,{i},{v:.8f}" for i, v in enumerate(log.step_losses)]
-    lines += [f"epoch_mean_loss,{i},{v:.8f}" for i, v in enumerate(log.epoch_mean_loss)]
+    for record in ("epoch_mean_loss", "epoch_grad_norm"):
+        lines += [f"{record},{i},{v:.8f}" for i, v in enumerate(getattr(log, record))]
     lines += [
         f"epoch_val_recall1,{i},{v:.6f}" for i, v in enumerate(log.epoch_val_recall1)
     ]
@@ -225,6 +226,7 @@ def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") 
                    "epoch_validate_seconds"):
         lines += [f"{record},{i},{v:.6f}" for i, v in enumerate(getattr(log, record))]
     lines.append(f"selected_epoch,0,{log.selected_epoch}")
+    lines.append(f"stop_reason,0,{log.stop_reason}")
     atomic_write_text(ctx.path(name), "\n".join(lines) + "\n")
 
 
@@ -302,32 +304,57 @@ def cmd_retrieve(args) -> RunContext:
     return ctx
 
 
-def _read_results(path: Path) -> list[RetrievalResult]:
-    by_query: dict[str, list[tuple[int, int, float]]] = {}
+# One results row: its "file:line", query id, rank, reference index and id,
+# distance.
+_ResultsRow = tuple[str, str, int, int, str, float]
+
+
+def _read_results(path: Path) -> list[_ResultsRow]:
+    """The rows of a results file; a malformed row, or a second row for
+    one (query id, rank), is a VprError naming its line."""
+    rows: list[_ResultsRow] = []
+    seen: set[tuple[str, int]] = set()
     lines = read_utf8(path).splitlines()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            qid, rank, idx, _rid, dist = line.split(",")
-            by_query.setdefault(qid, []).append((int(rank), int(idx), float(dist)))
+            qid, rank, idx, rid, dist = line.split(",")
+            row = (f"{path}:{lineno}", qid, int(rank), int(idx), rid, float(dist))
         except ValueError:
             raise VprError(f"{path}:{lineno}: malformed results row {line!r}") from None
-    results = []
-    for qid, entries in by_query.items():
-        entries.sort()
-        results.append(
-            RetrievalResult(query_id=qid, ranked=[(i, d) for _, i, d in entries])
-        )
-    return results
+        if row[1:3] in seen:
+            raise VprError(f"{path}:{lineno}: a second row for query {qid!r} at rank {row[2]}")
+        seen.add(row[1:3])
+        rows.append(row)
+    return rows
+
+
+def _ranked_results(rows: list[_ResultsRow], dmap: DescriptorMap) -> list[RetrievalResult]:
+    """Each query's rows in rank order; a row naming a reference the map
+    does not hold at its index is a VprError naming its line."""
+    by_query: dict[str, list[tuple[int, int, float]]] = {}
+    for where, qid, rank, idx, rid, dist in rows:
+        if not 0 <= idx < dmap.size:
+            raise VprError(f"{where}: ref_index {idx} is outside the map's {dmap.size} references")
+        if rid != dmap.ids[idx]:
+            raise VprError(
+                f"{where}: ref_id {rid!r} is not {dmap.ids[idx]!r}, the map's id at {idx}"
+            )
+        by_query.setdefault(qid, []).append((rank, idx, dist))
+    return [
+        RetrievalResult(query_id=qid, ranked=[(i, d) for _, i, d in sorted(entries)])
+        for qid, entries in by_query.items()
+    ]
 
 
 def cmd_evaluate(args) -> RunContext:
     ctx = _run_context(
         args, {"radius": args.radius, "ns": list(args.ns), "name": args.name}
     )
-    results = _read_results(Path(args.results))
+    rows = _read_results(Path(args.results))
     dmap = load_map(args.map)
+    results = _ranked_results(rows, dmap)
     dataset = load_dataset(args.dataset)
     gt = ground_truth(
         dataset.query_poses,

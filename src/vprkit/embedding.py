@@ -11,6 +11,7 @@ verified against finite differences.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -232,6 +233,10 @@ class ParamGradients:
             w *= factor
         for b in self.biases:
             b *= factor
+
+    def norm(self) -> float:
+        """The L2 norm over every weight and bias gradient."""
+        return math.sqrt(sum(float(np.vdot(g, g)) for g in (*self.weights, *self.biases)))
 
     @classmethod
     def zeros_like(cls, model: EmbeddingModel) -> "ParamGradients":

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import struct
 import tempfile
 from pathlib import Path
@@ -153,6 +154,9 @@ class RunContext:
             "seed": self.seed,
             "run_id": self.run_id,
             "version": __version__,
+            # The interpreter and NumPy of this run: recorded, not hashed.
+            "python": platform.python_version(),
+            "numpy": np.__version__,
             **self.extra,
         }
         dest = self.run_dir / "manifest.json"

@@ -11,7 +11,6 @@ engine also pretrains on a labeled dataset with real queries.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -73,13 +72,16 @@ class FinetuneDataset:
     kept as a tuple of the records given; every realized query carries its
     source reference's pose, and each epoch yields multiplicity x
     len(references) queries, so a multiplicity below 1 is an
-    InvalidMultiplicity.
+    InvalidMultiplicity.  Streams are equal when they hold the same record
+    objects in the same order and equal multiplicity, spec and seed.
     """
 
-    references: Sequence[ImageRecord]
+    references: Sequence[ImageRecord] = field(compare=False)
     multiplicity: int
     augmentation_spec: AugmentationSpec
     seed: int
+    # Each stream keeps its records alive, so equal ids are the same records.
+    _record_ids: tuple[int, ...] = field(init=False, repr=False)
     _epochs: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -88,6 +90,7 @@ class FinetuneDataset:
         if self.multiplicity < 1:
             raise InvalidMultiplicity(f"multiplicity must be >= 1, got {self.multiplicity}")
         self.references = tuple(self.references)
+        self._record_ids = tuple(map(id, self.references))
 
     def realize_epoch(self, epoch: int) -> list[tuple[int, ImageRecord]]:
         """Deterministic given (seed, epoch); fresh ops per epoch."""
@@ -107,7 +110,10 @@ class FinetuneDataset:
         raws, both read-only.  The backbone is frozen, so they depend on the
         stream alone, never on the model: each epoch is realized and
         extracted on first use and kept.  Each realized image is dropped
-        once its raw is read."""
+        once its raw is read.  A spec that enables no category draws
+        nothing, so each of its epochs is epoch 0."""
+        if not self.augmentation_spec.categories:
+            epoch = 0
         if epoch not in self._epochs:
             rows = [(src, query.raw) for src, query in self._realize(epoch)]
             sources = np.array([src for src, _ in rows], dtype=np.int64)
@@ -155,6 +161,10 @@ class TrainConfig:
         for name in ("epochs", "seed"):
             if getattr(self, name) < 0:
                 raise VprError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.aug_multiplicity < 1:
+            raise InvalidMultiplicity(
+                f"aug_multiplicity must be at least 1, got {self.aug_multiplicity}"
+            )
 
 
 # One epoch's triplets as aligned rows: (T, RAW_DIM) query raws and (T,)
@@ -178,8 +188,11 @@ class TrainLog:
     epoch_skipped_queries: list[int] = field(default_factory=list)
     epoch_triplets: list[int] = field(default_factory=list)
     epoch_active_triplets: list[int] = field(default_factory=list)  # loss > 0
+    # Mean over the epoch's steps of the L2 norm of the applied gradient.
+    epoch_grad_norm: list[float] = field(default_factory=list)
     selected_epoch: int = -1
     mode: str = ""
+    stop_reason: str = ""  # "epochs": all configured epochs ran; "patience": stopped early
 
 
 def _hard_negatives(
@@ -303,7 +316,7 @@ def train(
         raise VprError("validation dataset has no queries")
     ref_raws = np.stack([r.raw for r in data.references])
     labeled_rows = None if isinstance(data, FinetuneDataset) else _labeled_rows(data, config)
-    log = TrainLog(mode="poseless" if config.poseless else "pose")
+    log = TrainLog(mode="poseless" if config.poseless else "pose", stop_reason="epochs")
     model = model.copy()
     best_model = model.copy()
     best_val = -np.inf
@@ -328,6 +341,7 @@ def train(
         ).permutation(len(positives))
 
         epoch_losses: list[float] = []
+        grad_norms: list[float] = []
         active = 0
         stepping = time.perf_counter()
         for start in range(0, len(order), config.batch_size):
@@ -343,6 +357,7 @@ def train(
             active += int(np.count_nonzero(losses))
             grads = _backward(model, trace, upstream.reshape(3 * n, -1))
             grads.scale(1.0 / n)
+            grad_norms.append(grads.norm())
             apply_gradients(model, grads, config.learning_rate)
             step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
             log.step_losses.append(step_loss)
@@ -351,6 +366,7 @@ def train(
         validating = time.perf_counter()
         log.epoch_triplets.append(len(positives))
         log.epoch_active_triplets.append(active)
+        log.epoch_grad_norm.append(float(np.mean(grad_norms)))
         mean_loss = float(np.mean(epoch_losses))
         log.epoch_mean_loss.append(mean_loss)
         if validation is not None:
@@ -377,6 +393,7 @@ def train(
         else:
             stale += 1
             if stale >= config.early_stop_patience:
+                log.stop_reason = "patience"
                 break
 
     return best_model, log
@@ -396,19 +413,9 @@ def rsf_finetune(
 
     The epochs' query raws do not depend on the model, so the last stream
     is kept on the dataset, as each record keeps its ``raw``, and a later
-    call reuses it when it draws the same stream: the same reference
-    records in the same order, multiplicity, spec and seed.  Any other
-    call replaces it.
+    call whose stream equals it reuses it.  Any other call replaces it.
     """
-    refs = test_dataset.references
-    stream = vars(test_dataset).get("_rsf_stream")
-    if not (
-        stream is not None
-        and (stream.multiplicity, stream.augmentation_spec, stream.seed)
-        == (config.aug_multiplicity, spec, config.seed)
-        and len(stream.references) == len(refs)
-        and all(map(operator.is_, stream.references, refs))
-    ):
-        stream = FinetuneDataset(refs, config.aug_multiplicity, spec, config.seed)
+    stream = FinetuneDataset(test_dataset.references, config.aug_multiplicity, spec, config.seed)
+    if vars(test_dataset).get("_rsf_stream") != stream:
         test_dataset._rsf_stream = stream
-    return train(model, stream, config, validation=validation)
+    return train(model, test_dataset._rsf_stream, config, validation=validation)

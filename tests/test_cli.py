@@ -1,11 +1,16 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import platform
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.cli import _apply_config_file, build_parser, main
@@ -208,6 +213,26 @@ def test_trainlog_records_triplets_and_active_triplets(tmp_path, pipeline):
     assert 0 <= rows["epoch_active_triplets,0"] <= rows["epoch_triplets,0"] > 0
 
 
+def test_trainlog_records_stop_reason_and_gradient_norms(tmp_path, pipeline):
+    log = next((tmp_path / "pre").glob("*/trainlog.csv")).read_text().splitlines()
+    rows = [row.split(",") for row in log]
+    assert ["stop_reason", "0", "epochs"] in rows  # --epochs 1
+    norms = [value for record, index, value in rows if record == "epoch_grad_norm"]
+    assert len(norms) == 1 and len(norms[0].split(".")[1]) == 8 and float(norms[0]) > 0
+
+
+def test_manifest_records_python_and_numpy_outside_the_run_id(capsys, tmp_path):
+    code, out, _ = run(
+        capsys, "synth-gen", "--seed", "1", "--places", "2", "--image-size", "16",
+        "--queries-per-place", "1", "--out", str(tmp_path),
+    )
+    assert code == 0
+    run_dir = Path(out.strip().splitlines()[-1])
+    assert run_dir.name == "6282da9dddf1"  # the run id before these keys
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
+
+
 @pytest.mark.parametrize("ns", ["1,,5", "a", "0,1", ""])
 def test_bad_ns_is_a_usage_error(capsys, tmp_path, ns):
     with pytest.raises(SystemExit) as exc:
@@ -298,6 +323,58 @@ def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError"
     assert f"{results}:3:" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "edit, needle",
+    [
+        (lambda f: [f[0], f[1], "-7", "zzz", f[4]], "ref_index -7 is outside the map's 6"),
+        (lambda f: [f[0], f[1], "6", f[3], f[4]], "ref_index 6 is outside"),
+        (lambda f: [f[0], f[1], f[2], "zzz", f[4]], "ref_id 'zzz' is not"),
+    ],
+    ids=["negative-index", "index-past-the-end", "wrong-id"],
+)
+def test_results_row_naming_a_reference_the_map_lacks_exits_one(
+    capsys, tmp_path, pipeline, edit, needle
+):
+    """With each query's first row rewritten, the first one is named."""
+    ds, model, dmap = pipeline
+    code, out, _ = run(
+        capsys, "retrieve", "--map", dmap, "--model", model, "--dataset", ds,
+        "--k", "3", "--out", str(tmp_path / "ret"),
+    )
+    assert code == 0
+    results = Path(out.strip().splitlines()[-1]) / "results.csv"
+    lines = results.read_text().splitlines()
+    for i in range(1, len(lines), 3):  # rank 0 of each query
+        lines[i] = ",".join(edit(lines[i].split(",")))
+    results.write_text("\n".join(lines) + "\n")
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", dmap, "--dataset", ds,
+        "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert f"{results}:2: {needle}" in record["message"]
+    assert not (tmp_path / "ev").exists()
+
+
+def test_second_row_for_a_query_and_rank_exits_one_naming_it(capsys, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text(
+        "query_id,rank,ref_index,ref_id,distance\n"
+        "q0,0,1,r1,0.5\nq0,1,2,r2,0.6\nq1,0,1,r1,0.5\n\nq0,1,0,r0,0.7\n"
+    )
+    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results row fails first
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
+        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert f"{results}:6: a second row for query 'q0' at rank 1" in record["message"]
 
 
 def test_results_file_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
@@ -569,6 +646,19 @@ def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, val
     assert record["error"] == "VprError" and field in record["message"]
 
 
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_pretrain_multiplicity_below_one_exits_one(capsys, tmp_path, value):
+    code, _, err = run(
+        capsys, "pretrain", "--dataset", str(tmp_path), "--seed", "1",
+        "--multiplicity", value, "--out", str(tmp_path / "pre"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "InvalidMultiplicity"
+    assert f"aug_multiplicity must be at least 1, got {value}" in record["message"]
+    assert not (tmp_path / "pre").exists()
+
+
 @pytest.mark.parametrize(
     "argv, error, needle",
     [
@@ -708,3 +798,171 @@ def test_every_subcommand_exits_zero_and_records_its_run(capsys, tmp_path):
         ["project", "--maps", f"{dmap},{tmp_path / 'other.vprm'}"],
         None, {"map:map", "map:other"},
     )
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """main's exit code, a usage error's included, and its stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_exit_contract(code: int, err: str) -> None:
+    assert code in (0, 1, 2)
+    if code == 1:
+        record = json.loads(err.strip().splitlines()[-1])
+        assert set(record) == {"error", "message"}
+
+
+# What every synth-gen number flag is drawn from besides its valid and
+# boundary values: zero, negatives, nan and infinities, text and empty.
+_BAD_NUMBERS = ["0", "-1", "-7", "nan", "inf", "-inf", "abc", "1.5", "1e3", ""]
+
+
+def _number(valid, boundary):
+    """A number flag's (valid values, any other values)."""
+    return valid.map(str), st.sampled_from(boundary + _BAD_NUMBERS)
+
+
+_STYLES = (
+    st.sampled_from([
+        "palette=0,family=blocks", "palette=3,family=stripes,hue=35,brightness=-0.2",
+        "family=gradients,contrast=1.4,noise=0.05", "palette=-9", "",
+    ]),
+    st.sampled_from([
+        "x", "palette", "hue=abc", "family=dots", "noise=-1", "contrast=0", "hue=nan",
+        "brightness=inf", "palette=1e9",
+    ]),
+)
+
+# Each flag's (valid values, other values) and where it may be given: on
+# the command line, in the --config file, or not at all.  Nothing bounds --places or
+# --image-size from above, so they stay at most 8 and 32 and are always
+# given; --seed is required on the command line.
+_SYNTH_FLAGS = {
+    "--places": (_number(st.integers(2, 8), ["1", "2", "8"]), ["argv", "config"]),
+    "--image-size": (_number(st.integers(16, 32), ["15", "16", "32"]), ["argv", "config"]),
+    "--queries-per-place": (_number(st.integers(1, 2), ["1", "3"]), ["argv", "config", None]),
+    "--spacing": (
+        _number(st.floats(0.5, 100.0), ["1e-300", "5e-324", "1e308"]),
+        ["argv", "config", None],
+    ),
+    "--jitter": (_number(st.integers(0, 4), ["15", "16", "31", "32"]), ["argv", "config", None]),
+    "--seed": (_number(st.integers(0, 2**32 - 1), ["4294967296", str(2**70)]), ["argv"]),
+    "--ref-style": (_STYLES, ["argv", "config", None]),
+    "--query-style": (_STYLES, ["argv", "config", None]),
+}
+
+
+@st.composite
+def synth_gen_flags(draw):
+    """Each flag's value and place; half the draws use valid values only,
+    as a bad value in any of eight flags would make most runs fail."""
+    clean = draw(st.booleans())
+    return {
+        flag: (draw(valid if clean else valid | other), draw(st.sampled_from(places)))
+        for flag, ((valid, other), places) in _SYNTH_FLAGS.items()
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(flags=synth_gen_flags())
+def test_synth_gen_argv_property(flags):
+    """Whatever the flags, main exits 0, 1 or 2 and nothing escapes it;
+    exit 1 prints a JSON error record, and exit 0 leaves a dataset that
+    loads back with --places references."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["synth-gen", "--out", tmp]
+        config = []
+        for flag, (value, place) in flags.items():
+            if place == "argv":
+                argv += [flag, value]
+            elif place == "config":
+                config.append(f"{flag[2:]} = {value}")
+        if config:
+            Path(tmp, "exp.cfg").write_text("\n".join(config) + "\n")
+            argv += ["--config", str(Path(tmp, "exp.cfg"))]
+        code, err = run_main(argv)
+        assert_exit_contract(code, err)
+        if code == 0:
+            (run_dir,) = [p for p in Path(tmp).iterdir() if p.is_dir()]
+            loaded = vk.load_dataset(run_dir / "dataset")
+            assert len(loaded.references) == int(flags["--places"][0])
+
+
+@pytest.fixture(scope="module")
+def small_map(tmp_path_factory):
+    """A saved 3-place world and its map: (dataset directory, map file,
+    the map's ids, the query ids)."""
+    root = tmp_path_factory.mktemp("small")
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=3, spacing=30.0, reference_style=vk.StyleParams(),
+            query_style=vk.StyleParams(), queries_per_place=1, image_size=16, seed=3,
+        )
+    )
+    vk.save_dataset(world, root / "ds")
+    dmap = vk.build_map(world, vk.init_model(hidden_dims=[8], output_dim=4, seed=1))
+    vk.save_map(dmap, root / "map.vprm")
+    return root / "ds", root / "map.vprm", dmap.ids, [q.id for q in world.queries]
+
+
+_GARBAGE_ROWS = [
+    "x", "q0_0,0,1", "q0_0,zero,1,r1,0.5", "q0_0,0,1,r1,0.5,9", "q0_0,0,1.5,r1,0.5",
+    "q0_0,0,1,r1,far", ",,,,",
+]
+
+
+@st.composite
+def results_rows(draw, ids, query_ids):
+    """(row text, fault): fault is None, "malformed", "map" (the map holds
+    no such reference at that index) or "query" (the dataset has no such
+    query)."""
+    kind = draw(st.sampled_from(
+        ["good", "good", "good", "index", "id", "query", "garbage", "blank"]
+    ))
+    if kind == "garbage":
+        return draw(st.sampled_from(_GARBAGE_ROWS)), "malformed"
+    if kind == "blank":
+        return draw(st.sampled_from(["", "   "])), None
+    qid = "nope" if kind == "query" else draw(st.sampled_from(query_ids))
+    rank = draw(st.integers(-2, 4))
+    idx = draw(st.integers(0, len(ids) - 1))
+    rid = ids[idx]
+    if kind == "index":
+        idx = draw(st.integers(-10, -1) | st.integers(len(ids), len(ids) + 5))
+        rid = draw(st.sampled_from([*ids, "zzz"]))
+    elif kind == "id":
+        rid = draw(st.sampled_from(["zzz", "", ids[(idx + 1) % len(ids)]]))
+    dist = draw(st.floats(allow_nan=True, allow_infinity=True))
+    fault = {"index": "map", "id": "map", "query": "query"}.get(kind)
+    return f"{qid},{rank},{idx},{rid},{dist!r}", fault
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_evaluate_results_property(small_map, data):
+    """evaluate exits 0 exactly when every row parses, no (query, rank)
+    pair repeats, each row names the map's reference at its index and
+    each query is the dataset's; otherwise 1, with a JSON error record."""
+    ds, dmap, ids, query_ids = small_map
+    rows = data.draw(st.lists(results_rows(ids, query_ids), max_size=8))
+    pairs = [text.split(",")[:2] for text, fault in rows
+             if text.strip() and fault != "malformed"]
+    repeated = len({tuple(pair) for pair in pairs}) < len(pairs)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp, "results.csv")
+        lines = ["query_id,rank,ref_index,ref_id,distance", *(text for text, _ in rows)]
+        results.write_text("\n".join(lines) + "\n")
+        code, err = run_main([
+            "evaluate", "--results", str(results), "--map", str(dmap), "--dataset", str(ds),
+            "--out", str(Path(tmp, "ev")),
+        ])
+        assert_exit_contract(code, err)
+        assert code == (1 if repeated or any(fault for _, fault in rows) else 0)
+        if code == 0:
+            assert len(list(Path(tmp, "ev").glob("*/report.csv"))) == 1

@@ -253,6 +253,8 @@ class TestBatchedHinge:
         ("seed", -1),
         ("early_stop_patience", 0),
         ("early_stop_patience", -1),
+        ("aug_multiplicity", 0),
+        ("aug_multiplicity", -1),
     ],
 )
 def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):
@@ -823,6 +825,56 @@ def test_log_times_each_epochs_stages(case, tiny_world_module, labeled_split):
         assert min(seconds) >= 0 and sum(seconds) <= total
 
 
+@pytest.mark.parametrize(
+    "epochs, recalls, reason, ran",
+    [
+        (4, [0.2, 0.4, 0.4, 0.6], "epochs", 4),
+        (0, [], "epochs", 0),
+        (9, [0.6, 0.4, 0.2, 0.8], "patience", 3),  # patience 2 fires after epoch 2
+        (3, [0.6, 0.4, 0.2], "patience", 3),  # it fires in the last epoch
+    ],
+)
+def test_log_says_why_training_stopped(
+    epochs, recalls, reason, ran, tiny_world_module, monkeypatch
+):
+    scores = iter(recalls)  # epoch e validates at recalls[e]
+    monkeypatch.setattr(
+        vk.rsf, "evaluate_model",
+        lambda *a, **k: vk.RecallReport("", "", [1], [next(scores)], 1, 1),
+    )
+    stream = vk.FinetuneDataset(tiny_world_module.references, 1, vk.AugmentationSpec(), seed=0)
+    config = vk.TrainConfig(epochs=epochs, batch_size=4, early_stop_patience=2)
+    model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+    _, log = vk.train(model, stream, config, validation=tiny_world_module)
+    assert log.stop_reason == reason
+    assert len(log.epoch_seconds) == len(log.epoch_grad_norm) == ran
+
+
+@pytest.mark.parametrize("case, batch_size", [("pose-rsf", 4), ("labeled-ragged-batches", 5)])
+def test_epoch_grad_norm_is_the_mean_applied_gradient_norm(
+    case, batch_size, tiny_world_module, labeled_split, monkeypatch
+):
+    """Per epoch, the mean over its steps of the L2 norm of every weight
+    and bias gradient as applied, which the log only reads."""
+    norms = []
+    step = vk.rsf.apply_gradients
+
+    def recording(model, grads, lr):
+        arrays = grads.weights + grads.biases
+        norms.append(np.sqrt(sum(np.sum(np.square(g)) for g in arrays)))
+        step(model, grads, lr)
+
+    monkeypatch.setattr(vk.rsf, "apply_gradients", recording)
+    model, log = TRAINING_BITS[case][0](tiny_world_module, labeled_split)
+    assert model.fingerprint_hex() == TRAINING_BITS[case][1]
+    steps = [-(-triplets // batch_size) for triplets in log.epoch_triplets]
+    assert sum(steps) == len(norms) == len(log.step_losses)
+    ends = np.cumsum(steps)
+    want = [np.mean(norms[end - n : end]) for n, end in zip(steps, ends)]
+    assert all(type(v) is float and v > 0 for v in log.epoch_grad_norm)
+    np.testing.assert_allclose(log.epoch_grad_norm, want, rtol=1e-12)
+
+
 def _counting_extractions(monkeypatch) -> list:
     """Patch extract_raw to record each record it extracts; returns the list."""
     extracted = []
@@ -953,3 +1005,54 @@ class TestStreamReuse:
         for _ in range(2):
             with pytest.raises(InconsistentManifest, match="'r0' has no pose"):
                 vk.rsf_finetune(model, ds, dataclasses.replace(config, poseless=False), appearance)
+
+
+class TestStreamEquality:
+    """Streams are equal by record identity, multiplicity, spec and seed."""
+
+    def test_equal_streams_hold_the_same_records(self, tiny_world_module):
+        refs = tiny_world_module.references
+        spec = vk.AugmentationSpec.from_string("appearance")
+        stream = vk.FinetuneDataset(refs, 2, spec, 3)
+        same_spec = vk.AugmentationSpec.from_string("appearance")
+        assert stream == vk.FinetuneDataset(tuple(refs), 2, same_spec, 3)
+        stream.epoch_raws(0)  # kept epochs are not compared
+        assert stream == vk.FinetuneDataset(list(refs), 2, spec, 3)
+        copies = [vk.ImageRecord(r.id, r.pixels.copy(), r.pose) for r in refs]
+        others = [
+            vk.FinetuneDataset(refs, 3, spec, 3),
+            vk.FinetuneDataset(refs, 2, vk.AugmentationSpec(), 3),
+            vk.FinetuneDataset(refs, 2, spec, 4),
+            vk.FinetuneDataset(refs[::-1], 2, spec, 3),
+            vk.FinetuneDataset(refs[:-1], 2, spec, 3),
+            vk.FinetuneDataset(refs + refs[:1], 2, spec, 3),
+            # Equal pixels, poses and ids are still other records.
+            vk.FinetuneDataset(copies, 2, spec, 3),
+        ]
+        assert all(stream != other for other in others)
+        assert stream != None  # noqa: E711
+
+    def test_a_none_stream_realizes_one_epoch(self, monkeypatch):
+        world = _tiny_world()
+        n = len(world.references)
+        extracted = _counting_extractions(monkeypatch)
+        for ref in world.references:
+            ref.raw
+        none = vk.AugmentationSpec.from_string("none")
+        stream = vk.FinetuneDataset(world.references, 3, none, 2)
+        first = stream.epoch_raws(0)
+        assert all(stream.epoch_raws(epoch) is first for epoch in (1, 7, 50))
+        assert len(extracted) == n + 3 * n and len(stream._epochs) == 1
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        vk.train(model, stream, vk.TrainConfig(epochs=4, early_stop_patience=99))
+        assert len(extracted) == n + 3 * n
+
+    def test_a_none_streams_poseless_negatives_still_follow_the_epoch(self, tiny_world_module):
+        stream = vk.FinetuneDataset(
+            tiny_world_module.references, 4, vk.AugmentationSpec.from_string("none"), 5
+        )
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        config = vk.TrainConfig(poseless=True)
+        (_, _, first), _ = vk.mine_triplets(model, stream, config, epoch=0)
+        (_, _, second), _ = vk.mine_triplets(model, stream, config, epoch=1)
+        assert first.tolist() != second.tolist()
