@@ -12,7 +12,9 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
+import time
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -245,6 +247,22 @@ def _write_report(ctx: RunContext, reports, stem: str) -> None:
         print(line)
 
 
+def _append_event(ctx: RunContext, wall_s: float) -> None:
+    """Append the run's command, wall seconds and peak resident memory, of
+    this process and of its reaped children (the realization workers), to
+    events.jsonl in its run directory.  They are measurements, so they
+    stay out of the manifest and the run id."""
+    mb = 2**20 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes there, KiB on Linux
+    event = {
+        "command": ctx.command,
+        "wall_s": wall_s,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb,
+        "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / mb,
+    }
+    with open(ctx.run_dir / "events.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(event) + "\n")
+
+
 # ---------------------------------------------------------------- commands
 # Each command fills the run that _run_context opens and returns it; main
 # writes its manifest.
@@ -331,9 +349,10 @@ def _read_results(path: Path) -> list[_ResultsRow]:
 
 
 def _ranked_results(rows: list[_ResultsRow], dmap: DescriptorMap) -> list[RetrievalResult]:
-    """Each query's rows in rank order; a row naming a reference the map
-    does not hold at its index is a VprError naming its line."""
-    by_query: dict[str, list[tuple[int, int, float]]] = {}
+    """Each query's rows in rank order.  A row naming a reference the map
+    does not hold at its index, or a query whose ranks are not 0, 1, ...,
+    k - 1, is a VprError naming a line."""
+    by_query: dict[str, list[tuple[int, int, float, str]]] = {}
     for where, qid, rank, idx, rid, dist in rows:
         if not 0 <= idx < dmap.size:
             raise VprError(f"{where}: ref_index {idx} is outside the map's {dmap.size} references")
@@ -341,11 +360,18 @@ def _ranked_results(rows: list[_ResultsRow], dmap: DescriptorMap) -> list[Retrie
             raise VprError(
                 f"{where}: ref_id {rid!r} is not {dmap.ids[idx]!r}, the map's id at {idx}"
             )
-        by_query.setdefault(qid, []).append((rank, idx, dist))
-    return [
-        RetrievalResult(query_id=qid, ranked=[(i, d) for _, i, d in sorted(entries)])
-        for qid, entries in by_query.items()
-    ]
+        by_query.setdefault(qid, []).append((rank, idx, dist, where))
+    results = []
+    for qid, entries in by_query.items():
+        entries.sort()  # by rank alone: each (query, rank) is one row
+        for expected, (rank, _, _, where) in enumerate(entries):
+            if rank != expected:
+                raise VprError(
+                    f"{where}: query {qid!r} has rank {rank} where rank {expected} is due; "
+                    "a query's ranks must be 0, 1, 2, ..."
+                )
+        results.append(RetrievalResult(qid, [(i, d) for _, i, d, _ in entries]))
+    return results
 
 
 def cmd_evaluate(args) -> RunContext:
@@ -545,6 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    start = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -552,7 +579,10 @@ def main(argv: list[str] | None = None) -> int:
         if hasattr(args, "ns"):
             args.ns = _parse_ns(args.ns)
         _check_inputs(args)
-        print(args.fn(args).finalize().parent)
+        ctx = args.fn(args)
+        ctx.finalize()
+        _append_event(ctx, time.perf_counter() - start)
+        print(ctx.run_dir)
         return 0
     except argparse.ArgumentTypeError as exc:
         parser.error(str(exc))  # usage error: exits 2

@@ -10,9 +10,15 @@ engine also pretrains on a labeled dataset with real queries.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,6 +91,8 @@ class FinetuneDataset:
     _epochs: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    # Set while a train() call over this stream runs (_Workers).
+    _workers: _Workers | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
@@ -94,33 +102,122 @@ class FinetuneDataset:
 
     def realize_epoch(self, epoch: int) -> list[tuple[int, ImageRecord]]:
         """Deterministic given (seed, epoch); fresh ops per epoch."""
-        return list(self._realize(epoch))
+        return list(self._realize(epoch, range(len(self.references) * self.multiplicity)))
 
-    def _realize(self, epoch: int) -> Iterator[tuple[int, ImageRecord]]:
-        for i, ref in enumerate(self.references):
-            for m in range(self.multiplicity):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence([self.seed, epoch, i, m])
-                )
-                op = sample_op(self.augmentation_spec, rng)
-                yield i, apply(ref, op, rng)
+    def _realize(self, epoch: int, copies: range) -> Iterator[tuple[int, ImageRecord]]:
+        """The epoch's copies k in ``copies``: copy k is draw k % M of
+        reference k // M, seeded by its own [seed, epoch, i, m]."""
+        for k in copies:
+            i, m = divmod(k, self.multiplicity)
+            rng = np.random.default_rng(
+                np.random.SeedSequence([self.seed, epoch, i, m])
+            )
+            op = sample_op(self.augmentation_spec, rng)
+            yield i, apply(self.references[i], op, rng)
+
+    def _raws(self, epoch: int, start: int, stop: int) -> np.ndarray:
+        """The (stop - start, RAW_DIM) raws of the epoch's copies start to
+        stop - 1.  Each realized image is dropped once its raw is read."""
+        return np.stack([query.raw for _, query in self._realize(epoch, range(start, stop))])
 
     def epoch_raws(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
         """The epoch's (N*M,) int64 source indices and (N*M, RAW_DIM) query
         raws, both read-only.  The backbone is frozen, so they depend on the
         stream alone, never on the model: each epoch is realized and
-        extracted on first use and kept.  Each realized image is dropped
-        once its raw is read.  A spec that enables no category draws
-        nothing, so each of its epochs is epoch 0."""
+        extracted on first use and kept, across the allowed CPUs while
+        train() runs over the stream.  A spec that enables no category
+        draws nothing, so each of its epochs is epoch 0."""
         if not self.augmentation_spec.categories:
             epoch = 0
         if epoch not in self._epochs:
-            rows = [(src, query.raw) for src, query in self._realize(epoch)]
-            sources = np.array([src for src, _ in rows], dtype=np.int64)
-            raws = np.stack([raw for _, raw in rows])
+            sources = np.repeat(np.arange(len(self.references), dtype=np.int64), self.multiplicity)
+            workers = self._workers
+            raws = self._raws(epoch, 0, len(sources)) if workers is None else workers.raws(epoch)
             sources.flags.writeable = raws.flags.writeable = False
             self._epochs[epoch] = sources, raws
         return self._epochs[epoch]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the Exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return exc
+
+
+class _Workers:
+    """Forked processes that realize and extract a stream's new epochs
+    with this one, for one train() call over the stream (a ``with`` block).
+
+    Each epoch's copies are split into contiguous slices: the workers do
+    every slice but the last, and this process the last.  There is one
+    worker per allowed CPU beyond the first, at most one per copy beyond
+    the first, and none without the fork start method or while another
+    thread runs.  They fork on the first epoch realized, so a stream whose
+    epochs are all kept forks nothing, and are joined when the block ends.
+    Each copy's draws depend only on its own seed and each raw only on its
+    own pixels, so the split moves no bit.  A slice's exception is raised
+    as the copies' order would raise it inline: the earliest slice's first.
+    """
+
+    def __init__(self, stream: FinetuneDataset):
+        self.stream = stream
+        self.started: list[tuple[multiprocessing.Process, Connection]] | None = None
+
+    def __enter__(self) -> _Workers:
+        self.stream._workers = self
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stream._workers = None
+        for _, conn in self.started or ():
+            conn.close()  # the worker's recv ends
+        for process, _ in self.started or ():
+            process.join()
+
+    def raws(self, epoch: int) -> np.ndarray:
+        copies = len(self.stream.references) * self.stream.multiplicity
+        if self.started is None:
+            self.started = []
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+            # A fork copies only the calling thread: unsafe beside other threads.
+            if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+                for _ in range(min(cpus, copies) - 1):
+                    self._fork()
+        parts = len(self.started) + 1
+        bounds = [copies * k // parts for k in range(parts + 1)]
+        for (_, conn), start, stop in zip(self.started, bounds, bounds[1:]):
+            conn.send((epoch, start, stop))
+        last = _outcome(self.stream._raws, epoch, bounds[-2], bounds[-1])
+        slices = [conn.recv() for _, conn in self.started] + [last]
+        for part in slices:
+            if isinstance(part, Exception):
+                raise part
+        return np.concatenate(slices)
+
+    def _fork(self) -> None:
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+        parent_ends = [ours, *(end for _, end in self.started)]
+        process = context.Process(
+            target=_serve, args=(self.stream, theirs, parent_ends), daemon=True
+        )
+        process.start()
+        theirs.close()
+        self.started.append((process, ours))
+
+
+def _serve(stream: FinetuneDataset, conn: Connection, parent_ends: list[Connection]) -> None:
+    """A worker: realize each slice asked for until the parent's end closes.
+    It closes its copies of the parent's ends, so that their closing, or
+    the parent exiting, ends it; Ctrl-C is the parent's to handle."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    with contextlib.suppress(EOFError, OSError):
+        while True:
+            conn.send(_outcome(stream._raws, *conn.recv()))
 
 
 @dataclass
@@ -322,79 +419,82 @@ def train(
     best_val = -np.inf
     stale = 0
 
-    for epoch in range(config.epochs):
-        tic = time.perf_counter()
-        if labeled_rows is None:
-            triplets, skipped = mine_triplets(model, data, config, epoch)
-        else:
-            triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
-        mined = time.perf_counter()
-        q_raws, positives, negatives = triplets
-        if not len(positives):
-            raise VprError(
-                f"epoch {epoch} mined no triplet: {skipped} queries skipped for lack "
-                "of a positive or of a reference beyond negative_radius"
-            )
-        log.epoch_skipped_queries.append(skipped)
-        order = np.random.default_rng(
-            np.random.SeedSequence([config.seed, epoch, 0x5F0F])
-        ).permutation(len(positives))
-
-        epoch_losses: list[float] = []
-        grad_norms: list[float] = []
-        active = 0
-        stepping = time.perf_counter()
-        for start in range(0, len(order), config.batch_size):
-            b = order[start : start + config.batch_size]
-            n = len(b)
-            raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
-            trace = _trace(model, raws)
-            losses, upstream = _hinge(trace[0].reshape(3, n, -1), config.margin)
-            if not np.isfinite(losses).all():
-                raise NumericalDivergence(
-                    f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
+    # A stream realizes its new epochs across the allowed CPUs (_Workers).
+    realizing = contextlib.nullcontext() if labeled_rows is not None else _Workers(data)
+    with realizing:
+        for epoch in range(config.epochs):
+            tic = time.perf_counter()
+            if labeled_rows is None:
+                triplets, skipped = mine_triplets(model, data, config, epoch)
+            else:
+                triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
+            mined = time.perf_counter()
+            q_raws, positives, negatives = triplets
+            if not len(positives):
+                raise VprError(
+                    f"epoch {epoch} mined no triplet: {skipped} queries skipped for lack "
+                    "of a positive or of a reference beyond negative_radius"
                 )
-            active += int(np.count_nonzero(losses))
-            grads = _backward(model, trace, upstream.reshape(3 * n, -1))
-            grads.scale(1.0 / n)
-            grad_norms.append(grads.norm())
-            apply_gradients(model, grads, config.learning_rate)
-            step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
-            log.step_losses.append(step_loss)
-            epoch_losses.append(step_loss)
+            log.epoch_skipped_queries.append(skipped)
+            order = np.random.default_rng(
+                np.random.SeedSequence([config.seed, epoch, 0x5F0F])
+            ).permutation(len(positives))
 
-        validating = time.perf_counter()
-        log.epoch_triplets.append(len(positives))
-        log.epoch_active_triplets.append(active)
-        log.epoch_grad_norm.append(float(np.mean(grad_norms)))
-        mean_loss = float(np.mean(epoch_losses))
-        log.epoch_mean_loss.append(mean_loss)
-        if validation is not None:
-            report = evaluate_model(
-                model, validation, radius=config.validation_radius, ns=(1,)
-            )
-            val_score = report.recalls[0]
-        else:
-            val_score = -mean_loss
-        log.epoch_val_recall1.append(val_score if validation is not None else np.nan)
-        done = time.perf_counter()
-        log.epoch_mine_seconds.append(mined - tic)
-        log.epoch_step_seconds.append(validating - stepping)
-        log.epoch_validate_seconds.append(done - validating)
-        log.epoch_seconds.append(done - tic)
+            epoch_losses: list[float] = []
+            grad_norms: list[float] = []
+            active = 0
+            stepping = time.perf_counter()
+            for start in range(0, len(order), config.batch_size):
+                b = order[start : start + config.batch_size]
+                n = len(b)
+                raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
+                trace = _trace(model, raws)
+                losses, upstream = _hinge(trace[0].reshape(3, n, -1), config.margin)
+                if not np.isfinite(losses).all():
+                    raise NumericalDivergence(
+                        f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
+                    )
+                active += int(np.count_nonzero(losses))
+                grads = _backward(model, trace, upstream.reshape(3 * n, -1))
+                grads.scale(1.0 / n)
+                grad_norms.append(grads.norm())
+                apply_gradients(model, grads, config.learning_rate)
+                step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
+                log.step_losses.append(step_loss)
+                epoch_losses.append(step_loss)
 
-        # >= keeps the latest epoch among ties: a saturated validation set
-        # must not freeze training at epoch 0.
-        if val_score >= best_val:
-            best_val = val_score
-            best_model = model.copy()
-            log.selected_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.early_stop_patience:
-                log.stop_reason = "patience"
-                break
+            validating = time.perf_counter()
+            log.epoch_triplets.append(len(positives))
+            log.epoch_active_triplets.append(active)
+            log.epoch_grad_norm.append(float(np.mean(grad_norms)))
+            mean_loss = float(np.mean(epoch_losses))
+            log.epoch_mean_loss.append(mean_loss)
+            if validation is not None:
+                report = evaluate_model(
+                    model, validation, radius=config.validation_radius, ns=(1,)
+                )
+                val_score = report.recalls[0]
+            else:
+                val_score = -mean_loss
+            log.epoch_val_recall1.append(val_score if validation is not None else np.nan)
+            done = time.perf_counter()
+            log.epoch_mine_seconds.append(mined - tic)
+            log.epoch_step_seconds.append(validating - stepping)
+            log.epoch_validate_seconds.append(done - validating)
+            log.epoch_seconds.append(done - tic)
+
+            # >= keeps the latest epoch among ties: a saturated validation set
+            # must not freeze training at epoch 0.
+            if val_score >= best_val:
+                best_val = val_score
+                best_model = model.copy()
+                log.selected_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.early_stop_patience:
+                    log.stop_reason = "patience"
+                    break
 
     return best_model, log
 

@@ -1,7 +1,20 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import vprkit as vk
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process running; end the process."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"child processes left running: {left}"
 
 
 @pytest.fixture(scope="session")

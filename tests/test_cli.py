@@ -233,6 +233,63 @@ def test_manifest_records_python_and_numpy_outside_the_run_id(capsys, tmp_path):
     assert (manifest["python"], manifest["numpy"]) == (platform.python_version(), np.__version__)
 
 
+def test_each_run_appends_its_wall_time_and_peak_memory_to_events(
+    capsys, tmp_path, pipeline, monkeypatch
+):
+    """One events.jsonl line per run, outside the manifest.  The children's
+    peak is the largest of every child process this one has reaped, here
+    the worker each run's RSF epoch forks on two CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    ds, model, _ = pipeline
+    argv = ["rsf", "--model", model, "--dataset", ds, "--seed", "5", "--epochs", "1",
+            "--out", str(tmp_path / "rsf")]
+    manifests = []
+    for runs in (1, 2):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        run_dir = Path(out.strip().splitlines()[-1])
+        manifests.append((run_dir / "manifest.json").read_bytes())
+        events = [json.loads(line) for line in (run_dir / "events.jsonl").read_text().splitlines()]
+        assert len(events) == runs
+        event = events[-1]
+        assert set(event) == {"command", "wall_s", "peak_rss_mb", "children_peak_rss_mb"}
+        assert event["command"] == "rsf"
+        assert min(event["wall_s"], event["peak_rss_mb"], event["children_peak_rss_mb"]) > 0
+    assert "events.jsonl" not in json.loads(manifests[0])["outputs"]
+    assert manifests[0] == manifests[1]
+
+
+def test_an_error_in_a_realization_worker_exits_one_with_its_record(
+    capsys, tmp_path, pipeline, monkeypatch
+):
+    """A reference whose copies cannot be extracted: the worker's
+    ShapeError is the inline run's record, and no run directory is left."""
+    ds, model, _ = pipeline
+    load = vk.load_dataset
+
+    def with_four_channels(path):
+        dataset = load(path)
+        ref = dataset.references[0]  # its copies are the worker's slice
+        ref.raw
+        ref.pixels = np.concatenate([ref.pixels, ref.pixels[..., :1]], axis=2)
+        return dataset
+
+    monkeypatch.setattr(vk.cli, "load_dataset", with_four_channels)
+    records = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        code, _, err = run(
+            capsys, "rsf", "--model", model, "--dataset", ds, "--seed", "5", "--epochs", "1",
+            "--augment", "none", "--out", str(tmp_path / "rsf"),
+        )
+        assert code == 1
+        records.append(json.loads(err.strip().splitlines()[-1]))
+    assert records[0] == records[1]
+    assert records[0]["error"] == "ShapeError"
+    assert records[0]["message"].startswith("image 'r0#identity': expected non-empty (H, W, 3)")
+    assert not (tmp_path / "rsf").exists()
+
+
 @pytest.mark.parametrize("ns", ["1,,5", "a", "0,1", ""])
 def test_bad_ns_is_a_usage_error(capsys, tmp_path, ns):
     with pytest.raises(SystemExit) as exc:
@@ -375,6 +432,44 @@ def test_second_row_for_a_query_and_rank_exits_one_naming_it(capsys, tmp_path):
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError"
     assert f"{results}:6: a second row for query 'q0' at rank 1" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "keep, renumber, line, needle",
+    [
+        ({2}, {}, 2, "rank 2 where rank 0 is due"),
+        ({0, 2}, {}, 3, "rank 2 where rank 1 is due"),
+        ({0, 1}, {1: -1}, 3, "rank -1 where rank 0 is due"),
+    ],
+    ids=["correct-only-at-rank-2", "rank-1-missing", "negative-rank"],
+)
+def test_a_query_whose_ranks_are_not_0_to_k_exits_one(
+    capsys, tmp_path, pipeline, keep, renumber, line, needle
+):
+    """A file that lists one query's rank-2 row alone scored R@1 on it as
+    if it were rank 0; such a query is refused, naming the row."""
+    ds, model, dmap = pipeline
+    code, out, _ = run(
+        capsys, "retrieve", "--map", dmap, "--model", model, "--dataset", ds,
+        "--k", "3", "--out", str(tmp_path / "ret"),
+    )
+    assert code == 0
+    results = Path(out.strip().splitlines()[-1]) / "results.csv"
+    header, *rows = results.read_text().splitlines()
+    first = [r.split(",") for r in rows[:3]]  # the first query, ranks 0 to 2
+    kept = [
+        [f[0], str(renumber.get(int(f[1]), f[1])), *f[2:]] for f in first if int(f[1]) in keep
+    ]
+    results.write_text("\n".join([header, *map(",".join, kept), *rows[3:]]) + "\n")
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", dmap, "--dataset", ds,
+        "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert record["message"].startswith(f"{results}:{line}: query {first[0][0]!r} has {needle}")
+    assert not (tmp_path / "ev").exists()
 
 
 def test_results_file_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
@@ -947,13 +1042,18 @@ def results_rows(draw, ids, query_ids):
 @given(data=st.data())
 def test_evaluate_results_property(small_map, data):
     """evaluate exits 0 exactly when every row parses, no (query, rank)
-    pair repeats, each row names the map's reference at its index and
-    each query is the dataset's; otherwise 1, with a JSON error record."""
+    pair repeats, each row names the map's reference at its index, each
+    query is the dataset's and its ranks are 0, 1, ...; otherwise 1, with
+    a JSON error record."""
     ds, dmap, ids, query_ids = small_map
     rows = data.draw(st.lists(results_rows(ids, query_ids), max_size=8))
     pairs = [text.split(",")[:2] for text, fault in rows
              if text.strip() and fault != "malformed"]
     repeated = len({tuple(pair) for pair in pairs}) < len(pairs)
+    ranks: dict[str, list[int]] = {}
+    for qid, rank in pairs:
+        ranks.setdefault(qid, []).append(int(rank))
+    gapped = any(sorted(r) != list(range(len(r))) for r in ranks.values())
     with tempfile.TemporaryDirectory() as tmp:
         results = Path(tmp, "results.csv")
         lines = ["query_id,rank,ref_index,ref_id,distance", *(text for text, _ in rows)]
@@ -963,6 +1063,6 @@ def test_evaluate_results_property(small_map, data):
             "--out", str(Path(tmp, "ev")),
         ])
         assert_exit_contract(code, err)
-        assert code == (1 if repeated or any(fault for _, fault in rows) else 0)
+        assert code == (1 if repeated or gapped or any(fault for _, fault in rows) else 0)
         if code == 0:
             assert len(list(Path(tmp, "ev").glob("*/report.csv"))) == 1

@@ -1,7 +1,9 @@
-import collections
 import dataclasses
 import gc
 import hashlib
+import multiprocessing
+import os
+import threading
 import weakref
 
 import numpy as np
@@ -615,17 +617,10 @@ class TestTrain:
             return out
 
         target, validation = world(9, "blocks"), world(4, "stripes")
-        counts = collections.Counter()
-        real = vk.embedding.extract_raw
-
-        def counting(rec):
-            counts[id(rec)] += 1
-            return real(rec)
-
-        monkeypatch.setattr(vk.embedding, "extract_raw", counting)
-        reused = calls(target, validation, lambda ds: ds)
         images = [*target.references, *target.queries, *validation.references, *validation.queries]
-        assert [counts[id(rec)] for rec in images] == [1] * len(images)
+        counts = Extractions(monkeypatch, images)
+        reused = calls(target, validation, lambda ds: ds)
+        assert [counts.of(rec) for rec in images] == [1] * len(images)
         assert reused == calls(target, validation, fresh)
 
     def test_determinism_bit_identical_parameters(self, tiny_world_module):
@@ -875,17 +870,30 @@ def test_epoch_grad_norm_is_the_mean_applied_gradient_norm(
     np.testing.assert_allclose(log.epoch_grad_norm, want, rtol=1e-12)
 
 
-def _counting_extractions(monkeypatch) -> list:
-    """Patch extract_raw to record each record it extracts; returns the list."""
-    extracted = []
-    real = vk.embedding.extract_raw
+class Extractions:
+    """Counts extract_raw calls, made here or in a forked realization
+    worker, in shared memory: one slot per watched record (a fork keeps
+    object ids) and a last one for every other record.  len() is the
+    number of calls."""
 
-    def counting(rec):
-        extracted.append(rec)
-        return real(rec)
+    def __init__(self, monkeypatch, watched=()):
+        self.slots = {id(rec): i for i, rec in enumerate(watched)}
+        self.counts = multiprocessing.Array("q", len(self.slots) + 1)
+        other = len(self.slots)
+        real = vk.embedding.extract_raw
 
-    monkeypatch.setattr(vk.embedding, "extract_raw", counting)
-    return extracted
+        def counting(rec):
+            with self.counts.get_lock():
+                self.counts[self.slots.get(id(rec), other)] += 1
+            return real(rec)
+
+        monkeypatch.setattr(vk.embedding, "extract_raw", counting)
+
+    def __len__(self):
+        return sum(self.counts[:])
+
+    def of(self, rec):
+        return self.counts[self.slots[id(rec)]]
 
 
 class TestStreamReuse:
@@ -896,7 +904,7 @@ class TestStreamReuse:
         self, monkeypatch
     ):
         _, params_sha, losses_sha = TRAINING_BITS["poseless-rsf"]
-        extracted = _counting_extractions(monkeypatch)
+        extracted = Extractions(monkeypatch)
         world = _tiny_world()
         _rsf_run()(world, None)
         before = len(extracted)
@@ -915,7 +923,7 @@ class TestStreamReuse:
         base = vk.TrainConfig(epochs=1, aug_multiplicity=2, seed=3)
         appearance = vk.AugmentationSpec.from_string("appearance")
         viewpoint = vk.AugmentationSpec.from_string("viewpoint")
-        extracted = _counting_extractions(monkeypatch)
+        extracted = Extractions(monkeypatch)
 
         def extractions(ds, spec=appearance, **changes):
             start = len(extracted)
@@ -1035,7 +1043,7 @@ class TestStreamEquality:
     def test_a_none_stream_realizes_one_epoch(self, monkeypatch):
         world = _tiny_world()
         n = len(world.references)
-        extracted = _counting_extractions(monkeypatch)
+        extracted = Extractions(monkeypatch)
         for ref in world.references:
             ref.raw
         none = vk.AugmentationSpec.from_string("none")
@@ -1056,3 +1064,118 @@ class TestStreamEquality:
         (_, _, first), _ = vk.mine_triplets(model, stream, config, epoch=0)
         (_, _, second), _ = vk.mine_triplets(model, stream, config, epoch=1)
         assert first.tolist() != second.tolist()
+
+
+def _cpus(monkeypatch, count):
+    """Let this process run on `count` CPUs, as the worker count reads it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _with_bad_pixels(world, bad):
+    """The world with each reference in `bad` given (H, W, 4) pixels after
+    its raw was read: the reference trains, but extracting any of its
+    copies is a ShapeError."""
+    for i in bad:
+        ref = world.references[i]
+        ref.raw
+        ref.pixels = np.concatenate([ref.pixels, ref.pixels[..., :1]], axis=2)
+    return world
+
+
+class TestWorkers:
+    """train() realizes each new epoch of a stream across the allowed CPUs,
+    with the bits, errors and counts of the inline path."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_refs=st.integers(1, 4),
+        label=st.sampled_from(["none", "appearance", "viewpoint", "appearance,viewpoint"]),
+        multiplicity=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        epoch=st.integers(0, 50),
+    )
+    def test_one_worker_realizes_the_bits_of_zero(self, n_refs, label, multiplicity, seed, epoch):
+        world = vk.generate_synthetic(
+            vk.SynthWorldSpec(
+                place_count=4, spacing=30.0, reference_style=vk.StyleParams(),
+                query_style=vk.StyleParams(), queries_per_place=1, image_size=16,
+                seed=seed % 1000,
+            )
+        )
+        spec = vk.AugmentationSpec.from_string(label)
+        realized = []
+        for cpus in (1, 2):
+            stream = vk.FinetuneDataset(world.references[:n_refs], multiplicity, spec, seed)
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                _cpus(monkeypatch, cpus)
+                with vk.rsf._Workers(stream) as workers:
+                    sources, raws = stream.epoch_raws(epoch)
+                    assert len(workers.started) == min(cpus, len(sources)) - 1
+            realized.append((sources.tobytes(), raws.tobytes()))
+        assert realized[0] == realized[1]
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "cpus, copies, forks", [(1, 10, 0), (2, 10, 1), (8, 3, 2), (8, 10, 7), (8, 1, 0)]
+    )
+    def test_one_worker_per_cpu_beyond_the_first_and_copy_beyond_the_first(
+        self, monkeypatch, cpus, copies, forks
+    ):
+        """Counted without forking: the raws are then this process's alone.
+        None fork beside another thread, or without the fork start method."""
+        calls = []
+        monkeypatch.setattr(vk.rsf._Workers, "_fork", lambda self: calls.append(1))
+        _cpus(monkeypatch, cpus)
+        stream = vk.FinetuneDataset(_tiny_world().references[:1], copies, vk.AugmentationSpec(), 0)
+        with vk.rsf._Workers(stream):
+            stream.epoch_raws(0)
+            stream.epoch_raws(1)
+        assert len(calls) == forks
+        calls.clear()
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            with vk.rsf._Workers(dataclasses.replace(stream)) as workers:
+                workers.raws(0)
+        finally:
+            done.set()
+            thread.join()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with vk.rsf._Workers(dataclasses.replace(stream)) as workers:
+            workers.raws(0)
+        assert not calls
+
+    def test_a_reused_stream_forks_nothing_and_no_worker_outlives_train(self, monkeypatch):
+        forks = []
+        fork = vk.rsf._Workers._fork
+
+        def counting(self):
+            forks.append(1)
+            fork(self)
+
+        monkeypatch.setattr(vk.rsf._Workers, "_fork", counting)
+        _cpus(monkeypatch, 2)
+        world = _tiny_world()
+        _rsf_run()(world, None)
+        assert len(forks) == 1 and not multiprocessing.active_children()
+        _rsf_run(poseless=True)(world, None)  # every epoch is kept
+        assert len(forks) == 1
+        assert world._rsf_stream._workers is None
+
+    @pytest.mark.parametrize("bad", [[0], [4], [0, 4]], ids=["worker", "parent", "both"])
+    def test_a_workers_error_is_the_inline_error(self, monkeypatch, bad):
+        """The earliest copy's error, with its class and message, whichever
+        process extracts it; no worker is left."""
+        config = vk.TrainConfig(epochs=1, aug_multiplicity=2, seed=3)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        none = vk.AugmentationSpec.from_string("none")
+        raised = []
+        for cpus in (1, 2):
+            _cpus(monkeypatch, cpus)
+            with pytest.raises(ShapeError) as exc:
+                vk.rsf_finetune(model, _with_bad_pixels(_tiny_world(), bad), config, none)
+            raised.append((type(exc.value), str(exc.value)))
+            assert not multiprocessing.active_children()
+        assert raised[0] == raised[1]
+        assert f"image 'r{bad[0]}#" in raised[0][1] and "(32, 32, 4)" in raised[0][1]
