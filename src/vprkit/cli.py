@@ -26,14 +26,14 @@ from .dataset import load_dataset, read_utf8, save_dataset, split_validation
 from .embedding import init_model, load_model, save_model
 from .errors import ShapeError, VprError
 from .evaluation import (
+    REPORT_HEADER,
     _csv_row,
     evaluate_model,
     format_matrix,
     format_recall,
     generalization_matrix,
-    ground_truth,
     project_2d,
-    recall_at_n,
+    score_results,
 )
 from .manifest import RunContext, atomic_write_text
 from .retrieval import DescriptorMap, RetrievalResult, build_map, load_map, retrieve_all, save_map
@@ -233,7 +233,7 @@ def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") 
 
 
 def _write_report(ctx: RunContext, reports, stem: str) -> None:
-    rows = ["model_fingerprint,dataset,N,recall,evaluated,total"]
+    rows = [REPORT_HEADER]
     text_lines = []
     for rep in reports:
         rows.extend(rep.rows())
@@ -382,19 +382,7 @@ def cmd_evaluate(args) -> RunContext:
     dmap = load_map(args.map)
     results = _ranked_results(rows, dmap)
     dataset = load_dataset(args.dataset)
-    gt = ground_truth(
-        dataset.query_poses,
-        dmap.poses,
-        args.radius,
-        query_ids=[q.id for q in dataset.queries],
-    )
-    report = recall_at_n(
-        results,
-        gt,
-        args.ns,
-        dataset=args.name,
-        model_fingerprint=dmap.model_fingerprint.hex(),
-    )
+    report = score_results(results, dataset, dmap, args.radius, args.ns, args.name)
     _write_report(ctx, [report], "report")
     return ctx
 
@@ -424,7 +412,7 @@ def cmd_xeval(args) -> RunContext:
     models = [(Path(p).stem, load_model(p)) for p in args.models.split(",")]
     datasets = [(Path(p).name, load_dataset(p)) for p in args.datasets.split(",")]
     matrix = generalization_matrix(models, datasets, args.radius, args.ns)
-    rows = ["model_fingerprint,dataset,N,recall,evaluated,total"]
+    rows = [REPORT_HEADER]
     for (mname, model), row in zip(models, matrix):
         for (dname, _), cell in zip(datasets, row):
             if isinstance(cell, Exception):

@@ -220,7 +220,8 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
 
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset back to the standard directory layout, each file
-    atomically. A record with no pose is an InconsistentManifest, raised
+    atomically. A record with no pose, or an id that load_dataset would
+    refuse or read back as another, is an InconsistentManifest, raised
     before any file is written."""
     root = Path(root_path)
     sides = [("references", "reference_poses.csv", dataset.references)]
@@ -235,8 +236,28 @@ def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
 
 
 def _pose_manifest(records: list[ImageRecord]) -> str:
-    """The records' pose manifest, in id order."""
+    """The records' pose manifest, in id order.  Each id must be one line's
+    first field as _read_pose_manifest splits it, and the stem of its file
+    as _load_side globs it: InconsistentManifest names the first that is
+    repeated, is not UTF-8, holds a comma, a line break, a NUL or a path
+    separator, starts with whitespace, or is empty."""
     records = sorted(records, key=lambda r: r.id)
+    for i, rec in enumerate(records):
+        if i and rec.id == records[i - 1].id:
+            raise InconsistentManifest(f"record id {rec.id!r} is repeated")
+        try:
+            rec.id.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InconsistentManifest(f"record id {rec.id!r} is not UTF-8") from None
+        if (
+            any(c in rec.id for c in ",\r\n\0")
+            or rec.id[:1].isspace()
+            or Path(f"{rec.id}.ppm").stem != rec.id
+        ):
+            raise InconsistentManifest(
+                f"record id {rec.id!r} would not load back: an id holds no comma, line "
+                "break, NUL or path separator, and is not empty or led by whitespace"
+            )
     lines = ["id,x_m,y_m"]
     lines += [f"{r.id},{p.x!r},{p.y!r}" for r, p in zip(records, record_poses(records))]
     return "\n".join(lines) + "\n"

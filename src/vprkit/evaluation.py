@@ -12,7 +12,7 @@ import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
 from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
-from .retrieval import RetrievalResult, _encode, build_map, knn
+from .retrieval import DescriptorMap, RetrievalResult, _encode, build_map, knn
 from .embedding import EmbeddingModel
 
 DEFAULT_RADIUS_M = 25.0
@@ -67,6 +67,9 @@ def ground_truth(
     return GroundTruth(matches)
 
 
+REPORT_HEADER = "model_fingerprint,dataset,N,recall,evaluated,total"
+
+
 @dataclass
 class RecallReport:
     """Recall@N values for one (model, dataset) pair."""
@@ -79,7 +82,7 @@ class RecallReport:
     evaluated_queries: int
 
     def rows(self) -> list[str]:
-        """Machine-readable CSV rows, one per cutoff. A field holding a
+        """CSV rows under REPORT_HEADER, one per cutoff. A field holding a
         comma, a quote or a line break is quoted as RFC 4180 says."""
         return [
             _csv_row([
@@ -160,11 +163,18 @@ def evaluate_model(
     k = min(max(ns), dmap.size)
     descs = _encode(model, dataset.queries)
     results = [knn(dmap, d, k, query_id=q.id) for q, d in zip(dataset.queries, descs)]
+    return score_results(results, dataset, dmap, radius, ns, name)
+
+
+def score_results(
+    results: list[RetrievalResult], dataset: Dataset, dmap: DescriptorMap,
+    radius: float, ns: tuple[int, ...], name: str,
+) -> RecallReport:
+    """Recall@N of results against the map: the ground truth matches the
+    dataset's query poses and ids to ``dmap.poses``, and the report
+    carries the map's model fingerprint."""
     gt = ground_truth(
-        dataset.query_poses,
-        dataset.reference_poses,
-        radius,
-        query_ids=[q.id for q in dataset.queries],
+        dataset.query_poses, dmap.poses, radius, query_ids=[q.id for q in dataset.queries]
     )
     return recall_at_n(
         results, gt, ns, dataset=name, model_fingerprint=dmap.model_fingerprint.hex()

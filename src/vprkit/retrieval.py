@@ -111,7 +111,7 @@ def knn(dmap: DescriptorMap, query: np.ndarray, k: int, query_id: str = "") -> R
        and subtraction, the rounding of the float64 distances in step 2,
        and float32 underflow.
     2. Every row scoring at most the k-th smallest score + 2E gets its
-       float64 distance, and the k nearest of those are returned.
+       float64 distance, and ``_rank`` returns the k nearest of those.
 
     No true neighbour is dropped: if row r is in the top k but scores
     above the k-th smallest score, one of the k lowest-scoring rows, j,
@@ -144,13 +144,21 @@ def knn(dmap: DescriptorMap, query: np.ndarray, k: int, query_id: str = "") -> R
     scores = sq - 2 * (dmap.descriptors @ q32)
     kth = np.partition(scores, k - 1)[k - 1]
     cand = np.flatnonzero(scores <= kth + 2 * err)
-    diffs = dmap.descriptors[cand].astype(np.float64) - query
+    idx, dists = _rank(dmap.descriptors, query, cand, k)
+    return RetrievalResult(query_id=query_id, ranked=list(zip(idx.tolist(), dists.tolist())))
+
+
+def _rank(
+    rows: np.ndarray, query: np.ndarray, cand: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k rows among ``cand`` nearest the float64 query, nearest first:
+    their indices and sqrt(sum((r - q)**2)) distances in float64 (float32
+    rows widen exactly), ties toward the lower index.  knn re-ranks its
+    shortlist with it and RSF mining picks its hard negatives with it."""
+    diffs = rows[cand] - query
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     order = np.lexsort((cand, dists))[:k]
-    return RetrievalResult(
-        query_id=query_id,
-        ranked=[(int(cand[i]), float(dists[i])) for i in order],
-    )
+    return cand[order], dists[order]
 
 
 def retrieve_all(
@@ -168,8 +176,14 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     """Binary layout: magic VPRM, version u16, D u32, N u64, flags u16
     (bit 0, unit-norm rows, is always set), N x D float32 LE, N x 2
     float64 poses, length-prefixed UTF-8 ids, 32-byte model fingerprint.
-    Written atomically."""
+    Written atomically.  Poses other than (N, 2), or a count of ids other
+    than N, is a ShapeError raised before any byte is written."""
     n, d = dmap.descriptors.shape
+    if np.shape(dmap.poses) != (n, 2) or len(dmap.ids) != n:
+        raise ShapeError(
+            f"a map of {n} rows needs ({n}, 2) poses and {n} ids, "
+            f"got {np.shape(dmap.poses)} poses and {len(dmap.ids)} ids"
+        )
     ids = []
     for i, rid in enumerate(dmap.ids):
         raw = rid.encode("utf-8")

@@ -34,6 +34,7 @@ from .errors import (
     VprError,
 )
 from .evaluation import evaluate_model
+from .retrieval import _rank
 
 _EPS = 1e-12
 
@@ -126,7 +127,10 @@ class FinetuneDataset:
         stream alone, never on the model: each epoch is realized and
         extracted on first use and kept, across the allowed CPUs while
         train() runs over the stream.  A spec that enables no category
-        draws nothing, so each of its epochs is epoch 0."""
+        draws nothing, so each of its epochs is epoch 0.  A stream over
+        zero references has no epoch: EmptyReferences."""
+        if not self.references:
+            raise EmptyReferences("a stream over zero references realizes no epoch")
         if not self.augmentation_spec.categories:
             epoch = 0
         if epoch not in self._epochs:
@@ -292,18 +296,6 @@ class TrainLog:
     stop_reason: str = ""  # "epochs": all configured epochs ran; "patience": stopped early
 
 
-def _hard_negatives(
-    q_desc: np.ndarray,
-    ref_descs: np.ndarray,
-    candidates: np.ndarray,
-    count: int,
-) -> list[int]:
-    diffs = ref_descs[candidates] - q_desc
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    order = np.lexsort((candidates, dists))
-    return [int(candidates[i]) for i in order[:count]]
-
-
 def _mine(
     model: EmbeddingModel,
     ref_raws: np.ndarray,
@@ -317,7 +309,7 @@ def _mine(
 
     A row is skipped when it has no positive (-1) or no reference lies
     beyond negative_radius; otherwise its negatives are the
-    feature-closest references beyond that radius.
+    feature-closest references beyond that radius, as knn ranks (_rank).
     """
     ref_descs = forward_batch(model, ref_raws)
     q_descs = forward_batch(model, query_raws)
@@ -329,7 +321,7 @@ def _mine(
         if positive < 0 or candidates.size == 0:
             skipped += 1
             continue
-        hard = _hard_negatives(q_descs[qi], ref_descs, candidates, config.negatives_per_query)
+        hard = _rank(ref_descs, q_descs[qi], candidates, config.negatives_per_query)[0].tolist()
         rows += [qi] * len(hard)
         negatives += hard
     picked = np.array(rows, dtype=np.int64)
@@ -351,8 +343,8 @@ def mine_triplets(
     references. Returns the triplets and the number of queries skipped for
     lack of candidates.
     """
-    ref_raws = np.stack([r.raw for r in finetune_ds.references])
     sources, query_raws = finetune_ds.epoch_raws(epoch)
+    ref_raws = np.stack([r.raw for r in finetune_ds.references])
     if not config.poseless:
         # Every realized query keeps its source's pose.
         ref_poses = np.asarray(record_poses(finetune_ds.references), dtype=np.float64)

@@ -80,6 +80,11 @@ def test_retrieve_then_evaluate_wiring(capsys, tmp_path, pipeline):
     assert rows[0] == "model_fingerprint,dataset,N,recall,evaluated,total"
     assert len(rows) == 3  # header + R@1 + R@5
     assert "R@1=" in out and "R@5=" in out
+    # build-map, retrieve and evaluate score as evaluate_model does in one call.
+    report = vk.evaluate_model(
+        vk.load_model(model), vk.load_dataset(ds), 25.0, (1, 5), name="dataset"
+    )
+    assert rows[1:] == report.rows()
 
 
 def test_every_report_row_parses_into_the_headers_fields(capsys, tmp_path, pipeline):

@@ -1,4 +1,5 @@
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import vprkit as vk
 from vprkit.dataset import Pose, save_dataset
 from vprkit.errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
-from vprkit.ppm import write_ppm
+from vprkit.ppm import quantize, write_ppm
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -233,6 +234,64 @@ def test_saving_a_record_without_a_pose_writes_no_file(tmp_path, side):
     with pytest.raises(InconsistentManifest, match="record 'b' has no pose"):
         save_dataset(ds, tmp_path / "ds")
     assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize(
+    "ids, named",
+    [(["a", "a"], "a"), (["a,b"], "a,b"), (["a\nb"], "a\nb"), ([""], ""), (["sub/x"], "sub/x"),
+     (["../../escaped"], "../../escaped"), ([" a"], " a"), (["a\rb"], "a\rb"),
+     (["\ud800"], "\ud800"), (["a\0b"], "a\0b")],
+)
+def test_an_id_that_would_not_load_back_is_named_and_writes_no_file(tmp_path, ids, named):
+    """Checked on the query side, after references that alone would save,
+    so nothing may be written before the check."""
+    rng = np.random.default_rng(0)
+    refs = [vk.ImageRecord("r0", rng.random((4, 4, 3)), Pose(0.0, 0.0))]
+    queries = [vk.ImageRecord(rid, rng.random((4, 4, 3)), Pose(1.0, 0.0)) for rid in ids]
+    with pytest.raises(InconsistentManifest, match=re.escape(repr(named))):
+        save_dataset(vk.Dataset(refs, queries), tmp_path / "a" / "b" / "ds")
+    assert list(tmp_path.rglob("*")) == []
+
+
+# Ids that load back, and ids the loader refuses or reads back as another.
+record_id = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["a", "a,b", "a\nb", "", "sub/x", "../../escaped", " a", "a ", ".", "..",
+                     "\x0ba", "x\x85y", "x\u2028y", "a\rb", "\ud800", "a\0b", "a.ppm"]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ref_ids=st.lists(record_id, max_size=4),
+    query_ids=st.lists(record_id, max_size=3),
+    xy=st.tuples(finite, finite),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_saved_dataset_loads_back_or_nothing_is_written(ref_ids, query_ids, xy, seed):
+    rng = np.random.default_rng(seed)
+
+    def records(ids):
+        return [
+            vk.ImageRecord(rid, rng.random((2, 3, 3)), Pose(xy[0] + i, xy[1]))
+            for i, rid in enumerate(ids)
+        ]
+
+    ds = vk.Dataset(records(ref_ids), records(query_ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp) / "a" / "b" / "ds"
+        try:
+            save_dataset(ds, root)
+        except VprError:
+            assert list(Path(tmp).rglob("*")) == []
+            return
+        back = vk.load_dataset(root)
+    for saved, loaded in ((ds.references, back.references), (ds.queries, back.queries)):
+        saved = sorted(saved, key=lambda r: r.id)
+        assert [r.id for r in loaded] == [r.id for r in saved]
+        assert [r.pose for r in loaded] == [r.pose for r in saved]
+        for a, b in zip(loaded, saved):
+            np.testing.assert_array_equal(a.pixels, quantize(b.pixels) / 255)
 
 
 def test_missing_pose_is_named_by_the_pose_lists(tiny_world):

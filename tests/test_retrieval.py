@@ -237,6 +237,21 @@ class TestMapSerialization:
         save_map(back, tmp_path / "m2.vprm")
         assert (tmp_path / "m2.vprm").read_bytes() == path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("poses", np.zeros((2, 3))), ("poses", np.zeros(4)), ("poses", np.zeros((3, 2))),
+         ("ids", ["r0"]), ("ids", ["r0", "r1", "r2"])],
+    )
+    def test_poses_or_ids_that_do_not_fit_the_rows_are_rejected_before_writing(
+        self, tmp_path, field, value
+    ):
+        """load_map would read such a file as truncated or with trailing bytes."""
+        dmap = toy_map([[1, 0], [0, 1]])
+        setattr(dmap, field, value)
+        with pytest.raises(ShapeError):
+            save_map(dmap, tmp_path / "m.vprm")
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "m.vprm"
         save_map(toy_map([[1, 0], [0, 1]]), path)

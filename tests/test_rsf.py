@@ -19,7 +19,8 @@ from vprkit.errors import (
     ShapeError,
     VprError,
 )
-from vprkit.rsf import _hard_negatives, _hinge, _labeled_rows, _mine
+from vprkit.retrieval import _rank
+from vprkit.rsf import _hinge, _labeled_rows, _mine
 
 
 def unit(v):
@@ -335,7 +336,7 @@ class TestMining:
             ref_descs[3] - q_desc
         )
         candidates = np.array([2, 3])
-        assert _hard_negatives(q_desc, ref_descs, candidates, 1) == [3]
+        assert _rank(ref_descs, q_desc, candidates, 1)[0].tolist() == [3]
 
     def test_mining_matches_brute_force_scan(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[16], output_dim=8, seed=6)
@@ -487,6 +488,15 @@ class TestTrain:
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         with pytest.raises(EmptyReferences):
             vk.train(model, data, vk.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("poseless", [False, True])
+    def test_mining_an_empty_stream_is_empty_references(self, poseless):
+        stream = vk.FinetuneDataset([], 1, vk.AugmentationSpec(), seed=0)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        with pytest.raises(EmptyReferences):
+            vk.mine_triplets(model, stream, vk.TrainConfig(poseless=poseless), epoch=0)
+        with pytest.raises(EmptyReferences):
+            stream.epoch_raws(0)
 
     def test_poseless_labeled_dataset_is_rejected(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
@@ -1114,6 +1124,31 @@ class TestWorkers:
             realized.append((sources.tobytes(), raws.tobytes()))
         assert realized[0] == realized[1]
         assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize(
+        "bad, label", [([], "appearance,viewpoint"), ([1], "none")], ids=["bits", "middle-error"]
+    )
+    def test_two_workers_realize_the_bits_and_errors_of_zero(self, monkeypatch, bad, label):
+        """Three CPUs fork two workers for five copies, split 1 / 2 / 2 with
+        this process last: the raws, or the error of copy 1 in the middle
+        slice, are the inline ones, and no worker is left."""
+        outcomes = []
+        for cpus in (1, 3):
+            _cpus(monkeypatch, cpus)
+            world = _with_bad_pixels(_tiny_world(), bad)
+            spec = vk.AugmentationSpec.from_string(label)
+            stream = vk.FinetuneDataset(world.references, 1, spec, seed=2)
+            with vk.rsf._Workers(stream) as workers:
+                try:
+                    sources, raws = stream.epoch_raws(0)
+                    outcomes.append((sources.tobytes(), raws.tobytes()))
+                except ShapeError as exc:
+                    outcomes.append((type(exc), str(exc)))
+                assert len(workers.started) == cpus - 1
+            assert not multiprocessing.active_children()
+        assert outcomes[0] == outcomes[1]
+        if bad:
+            assert outcomes[0][0] is ShapeError and "image 'r1#" in outcomes[0][1]
 
     @pytest.mark.parametrize(
         "cpus, copies, forks", [(1, 10, 0), (2, 10, 1), (8, 3, 2), (8, 10, 7), (8, 1, 0)]
