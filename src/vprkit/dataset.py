@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,8 +35,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
-from .manifest import atomic_write_text
-from .ppm import read_ppm, write_ppm
+from .manifest import atomic_write_text, temp_name_bytes
+from .ppm import check_pixels, read_ppm, write_ppm
 
 EARTH_RADIUS_M = 6378137.0
 
@@ -220,14 +221,20 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
 
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset back to the standard directory layout, each file
-    atomically. A record with no pose, or an id that load_dataset would
-    refuse or read back as another, is an InconsistentManifest, raised
-    before any file is written."""
+    atomically.  Every record is checked before any file is written: a
+    record with no pose or a non-finite one, or an id that load_dataset
+    would refuse or read back as another, is an InconsistentManifest, and
+    pixels that write_ppm would refuse raise its ShapeError or
+    NonFiniteValue.  Each names the record's id."""
     root = Path(root_path)
     sides = [("references", "reference_poses.csv", dataset.references)]
     if dataset.queries:
         sides.append(("queries", "query_poses.csv", dataset.queries))
-    manifests = [_pose_manifest(records) for _, _, records in sides]
+    manifests = []
+    for images, _, records in sides:
+        manifests.append(_pose_manifest(records, _name_max(root / images)))
+        for rec in records:
+            check_pixels(rec.pixels, f"image {rec.id!r}")
     for (images, manifest, records), text in zip(sides, manifests):
         (root / images).mkdir(parents=True, exist_ok=True)
         for rec in records:
@@ -235,12 +242,25 @@ def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
         atomic_write_text(root / manifest, text)
 
 
-def _pose_manifest(records: list[ImageRecord]) -> str:
+def _name_max(directory: Path) -> int:
+    """The longest file name, in bytes, that the file system of
+    ``directory`` takes, read at its nearest existing ancestor; 255 where
+    the system cannot tell."""
+    existing = next(p for p in (directory, *directory.parents) if p.exists())
+    try:
+        return os.pathconf(existing, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        return 255
+
+
+def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
     """The records' pose manifest, in id order.  Each id must be one line's
     first field as _read_pose_manifest splits it, and the stem of its file
     as _load_side globs it: InconsistentManifest names the first that is
     repeated, is not UTF-8, holds a comma, a line break, a NUL or a path
-    separator, starts with whitespace, or is empty."""
+    separator, starts with whitespace, or is empty, and the first whose
+    file's names are longer than ``name_max`` bytes or whose pose is not
+    finite."""
     records = sorted(records, key=lambda r: r.id)
     for i, rec in enumerate(records):
         if i and rec.id == records[i - 1].id:
@@ -258,8 +278,18 @@ def _pose_manifest(records: list[ImageRecord]) -> str:
                 f"record id {rec.id!r} would not load back: an id holds no comma, line "
                 "break, NUL or path separator, and is not empty or led by whitespace"
             )
+        name_bytes = temp_name_bytes(f"{rec.id}.ppm")
+        if name_bytes > name_max:
+            raise InconsistentManifest(
+                f"record id {rec.id!r} is too long: writing its file takes a name of "
+                f"{name_bytes} bytes, and this file system's are at most {name_max}"
+            )
     lines = ["id,x_m,y_m"]
-    lines += [f"{r.id},{p.x!r},{p.y!r}" for r, p in zip(records, record_poses(records))]
+    for rec, pose in zip(records, record_poses(records)):
+        x, y = float(pose.x), float(pose.y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise InconsistentManifest(f"record {rec.id!r} has a non-finite pose {pose}")
+        lines.append(f"{rec.id},{x!r},{y!r}")
     return "\n".join(lines) + "\n"
 
 

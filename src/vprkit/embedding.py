@@ -11,6 +11,7 @@ verified against finite differences.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -20,9 +21,10 @@ import numpy as np
 
 from .colorops import LUMA_WEIGHTS
 from .dataset import ImageRecord
-from .errors import FormatError, NonFiniteValue, ShapeError
+from .errors import FormatError, ShapeError
 from .imageops import resize_area
 from .manifest import BinaryReader, atomic_write_bytes
+from .ppm import check_pixels
 
 RAW_DIM = 512
 PATCH_GRID = 8
@@ -38,18 +40,11 @@ def extract_raw(image: ImageRecord) -> np.ndarray:
     4-bin gradient-orientation histogram}, 512 values total.
 
     Depends only on the pixel content, never on the id or pose. Always
-    computes; ``ImageRecord.raw`` keeps the result on the record. Raises
-    ShapeError for pixels that are not a non-empty (H, W, 3) array and
-    NonFiniteValue for NaN or infinite pixels, each naming the record.
+    computes; ``ImageRecord.raw`` keeps the result on the record. Pixels
+    that ``ppm.check_pixels`` refuses raise its error naming the record.
     """
     pixels = np.asarray(image.pixels, dtype=np.float64)
-    if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
-        raise ShapeError(
-            f"image {image.id!r}: expected non-empty (H, W, 3) pixels, got {pixels.shape}"
-        )
-    if not np.isfinite(pixels).all():
-        raise NonFiniteValue(f"image {image.id!r} has a NaN or infinite pixel")
-    return extract_raw_pixels(pixels)
+    return extract_raw_pixels(check_pixels(pixels, f"image {image.id!r}"))
 
 
 def extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:
@@ -291,24 +286,33 @@ def apply_gradients(model: EmbeddingModel, grads: ParamGradients, lr: float) -> 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Binary format: magic, version u16, layer count u32, per-layer dims,
-    then all parameters as little-endian float64. Written atomically."""
+    then all parameters as little-endian float64. Written atomically.
+    A model whose file load_model would refuse, or whose weights are not
+    (in, out) or biases not (out,), is a FormatError raised before any
+    byte is written."""
+    weights = [np.ascontiguousarray(w, dtype="<f8") for w in model.weights]
+    biases = [np.ascontiguousarray(b, dtype="<f8") for b in model.biases]
+    # A missing weight or bias is None, of shape ().
+    for k, (w, b) in enumerate(itertools.zip_longest(weights, biases)):
+        if np.ndim(w) != 2 or np.shape(b) != np.shape(w)[1:]:
+            raise FormatError(
+                f"layer {k} has a {np.shape(w)} weight and a {np.shape(b)} bias, "
+                "not (in, out) and (out,)"
+            )
+    _check_layers([w.shape for w in weights])
+    _check_parameters(weights, biases)
     parts = [_MODEL_MAGIC, struct.pack("<H", _MODEL_VERSION)]
-    parts.append(struct.pack("<I", len(model.weights)))
-    for w in model.weights:
+    parts.append(struct.pack("<I", len(weights)))
+    for w in weights:
         parts.append(struct.pack("<II", *w.shape))
-    for w, b in zip(model.weights, model.biases):
-        parts.append(np.ascontiguousarray(w, dtype="<f8"))
-        parts.append(np.ascontiguousarray(b, dtype="<f8"))
+    for w, b in zip(weights, biases):
+        parts += [w, b]
     atomic_write_bytes(Path(path), *parts)
 
 
-def load_model(path: str | Path) -> EmbeddingModel:
-    """Inverse of save_model; bit-exact round trip.  Raises FormatError
-    for zero layers, a zero dimension, layers whose dims do not chain,
-    bytes after the last parameter, or a NaN or infinite parameter."""
-    r = BinaryReader(Path(path).read_bytes(), _MODEL_MAGIC, _MODEL_VERSION)
-    (n_layers,) = r.unpack("<I")
-    shapes = [r.unpack("<II") for _ in range(n_layers)]
+def _check_layers(shapes: list[tuple[int, int]]) -> None:
+    """FormatError for zero layers, a zero dimension or layers whose dims
+    do not chain."""
     if not shapes:
         raise FormatError("model has zero layers")
     for k, (i, o) in enumerate(shapes):
@@ -318,13 +322,28 @@ def load_model(path: str | Path) -> EmbeddingModel:
             raise FormatError(
                 f"layer {k} takes {i} inputs, layer {k - 1} gives {shapes[k - 1][1]}"
             )
+
+
+def _check_parameters(weights: list[np.ndarray], biases: list[np.ndarray]) -> None:
+    """FormatError naming the first layer with a NaN or infinite parameter."""
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise FormatError(f"layer {k} has a NaN or infinite weight or bias")
+
+
+def load_model(path: str | Path) -> EmbeddingModel:
+    """Inverse of save_model; bit-exact round trip.  Raises FormatError
+    for zero layers, a zero dimension, layers whose dims do not chain,
+    bytes after the last parameter, or a NaN or infinite parameter."""
+    r = BinaryReader(Path(path).read_bytes(), _MODEL_MAGIC, _MODEL_VERSION)
+    (n_layers,) = r.unpack("<I")
+    shapes = [r.unpack("<II") for _ in range(n_layers)]
+    _check_layers(shapes)
     # One read of every parameter, so a short file names the full size.
     sizes = [n for i, o in shapes for n in (i * o, o)]
     params = np.split(r.array("<f8", sum(sizes)), np.cumsum(sizes)[:-1])
     r.end("last parameter")
     weights = [w.reshape(shape).copy() for w, shape in zip(params[::2], shapes)]
     biases = [b.copy() for b in params[1::2]]
-    for k, (w, b) in enumerate(zip(weights, biases)):
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise FormatError(f"layer {k} has a NaN or infinite weight or bias")
+    _check_parameters(weights, biases)
     return EmbeddingModel(weights=weights, biases=biases)

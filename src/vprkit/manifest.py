@@ -62,6 +62,13 @@ def atomic_write_bytes(path: Path, *parts) -> None:
         raise
 
 
+def temp_name_bytes(name: str) -> int:
+    """The bytes of the longest file name atomic_write_bytes makes to write
+    a file named ``name``: its temporary ``.{name}.`` plus mkstemp's eight
+    random characters."""
+    return len(name.encode("utf-8")) + 10
+
+
 def atomic_write_text(path: Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 

@@ -47,18 +47,24 @@ def read_ppm(path: str | Path) -> np.ndarray:
     return raster.reshape(height, width, 3).astype(np.float64) / 255.0
 
 
-def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
-    """Encode a (H, W, 3) float array in [0, 1] as binary PPM.
-
-    Raises ShapeError for any other shape, including an empty image,
-    which read_ppm would refuse, and NonFiniteValue for NaN or infinite
-    pixels; both name the path.
-    """
+def check_pixels(pixels: np.ndarray, name: str) -> np.ndarray:
+    """``pixels`` as an array, if it is an image: a ShapeError unless it is
+    a non-empty (H, W, 3) array, a NonFiniteValue if it holds NaN or
+    infinity.  Each message starts with ``name``."""
     pixels = np.asarray(pixels)
     if pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
-        raise ShapeError(f"{path}: expected non-empty (H, W, 3) array, got {pixels.shape}")
+        raise ShapeError(f"{name}: expected non-empty (H, W, 3) pixels, got {pixels.shape}")
     if not np.isfinite(pixels).all():
-        raise NonFiniteValue(f"{path}: pixels hold NaN or infinity")
+        raise NonFiniteValue(f"{name} has a NaN or infinite pixel")
+    return pixels
+
+
+def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
+    """Encode a (H, W, 3) float array in [0, 1] as binary PPM.  Pixels
+    that ``check_pixels`` refuses, as read_ppm would an empty image, raise
+    its error naming the path before anything is written.
+    """
+    pixels = check_pixels(pixels, str(path))
     height, width = pixels.shape[:2]
     raster = quantize(pixels)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")

@@ -177,16 +177,24 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     (bit 0, unit-norm rows, is always set), N x D float32 LE, N x 2
     float64 poses, length-prefixed UTF-8 ids, 32-byte model fingerprint.
     Written atomically.  Poses other than (N, 2), or a count of ids other
-    than N, is a ShapeError raised before any byte is written."""
+    than N, is a ShapeError; a row that load_map would refuse, for a
+    non-finite descriptor or pose or an id that is not UTF-8, is a
+    FormatError naming it.  Each is raised before any byte is written."""
     n, d = dmap.descriptors.shape
     if np.shape(dmap.poses) != (n, 2) or len(dmap.ids) != n:
         raise ShapeError(
             f"a map of {n} rows needs ({n}, 2) poses and {n} ids, "
             f"got {np.shape(dmap.poses)} poses and {len(dmap.ids)} ids"
         )
+    descriptors = np.ascontiguousarray(dmap.descriptors, dtype="<f4")
+    poses = np.ascontiguousarray(dmap.poses, dtype="<f8")
+    _check_rows(descriptors, poses)
     ids = []
     for i, rid in enumerate(dmap.ids):
-        raw = rid.encode("utf-8")
+        try:
+            raw = rid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"id of row {i} is not UTF-8") from None
         if len(raw) > 0xFFFF:
             raise FormatError(f"id of row {i} is {len(raw)} UTF-8 bytes, at most 65535 fit")
         ids.append(struct.pack("<H", len(raw)))
@@ -197,11 +205,20 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
         Path(path),
         _MAP_MAGIC,
         struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED),
-        np.ascontiguousarray(dmap.descriptors, dtype="<f4"),
-        np.ascontiguousarray(dmap.poses, dtype="<f8"),
+        descriptors,
+        poses,
         b"".join(ids),
         dmap.model_fingerprint,
     )
+
+
+def _check_rows(descriptors: np.ndarray, poses: np.ndarray) -> None:
+    """FormatError naming the first row with a non-finite descriptor or
+    pose.  The row is looked for only when the whole test fails."""
+    if np.isfinite(descriptors).all() and np.isfinite(poses).all():
+        return
+    finite = np.isfinite(descriptors).all(axis=1) & np.isfinite(poses).all(axis=1)
+    raise FormatError(f"row {int(np.argmin(finite))} has a non-finite descriptor or pose")
 
 
 def load_map(path: str | Path) -> DescriptorMap:
@@ -214,9 +231,7 @@ def load_map(path: str | Path) -> DescriptorMap:
     desc = r.array("<f4", n * d)
     poses = r.array("<f8", n, 2)
     desc = desc.reshape(n, d)
-    finite = np.isfinite(desc).all(axis=1) & np.isfinite(poses).all(axis=1)
-    if not finite.all():
-        raise FormatError(f"row {int(np.argmin(finite))} has a non-finite descriptor or pose")
+    _check_rows(desc, poses)
     ids = []
     for i in range(n):
         (length,) = r.unpack("<H")

@@ -17,8 +17,8 @@ import os
 import signal
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -92,8 +92,11 @@ class FinetuneDataset:
     _epochs: dict[int, tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    # Set while a train() call over this stream runs (_Workers).
-    _workers: _Workers | None = field(default=None, init=False, repr=False, compare=False)
+    # A process pool and its worker count while train() runs over the
+    # stream (_realizing).
+    _pool: tuple[ProcessPoolExecutor, int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.multiplicity < 1:
@@ -126,102 +129,87 @@ class FinetuneDataset:
         raws, both read-only.  The backbone is frozen, so they depend on the
         stream alone, never on the model: each epoch is realized and
         extracted on first use and kept, across the allowed CPUs while
-        train() runs over the stream.  A spec that enables no category
-        draws nothing, so each of its epochs is epoch 0.  A stream over
-        zero references has no epoch: EmptyReferences."""
+        train() runs over the stream (_realizing).  A spec that enables no
+        category draws nothing, so each of its epochs is epoch 0.  A stream
+        over zero references has no epoch: EmptyReferences."""
         if not self.references:
             raise EmptyReferences("a stream over zero references realizes no epoch")
         if not self.augmentation_spec.categories:
             epoch = 0
         if epoch not in self._epochs:
             sources = np.repeat(np.arange(len(self.references), dtype=np.int64), self.multiplicity)
-            workers = self._workers
-            raws = self._raws(epoch, 0, len(sources)) if workers is None else workers.raws(epoch)
+            raws = self._raws(epoch, 0, len(sources)) if self._pool is None else self._split_raws(epoch)
             sources.flags.writeable = raws.flags.writeable = False
             self._epochs[epoch] = sources, raws
         return self._epochs[epoch]
 
+    def _split_raws(self, epoch: int) -> np.ndarray:
+        """``_raws`` of the whole epoch, its copies split into contiguous
+        slices: the pool's workers do every slice but the last, and this
+        process the last.  Each copy's draws depend only on its own seed and
+        each raw only on its own pixels, so the split moves no bit.  An
+        error is the one the copies' order raises inline: the earliest
+        slice's first."""
+        pool, workers = self._pool
+        copies = len(self.references) * self.multiplicity
+        bounds = [copies * k // (workers + 1) for k in range(workers + 2)]
+        # Only the slice's numbers are sent: the workers hold the stream.
+        futures = [pool.submit(_adopted_raws, epoch, *bounds[k : k + 2]) for k in range(workers)]
+        try:
+            last = self._raws(epoch, bounds[-2], bounds[-1])
+        except Exception:
+            for future in futures:
+                future.result()
+            raise
+        return np.concatenate([*(future.result() for future in futures), last])
 
-def _outcome(fn, *args):
-    """fn(*args), or the Exception it raised."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        return exc
 
+@contextlib.contextmanager
+def _realizing(stream: FinetuneDataset) -> Iterator[None]:
+    """Realize and extract the stream's new epochs across the allowed CPUs
+    for one train() call over it (a ``with`` block).
 
-class _Workers:
-    """Forked processes that realize and extract a stream's new epochs
-    with this one, for one train() call over the stream (a ``with`` block).
-
-    Each epoch's copies are split into contiguous slices: the workers do
-    every slice but the last, and this process the last.  There is one
-    worker per allowed CPU beyond the first, at most one per copy beyond
-    the first, and none without the fork start method or while another
-    thread runs.  They fork on the first epoch realized, so a stream whose
-    epochs are all kept forks nothing, and are joined when the block ends.
-    Each copy's draws depend only on its own seed and each raw only on its
-    own pixels, so the split moves no bit.  A slice's exception is raised
-    as the copies' order would raise it inline: the earliest slice's first.
+    A process pool gets one worker per allowed CPU beyond the first, at
+    most one per copy beyond the first, and none without the fork start
+    method or while another thread runs; where it cannot be made, as
+    without POSIX semaphores, this process realizes alone.  The pool forks
+    at its first task, so a stream whose epochs are all kept forks nothing,
+    and its workers are joined when the block ends.
     """
-
-    def __init__(self, stream: FinetuneDataset):
-        self.stream = stream
-        self.started: list[tuple[multiprocessing.Process, Connection]] | None = None
-
-    def __enter__(self) -> _Workers:
-        self.stream._workers = self
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stream._workers = None
-        for _, conn in self.started or ():
-            conn.close()  # the worker's recv ends
-        for process, _ in self.started or ():
-            process.join()
-
-    def raws(self, epoch: int) -> np.ndarray:
-        copies = len(self.stream.references) * self.stream.multiplicity
-        if self.started is None:
-            self.started = []
-            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-            # A fork copies only the calling thread: unsafe beside other threads.
-            if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
-                for _ in range(min(cpus, copies) - 1):
-                    self._fork()
-        parts = len(self.started) + 1
-        bounds = [copies * k // parts for k in range(parts + 1)]
-        for (_, conn), start, stop in zip(self.started, bounds, bounds[1:]):
-            conn.send((epoch, start, stop))
-        last = _outcome(self.stream._raws, epoch, bounds[-2], bounds[-1])
-        slices = [conn.recv() for _, conn in self.started] + [last]
-        for part in slices:
-            if isinstance(part, Exception):
-                raise part
-        return np.concatenate(slices)
-
-    def _fork(self) -> None:
-        context = multiprocessing.get_context("fork")
-        ours, theirs = context.Pipe()
-        parent_ends = [ours, *(end for _, end in self.started)]
-        process = context.Process(
-            target=_serve, args=(self.stream, theirs, parent_ends), daemon=True
-        )
-        process.start()
-        theirs.close()
-        self.started.append((process, ours))
+    copies = len(stream.references) * stream.multiplicity
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, copies) - 1
+    pool = None
+    # A fork copies only the calling thread: unsafe beside other threads.
+    if workers > 0 and "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        # Each worker inherits the stream through the fork: it is never pickled.
+        with contextlib.suppress(OSError, NotImplementedError):
+            pool = ProcessPoolExecutor(
+                workers, multiprocessing.get_context("fork"),
+                initializer=_adopt, initargs=(stream,),
+            )
+    with pool or contextlib.nullcontext():
+        stream._pool = None if pool is None else (pool, workers)
+        try:
+            yield
+        finally:
+            stream._pool = None
 
 
-def _serve(stream: FinetuneDataset, conn: Connection, parent_ends: list[Connection]) -> None:
-    """A worker: realize each slice asked for until the parent's end closes.
-    It closes its copies of the parent's ends, so that their closing, or
-    the parent exiting, ends it; Ctrl-C is the parent's to handle."""
+_adopted: FinetuneDataset | None = None  # a pool worker's stream (_adopt)
+
+
+def _adopt(stream: FinetuneDataset) -> None:
+    """A pool worker's initializer: keep the stream; Ctrl-C is the parent's
+    to handle."""
+    global _adopted
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:
-        end.close()
-    with contextlib.suppress(EOFError, OSError):
-        while True:
-            conn.send(_outcome(stream._raws, *conn.recv()))
+    _adopted = stream
+
+
+def _adopted_raws(epoch: int, start: int, stop: int) -> np.ndarray:
+    """A pool worker's task: ``_raws`` of its stream."""
+    return _adopted._raws(epoch, start, stop)
 
 
 @dataclass
@@ -411,8 +399,8 @@ def train(
     best_val = -np.inf
     stale = 0
 
-    # A stream realizes its new epochs across the allowed CPUs (_Workers).
-    realizing = contextlib.nullcontext() if labeled_rows is not None else _Workers(data)
+    # A stream realizes its new epochs across the allowed CPUs.
+    realizing = contextlib.nullcontext() if labeled_rows is not None else _realizing(data)
     with realizing:
         for epoch in range(config.epochs):
             tic = time.perf_counter()

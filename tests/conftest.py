@@ -1,4 +1,5 @@
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -8,13 +9,17 @@ import vprkit as vk
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process running; end the process."""
+    """Fail a test that leaves a child process or a thread running, and end
+    the process.  RSF forks no worker beside another thread, so a thread
+    left over would make every later RSF call single-process."""
     yield
     left = multiprocessing.active_children()
     for child in left:
         child.terminate()
         child.join()
+    threads = [t for t in threading.enumerate() if t is not threading.main_thread()]
     assert not left, f"child processes left running: {left}"
+    assert not threads, f"threads left running: {threads}"
 
 
 @pytest.fixture(scope="session")

@@ -359,8 +359,14 @@ def test_config_booleans_in_any_case(tmp_path, value, expected):
     assert args.no_poses is expected
 
 
-@pytest.mark.parametrize("line", ["fn = x", "command = xeval", "config = other.cfg"])
-def test_config_key_that_is_no_flag_exits_one(capsys, tmp_path, line):
+@pytest.mark.parametrize(
+    "line, needle",
+    [("fn = x", "unknown config key 'fn'"), ("command = xeval", "unknown config key 'command'"),
+     ("config = other.cfg", "unknown config key 'config'"),
+     ("places 3", "bad.cfg:1: expected key=value, got 'places 3'")],
+    ids=["fn = x", "command = xeval", "config = other.cfg", "places 3"],
+)
+def test_config_key_that_is_no_flag_exits_one(capsys, tmp_path, line, needle):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\n")
     code, _, err = run(
@@ -369,7 +375,22 @@ def test_config_key_that_is_no_flag_exits_one(capsys, tmp_path, line):
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError"
-    assert f"unknown config key {line.split()[0]!r}" in record["message"]
+    assert needle in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_project_over_maps_of_differing_dims_exits_one(capsys, tmp_path):
+    paths = []
+    for dim in (2, 3):
+        paths.append(tmp_path / f"d{dim}.vprm")
+        rows = np.eye(3, dim, dtype=np.float32)
+        vk.save_map(vk.DescriptorMap(rows, np.zeros((3, 2)), ["a", "b", "c"], bytes(32)), paths[-1])
+    code, _, err = run(
+        capsys, "project", "--maps", ",".join(map(str, paths)), "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "ShapeError" and "[2, 3]" in record["message"]
     assert not (tmp_path / "o").exists()
 
 
@@ -770,6 +791,8 @@ def test_pretrain_multiplicity_below_one_exits_one(capsys, tmp_path, value):
         (["--jitter", "1000"], "InvalidSpec", "jitter_px"),
         (["--jitter", "-1"], "InvalidSpec", "jitter_px"),
         (["--places", "3", "--spacing", "1e308"], "InvalidSpec", "spacing 1e+308"),
+        (["--ref-style", "palette"], "VprError", "'palette' is not key=value"),
+        (["--ref-style", "shade=1"], "VprError", "unknown style key 'shade'"),
     ],
 )
 def test_bad_synth_gen_input_exits_one(capsys, tmp_path, argv, error, needle):

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -154,6 +155,18 @@ def test_bad_coordinate_is_reported_with_file_and_line(tmp_path, x):
         vk.load_dataset(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "text, needle",
+    [("", "missing header row"), ("\n\n", "missing header row"),
+     ("id,x_m,y_m\nr0,0,0\nr1,0,1\nr0,1,1\n", "duplicate id 'r0'")],
+)
+def test_a_manifest_without_header_or_with_a_repeated_id_is_named(tmp_path, text, needle):
+    (tmp_path / "references").mkdir()
+    (tmp_path / "reference_poses.csv").write_text(text)
+    with pytest.raises(InconsistentManifest, match=f"reference_poses.csv: {needle}"):
+        vk.load_dataset(tmp_path)
+
+
 def test_latlon_out_of_range_is_reported(tmp_path):
     _write_side(tmp_path, "references", [("r0", 52.0, 4.0), ("r1", 1e300, 4.0)])
     with pytest.raises(InconsistentManifest, match=r"reference_poses\.csv:3"):
@@ -253,31 +266,45 @@ def test_an_id_that_would_not_load_back_is_named_and_writes_no_file(tmp_path, id
     assert list(tmp_path.rglob("*")) == []
 
 
-# Ids that load back, and ids the loader refuses or reads back as another.
+# Ids that load back, and ids the loader refuses or reads back as another
+# or, at 300 bytes, that no file name holds.
 record_id = st.one_of(
     st.text(max_size=6),
     st.sampled_from(["a", "a,b", "a\nb", "", "sub/x", "../../escaped", " a", "a ", ".", "..",
-                     "\x0ba", "x\x85y", "x\u2028y", "a\rb", "\ud800", "a\0b", "a.ppm"]),
+                     "\x0ba", "x\x85y", "x\u2028y", "a\rb", "\ud800", "a\0b", "a.ppm", "x" * 300]),
 )
+# Pixels write_ppm refuses, given to one record: (H, W, 4), empty, NaN, infinite.
+bad_pixels = st.sampled_from([
+    lambda p: p[..., :1].repeat(4, axis=2), lambda p: p[:0],
+    lambda p: np.where(p > 0.5, np.nan, p), lambda p: np.full_like(p, np.inf),
+])
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     ref_ids=st.lists(record_id, max_size=4),
     query_ids=st.lists(record_id, max_size=3),
-    xy=st.tuples(finite, finite),
+    xy=st.tuples(finite | st.sampled_from([math.nan, -math.inf]), finite),
+    numpy_pose=st.booleans(),
+    bad=st.none() | st.tuples(st.integers(0, 6), bad_pixels),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_a_saved_dataset_loads_back_or_nothing_is_written(ref_ids, query_ids, xy, seed):
+def test_a_saved_dataset_loads_back_or_nothing_is_written(
+    ref_ids, query_ids, xy, numpy_pose, bad, seed
+):
     rng = np.random.default_rng(seed)
+    coord = np.float64 if numpy_pose else float
 
     def records(ids):
         return [
-            vk.ImageRecord(rid, rng.random((2, 3, 3)), Pose(xy[0] + i, xy[1]))
+            vk.ImageRecord(rid, rng.random((2, 3, 3)), Pose(coord(xy[0] + i), coord(xy[1])))
             for i, rid in enumerate(ids)
         ]
 
     ds = vk.Dataset(records(ref_ids), records(query_ids))
+    if bad is not None and bad[0] < len(ref_ids) + len(query_ids):
+        rec = (ds.references + ds.queries)[bad[0]]
+        rec.pixels = bad[1](rec.pixels)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp) / "a" / "b" / "ds"
         try:
@@ -292,6 +319,26 @@ def test_a_saved_dataset_loads_back_or_nothing_is_written(ref_ids, query_ids, xy
         assert [r.pose for r in loaded] == [r.pose for r in saved]
         for a, b in zip(loaded, saved):
             np.testing.assert_array_equal(a.pixels, quantize(b.pixels) / 255)
+
+
+def test_the_longest_id_is_the_file_systems_name_limit(tmp_path):
+    """Writing r.ppm makes the temporary name .r.ppm.XXXXXXXX, 14 bytes
+    longer than the id: an id one byte longer is named, and nothing is
+    written."""
+    longest = os.pathconf(tmp_path, "PC_NAME_MAX") - 14
+    rng = np.random.default_rng(0)
+    for n, saves in ((longest, True), (longest + 1, False)):
+        rid = "é" * (n // 2) + "x" * (n % 2)  # n UTF-8 bytes
+        refs = [vk.ImageRecord("a", rng.random((2, 2, 3)), Pose(0.0, 0.0)),
+                vk.ImageRecord(rid, rng.random((2, 2, 3)), Pose(1.0, 0.0))]
+        root = tmp_path / str(n)
+        if saves:
+            save_dataset(vk.Dataset(refs), root)
+            assert [r.id for r in vk.load_dataset(root).references] == ["a", rid]
+        else:
+            with pytest.raises(InconsistentManifest, match=f"{n + 14} bytes"):
+                save_dataset(vk.Dataset(refs), root)
+            assert not root.exists()
 
 
 def test_missing_pose_is_named_by_the_pose_lists(tiny_world):

@@ -428,6 +428,19 @@ class TestBackward:
             assert np.all(err <= bound), (err.flat[worst], bound.flat[worst])
 
 
+def zeros_model(weight_shapes, bias_shapes):
+    return vk.EmbeddingModel(
+        [np.zeros(shape) for shape in weight_shapes], [np.zeros(shape) for shape in bias_shapes]
+    )
+
+
+def poisoned(params, layer, value):
+    """A valid model with the last value of one parameter set to value."""
+    model = vk.init_model([3], output_dim=2, input_dim=4)
+    getattr(model, params)[layer].flat[-1] = value
+    return model
+
+
 class TestInitAndSerialization:
     def test_same_seed_same_fingerprint(self):
         a = vk.init_model(seed=42)
@@ -441,6 +454,13 @@ class TestInitAndSerialization:
         mlp = vk.init_model(hidden_dims=[64], output_dim=128)
         assert [w.shape for w in mlp.weights] == [(RAW_DIM, 64), (64, 128)]
         assert all(np.all(b == 0) for b in mlp.biases)
+
+    @pytest.mark.parametrize(
+        "dims", [dict(hidden_dims=[0]), dict(output_dim=0), dict(input_dim=-1), dict(hidden_dims=[4, -2])]
+    )
+    def test_a_layer_dim_below_one_is_a_shape_error(self, dims):
+        with pytest.raises(ShapeError, match="all layer dims must be positive"):
+            vk.init_model(**dims)
 
     def test_save_load_round_trip(self, tmp_path, small_model):
         path = tmp_path / "m.vprh"
@@ -505,12 +525,38 @@ class TestInitAndSerialization:
     def test_non_finite_parameter_is_rejected_naming_the_layer(
         self, tmp_path, small_model, value, params, layer
     ):
-        model = small_model.copy()
-        getattr(model, params)[layer].flat[-1] = value
+        """The file of a valid model with the last value of one parameter
+        overwritten: save_model refuses to write such a file."""
         path = tmp_path / "m.vprh"
-        save_model(model, path)
+        save_model(small_model, path)
+        arrays = [p for w, b in zip(small_model.weights, small_model.biases) for p in (w, b)]
+        index = 2 * layer + (params == "biases")
+        end = 10 + 8 * len(small_model.weights) + 8 * sum(p.size for p in arrays[: index + 1])
+        data = bytearray(path.read_bytes())
+        data[end - 8 : end] = struct.pack("<d", value)
+        path.write_bytes(data)
         with pytest.raises(FormatError, match=f"layer {layer} "):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "model, why",
+        [
+            (zeros_model([], []), "zero layers"),
+            (zeros_model([(4, 3), (2, 5)], [3, 5]), "layer 1 takes 2 inputs"),
+            (zeros_model([(4, 0)], [0]), "zero dimension"),
+            (zeros_model([(4, 3)], [4]), r"layer 0 has a \(4, 3\) weight and a \(4,\) bias"),
+            (zeros_model([(4, 3), (3, 2)], [3]), r"layer 1 has a \(3, 2\) weight and a \(\) bias"),
+            (zeros_model([4], [()]), r"layer 0 has a \(4,\) weight"),
+            (poisoned("biases", 1, np.nan), "layer 1 has a NaN or infinite"),
+            (poisoned("weights", 0, -np.inf), "layer 0 has a NaN or infinite"),
+        ],
+        ids=["no-layer", "unchained", "zero-dim", "bias-shape", "no-bias", "1-d-weight",
+             "nan", "inf"],
+    )
+    def test_a_model_load_model_would_refuse_is_not_saved(self, tmp_path, model, why):
+        with pytest.raises(FormatError, match=why):
+            save_model(model, tmp_path / "m.vprh")
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -273,6 +275,11 @@ class TestProject2d:
             v, *_ = np.linalg.lstsq(centered, coords[:, c], rcond=None)
             v /= np.linalg.norm(v)
             assert v[np.argmax(np.abs(v))] > 0
+
+    @pytest.mark.parametrize("shape", [(2, 4), (6,), (3, 2, 2)])
+    def test_fewer_than_three_rows_or_no_matrix_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {shape}")):
+            vk.project_2d(np.arange(np.prod(shape), dtype=float).reshape(shape))
 
     def test_identical_rows_degenerate(self):
         with pytest.raises(DegenerateSpectrum):

@@ -252,6 +252,14 @@ class TestMapSerialization:
             save_map(dmap, tmp_path / "m.vprm")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("size", [0, 31, 33])
+    def test_a_fingerprint_that_is_not_32_bytes_is_rejected_before_writing(self, tmp_path, size):
+        dmap = toy_map([[1, 0], [0, 1]])
+        dmap.model_fingerprint = bytes(size)
+        with pytest.raises(FormatError, match="32 bytes"):
+            save_map(dmap, tmp_path / "m.vprm")
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "m.vprm"
         save_map(toy_map([[1, 0], [0, 1]]), path)
@@ -259,13 +267,36 @@ class TestMapSerialization:
         with pytest.raises(FormatError):
             load_map(path)
 
-    @pytest.mark.parametrize("column", ["descriptors", "poses"])
-    def test_non_finite_row_is_rejected(self, tmp_path, column):
-        dmap = toy_map([[1, 0], [0, 1], [1, 1]])
-        getattr(dmap, column)[1, 0] = np.nan
-        save_map(dmap, tmp_path / "m.vprm")
+    # Row 1's first value in the file of a 3-row, 2-dimensional map: after
+    # the 20-byte header, and after the six float32 descriptor values.
+    @pytest.mark.parametrize("fmt, at", [("<f", 20 + 2 * 4), ("<d", 20 + 6 * 4 + 2 * 8)],
+                             ids=["descriptors", "poses"])
+    def test_non_finite_row_is_rejected(self, tmp_path, fmt, at):
+        """The file of a valid map with one value overwritten: save_map
+        refuses to write such a file."""
+        path = tmp_path / "m.vprm"
+        save_map(toy_map([[1, 0], [0, 1], [1, 1]]), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into(fmt, data, at, np.nan)
+        path.write_bytes(data)
         with pytest.raises(FormatError, match="row 1"):
-            load_map(tmp_path / "m.vprm")
+            load_map(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("descriptors", np.nan), ("descriptors", -np.inf), ("poses", np.inf),
+         ("descriptors", 1e39), ("ids", "\ud800")],
+        ids=["nan", "inf", "pose", "float32-overflow", "surrogate-id"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_a_row_load_map_would_refuse_is_named_before_writing(self, tmp_path, field, value):
+        """1e39 is finite in float64 but infinite as the float32 written."""
+        dmap = toy_map([[1, 0], [0, 1], [1, 1]])
+        dmap.descriptors = dmap.descriptors.astype(np.float64)
+        getattr(dmap, field)[1] = value
+        with pytest.raises(FormatError, match="row 1"):
+            save_map(dmap, tmp_path / "m.vprm")
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_utf8_id_is_rejected(self, tmp_path):
         path = tmp_path / "m.vprm"

@@ -4,7 +4,9 @@ import hashlib
 import multiprocessing
 import os
 import threading
+import time
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -251,6 +253,7 @@ class TestBatchedHinge:
         ("validation_radius", -1.0),
         ("validation_radius", 0.0),
         ("negative_radius", float("inf")),
+        ("negative_radius", 5.0),  # below positive_radius
         ("validation_radius", float("nan")),
         ("epochs", -1),
         ("seed", -1),
@@ -1081,6 +1084,21 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def _counting_forks(monkeypatch):
+    """A list that gains one item per process this one forks."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
 def _with_bad_pixels(world, bad):
     """The world with each reference in `bad` given (H, W, 4) pixels after
     its raw was read: the reference trains, but extracting any of its
@@ -1118,9 +1136,10 @@ class TestWorkers:
             stream = vk.FinetuneDataset(world.references[:n_refs], multiplicity, spec, seed)
             with pytest.MonkeyPatch.context() as monkeypatch:
                 _cpus(monkeypatch, cpus)
-                with vk.rsf._Workers(stream) as workers:
+                forks = _counting_forks(monkeypatch)
+                with vk.rsf._realizing(stream):
                     sources, raws = stream.epoch_raws(epoch)
-                    assert len(workers.started) == min(cpus, len(sources)) - 1
+                    assert len(forks) == min(cpus, len(sources)) - 1
             realized.append((sources.tobytes(), raws.tobytes()))
         assert realized[0] == realized[1]
         assert not multiprocessing.active_children()
@@ -1133,18 +1152,20 @@ class TestWorkers:
         this process last: the raws, or the error of copy 1 in the middle
         slice, are the inline ones, and no worker is left."""
         outcomes = []
+        forks = _counting_forks(monkeypatch)
         for cpus in (1, 3):
             _cpus(monkeypatch, cpus)
             world = _with_bad_pixels(_tiny_world(), bad)
             spec = vk.AugmentationSpec.from_string(label)
             stream = vk.FinetuneDataset(world.references, 1, spec, seed=2)
-            with vk.rsf._Workers(stream) as workers:
+            forks.clear()
+            with vk.rsf._realizing(stream):
                 try:
                     sources, raws = stream.epoch_raws(0)
                     outcomes.append((sources.tobytes(), raws.tobytes()))
                 except ShapeError as exc:
                     outcomes.append((type(exc), str(exc)))
-                assert len(workers.started) == cpus - 1
+                assert len(forks) == cpus - 1
             assert not multiprocessing.active_children()
         assert outcomes[0] == outcomes[1]
         if bad:
@@ -1156,47 +1177,48 @@ class TestWorkers:
     def test_one_worker_per_cpu_beyond_the_first_and_copy_beyond_the_first(
         self, monkeypatch, cpus, copies, forks
     ):
-        """Counted without forking: the raws are then this process's alone.
-        None fork beside another thread, or without the fork start method."""
+        """Counted without forking: the pool is refused as it is asked for,
+        so the raws are this process's alone.  None fork beside another
+        thread, or without the fork start method."""
         calls = []
-        monkeypatch.setattr(vk.rsf._Workers, "_fork", lambda self: calls.append(1))
+
+        def refused(workers, *args, **kwargs):
+            calls.append(workers)
+            raise OSError("counted, not forked")
+
+        monkeypatch.setattr(vk.rsf, "ProcessPoolExecutor", refused)
         _cpus(monkeypatch, cpus)
         stream = vk.FinetuneDataset(_tiny_world().references[:1], copies, vk.AugmentationSpec(), 0)
-        with vk.rsf._Workers(stream):
+        with vk.rsf._realizing(stream):
             stream.epoch_raws(0)
             stream.epoch_raws(1)
-        assert len(calls) == forks
+        assert calls == ([forks] if forks else [])
         calls.clear()
         done = threading.Event()
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            with vk.rsf._Workers(dataclasses.replace(stream)) as workers:
-                workers.raws(0)
+            fresh = dataclasses.replace(stream)
+            with vk.rsf._realizing(fresh):
+                fresh.epoch_raws(0)
         finally:
             done.set()
             thread.join()
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        with vk.rsf._Workers(dataclasses.replace(stream)) as workers:
-            workers.raws(0)
+        fresh = dataclasses.replace(stream)
+        with vk.rsf._realizing(fresh):
+            fresh.epoch_raws(0)
         assert not calls
 
     def test_a_reused_stream_forks_nothing_and_no_worker_outlives_train(self, monkeypatch):
-        forks = []
-        fork = vk.rsf._Workers._fork
-
-        def counting(self):
-            forks.append(1)
-            fork(self)
-
-        monkeypatch.setattr(vk.rsf._Workers, "_fork", counting)
+        forks = _counting_forks(monkeypatch)
         _cpus(monkeypatch, 2)
         world = _tiny_world()
         _rsf_run()(world, None)
         assert len(forks) == 1 and not multiprocessing.active_children()
         _rsf_run(poseless=True)(world, None)  # every epoch is kept
         assert len(forks) == 1
-        assert world._rsf_stream._workers is None
+        assert world._rsf_stream._pool is None
 
     @pytest.mark.parametrize("bad", [[0], [4], [0, 4]], ids=["worker", "parent", "both"])
     def test_a_workers_error_is_the_inline_error(self, monkeypatch, bad):
@@ -1214,3 +1236,35 @@ class TestWorkers:
             assert not multiprocessing.active_children()
         assert raised[0] == raised[1]
         assert f"image 'r{bad[0]}#" in raised[0][1] and "(32, 32, 4)" in raised[0][1]
+
+    def test_a_worker_that_dies_breaks_the_call_promptly_and_leaves_no_child(self, monkeypatch):
+        parent = os.getpid()
+        extract = vk.embedding.extract_raw
+
+        def dying(image):
+            if os.getpid() != parent:
+                os._exit(1)
+            return extract(image)
+
+        monkeypatch.setattr(vk.embedding, "extract_raw", dying)
+        _cpus(monkeypatch, 2)
+        tic = time.perf_counter()
+        with pytest.raises(BrokenProcessPool):
+            _rsf_run()(_tiny_world(), None)
+        assert time.perf_counter() - tic < 10
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("error", [OSError, NotImplementedError])
+    def test_a_pool_that_cannot_be_made_realizes_inline(self, monkeypatch, error):
+        """As without POSIX semaphores: the bits of one CPU, and no fork."""
+
+        def unavailable(*args, **kwargs):
+            raise error("no process pool here")
+
+        _cpus(monkeypatch, 1)
+        inline = _rsf_run()(_tiny_world(), None)[0]
+        forks = _counting_forks(monkeypatch)
+        monkeypatch.setattr(vk.rsf, "ProcessPoolExecutor", unavailable)
+        _cpus(monkeypatch, 2)
+        model = _rsf_run()(_tiny_world(), None)[0]
+        assert model.fingerprint() == inline.fingerprint() and not forks

@@ -103,8 +103,14 @@ def test_invalid_specs_rejected():
     for jitter_px in (-1, 32, 1000):  # _spec has image_size 32
         with pytest.raises(InvalidSpec, match="jitter_px"):
             _spec(jitter_px=jitter_px)
+    with pytest.raises(InvalidSpec, match="queries_per_place"):
+        _spec(queries_per_place=0)
     with pytest.raises(InvalidSpec):
         vk.StyleParams(texture_family="paisley")
+    with pytest.raises(InvalidSpec, match="contrast_gain"):
+        vk.StyleParams(contrast_gain=0.0)
+    with pytest.raises(InvalidSpec, match="noise_sigma"):
+        vk.StyleParams(noise_sigma=-0.01)
 
 
 # The (H, W, 3) rasterizer that the channel-plane _render_base replaced,
