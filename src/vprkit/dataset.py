@@ -257,10 +257,13 @@ def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
     """The records' pose manifest, in id order.  Each id must be one line's
     first field as _read_pose_manifest splits it, and the stem of its file
     as _load_side globs it: InconsistentManifest names the first that is
-    repeated, is not UTF-8, holds a comma, a line break, a NUL or a path
-    separator, starts with whitespace, or is empty, and the first whose
-    file's names are longer than ``name_max`` bytes or whose pose is not
-    finite."""
+    not a string, is repeated, is not UTF-8, holds a comma, a line break, a
+    NUL or a path separator, starts with whitespace, or is empty, and the
+    first whose file's names are longer than ``name_max`` bytes or whose
+    pose is not finite."""
+    bad = next((rec.id for rec in records if not isinstance(rec.id, str)), None)
+    if bad is not None:
+        raise InconsistentManifest(f"record id {bad!r} is not a string")
     records = sorted(records, key=lambda r: r.id)
     for i, rec in enumerate(records):
         if i and rec.id == records[i - 1].id:

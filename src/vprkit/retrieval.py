@@ -24,8 +24,6 @@ from .manifest import BinaryReader, atomic_write_bytes
 _MAP_MAGIC = b"VPRM"
 _MAP_VERSION = 1
 _FLAG_NORMALIZED = 1
-_U32 = 2.0**-24  # unit roundoff of float32
-_U64 = 2.0**-53  # unit roundoff of float64
 _ENCODE_BLOCK = 64
 
 
@@ -51,14 +49,12 @@ class DescriptorMap:
 
     @functools.cached_property
     def _norms(self) -> tuple[np.ndarray, float]:
-        """Squared row norms in float64 and the largest row norm, computed
-        on first use; raises NonFiniteValue naming the first row with a NaN
-        or infinity."""
-        sq = np.einsum("ij,ij->i", self.descriptors, self.descriptors, dtype=np.float64)
-        finite = np.isfinite(sq)
-        if not finite.all():
-            raise NonFiniteValue(f"map row {int(np.argmin(finite))} is not finite")
-        return sq, float(np.sqrt(sq.max(initial=0.0)))
+        """``_row_norms`` of the descriptors, computed on first use; raises
+        NonFiniteValue naming the first row with a NaN or infinity."""
+        sq, rmax = _row_norms(self.descriptors)
+        if not np.isfinite(rmax):
+            raise NonFiniteValue(f"map row {int(np.argmin(np.isfinite(sq)))} is not finite")
+        return sq, rmax
 
 
 @dataclass
@@ -93,72 +89,89 @@ def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
 
 
 def knn(dmap: DescriptorMap, query: np.ndarray, k: int, query_id: str = "") -> RetrievalResult:
-    """Exact k-nearest references under L2 distance.
-
-    Distances are sqrt(sum((r - q)**2)) accumulated in float64 over the
-    float32 rows; ties break toward the lower reference index.  The
-    result equals scoring every row that way, bit for bit, but only a
-    shortlist is scored in float64:
-
-    1. Every row r gets the score |r|^2 - 2 r.q32: a float32 GEMV against
-       q32 = float32(q), and |r|^2 in float64, cached per map.  It differs
-       from |r - q|^2 - |q|^2 by less than E = 2 (g_D (1 + u) + u) |q|
-       max|r| + F.  Here u = 2^-24; g_D = D u / (1 - D u) bounds the
-       error of a D-term float32 dot product (Higham, "Accuracy and
-       Stability of Numerical Algorithms", 2nd ed., section 3.1); the lone
-       u covers rounding q to float32.  F = (2D + 10) 2^-53 (|q| +
-       max|r|)^2 + D (1 + |q| + max|r|) 2^-124 covers the float64 norms
-       and subtraction, the rounding of the float64 distances in step 2,
-       and float32 underflow.
-    2. Every row scoring at most the k-th smallest score + 2E gets its
-       float64 distance, and ``_rank`` returns the k nearest of those.
-
-    No true neighbour is dropped: if row r is in the top k but scores
-    above the k-th smallest score, one of the k lowest-scoring rows, j,
-    is not, so d(r) <= d(j) and score(r) <= score(j) + 2E.  Where a
-    float32 product could overflow, E is infinite and every row is
-    re-ranked.
-    """
+    """Exact k-nearest references under L2 distance, as ``_nearest`` ranks."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (dmap.descriptor_dim,):
         raise ShapeError(
             f"query has shape {query.shape}, map dim is {dmap.descriptor_dim}"
         )
-    if not np.isfinite(query).all():
+    return _search(dmap, query[None], k, [query_id])[0]
+
+
+def _search(dmap: DescriptorMap, qs: np.ndarray, k: int, ids: list[str]) -> list[RetrievalResult]:
+    """knn of each row of (Q, D) float64 queries; no query, no result."""
+    if not ids:
+        return []
+    if not np.isfinite(qs).all():
         raise NonFiniteValue("query descriptor is not finite")
-    n, d = dmap.descriptors.shape
-    if not 1 <= k <= n:
-        raise KTooLarge(f"k={k} outside [1, {n}]")
-    sq, rmax = dmap._norms
-    qn = float(np.sqrt(np.einsum("i,i", query, query)))
-    if qn * max(rmax, 1.0) > 2.0**120:  # a float32 product could overflow
-        err, q32 = np.inf, np.zeros(d, np.float32)
-    else:
-        g = d * _U32 / (1 - d * _U32)
-        err = (
-            2 * (g * (1 + _U32) + _U32) * qn * rmax
-            + (2 * d + 10) * _U64 * (qn + rmax) ** 2
-            + d * (1 + qn + rmax) * 2.0**-124
-        )
-        q32 = query.astype(np.float32)
-    scores = sq - 2 * (dmap.descriptors @ q32)
-    kth = np.partition(scores, k - 1)[k - 1]
-    cand = np.flatnonzero(scores <= kth + 2 * err)
-    idx, dists = _rank(dmap.descriptors, query, cand, k)
-    return RetrievalResult(query_id=query_id, ranked=list(zip(idx.tolist(), dists.tolist())))
+    if not 1 <= k <= dmap.size:
+        raise KTooLarge(f"k={k} outside [1, {dmap.size}]")
+    _, rows, dists = _nearest(dmap.descriptors, qs, k, norms=dmap._norms)
+    ranked = list(zip(rows.tolist(), dists.tolist()))  # k per query
+    return [RetrievalResult(qid, ranked[i * k : i * k + k]) for i, qid in enumerate(ids)]
 
 
-def _rank(
-    rows: np.ndarray, query: np.ndarray, cand: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The k rows among ``cand`` nearest the float64 query, nearest first:
-    their indices and sqrt(sum((r - q)**2)) distances in float64 (float32
-    rows widen exactly), ties toward the lower index.  knn re-ranks its
-    shortlist with it and RSF mining picks its hard negatives with it."""
-    diffs = rows[cand] - query
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    order = np.lexsort((cand, dists))[:k]
-    return cand[order], dists[order]
+def _row_norms(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Squared row norms in float64 and the largest row norm."""
+    sq = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    return sq, float(np.sqrt(sq.max(initial=0.0)))
+
+
+def _nearest(
+    rows: np.ndarray, queries: np.ndarray, k: int, candidates: np.ndarray | None = None,
+    norms: tuple[np.ndarray, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k >= 1 nearest (N, D) rows to each of Q >= 1 float64 queries, for
+    knn, retrieve_all, evaluate_model and RSF mining, as flat (query, row,
+    distance) arrays: by query, then distance sqrt(sum((r - q)**2)) in
+    float64 (float32 rows widen exactly), then row.  ``candidates``, a
+    (Q, N) bool mask, limits each query's rows; ``norms`` are
+    ``_row_norms(rows)``.  Bit for bit that scans every candidate, but only
+    a shortlist is scored in float64, _ENCODE_BLOCK queries at a time:
+
+    1. One product in the rows' dtype T scores r by |r|^2 + r.T(-2q), |r|^2
+       in float64 and +inf off the mask: |r - q|^2 - |q|^2 within E = a |q|
+       max|r| + c (|q| + max|r|)^2 + t (1 + |q| + max|r|), |q| the block's
+       norm.  a = 2 (g_D (1 + u) + u): u is T's unit roundoff, g_D = D u
+       / (1 - D u) bounds a D-term dot product in T (Higham, "Accuracy and
+       Stability of Numerical Algorithms", 2nd ed., section 3.1), the lone u
+       rounding -2q to T.  c = (2D + 10) 2^-53 covers the float64 norms,
+       subtraction and distances; t, 4D times T's smallest normal, underflow.
+    2. Candidates not scoring above the k-th smallest score + 2E (or NaN)
+       get float64 distances, and one lexsort ranks them.
+
+    No true neighbour is dropped: if row r is in the top k but scores above
+    the k-th smallest score, one of the k lowest-scoring rows, j, is not, so
+    d(r) <= d(j) and score(r) <= score(j) + 2E.  Where |q| + max|r| is so
+    large that a product in T could overflow, E is infinite and every
+    candidate is re-ranked.
+    """
+    n, d = rows.shape
+    k = min(k, n)
+    sq, rmax = _row_norms(rows) if norms is None else norms
+    info = np.finfo(rows.dtype)
+    u, tiny = float(info.eps) / 2, float(info.tiny)
+    a, c, t = 2 * (d * u / (1 - d * u) * (1 + u) + u), (2 * d + 10) * 2.0**-53, 4 * d * tiny
+    found = []
+    for start in range(0, len(queries), _ENCODE_BLOCK):
+        q = queries[start : start + _ENCODE_BLOCK]
+        qn = float(np.vdot(q, q)) ** 0.5  # the block's norm, at least each |q|
+        wide = qn + rmax > 2.0 ** (info.maxexp // 2 - 4)  # a product in T could overflow
+        err = np.inf if wide else a * qn * rmax + c * (qn + rmax) ** 2 + t * (1 + qn + rmax)
+        q_t = np.zeros_like(q, rows.dtype) if wide else (-2 * q).astype(rows.dtype)
+        scores = q_t @ rows.T + sq  # (B, N)
+        if candidates is not None:
+            scores = np.where(candidates[start : start + len(q)], scores, np.inf)
+        keep = ~(scores > np.partition(scores, k - 1, axis=1)[:, k - 1 : k] + 2 * err)
+        if candidates is not None:
+            keep &= candidates[start : start + len(q)]
+        qi, ri = np.divmod(np.flatnonzero(keep), n)
+        diffs = rows[ri] - q[qi]
+        dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+        # qi ascends, so each query's rows stay in place: keep the first k.
+        top = np.lexsort((ri, dists, qi))[np.arange(len(qi)) - np.searchsorted(qi, qi) < k]
+        found.append((qi[top] + start, ri[top], dists[top]))
+    return found[0] if len(found) == 1 else tuple(map(np.concatenate, zip(*found)))
 
 
 def retrieve_all(
@@ -168,8 +181,7 @@ def retrieve_all(
     ModelMismatch unless the map was built by this model."""
     if dmap.model_fingerprint != model.fingerprint():
         raise ModelMismatch(f"map built by model {dmap.model_fingerprint.hex()}, not this one")
-    descs = _encode(model, dataset.queries)
-    return [knn(dmap, d, k, query_id=rec.id) for rec, d in zip(dataset.queries, descs)]
+    return _search(dmap, _encode(model, dataset.queries), k, [q.id for q in dataset.queries])
 
 
 def save_map(dmap: DescriptorMap, path: str | Path) -> None:
@@ -178,8 +190,8 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     float64 poses, length-prefixed UTF-8 ids, 32-byte model fingerprint.
     Written atomically.  Poses other than (N, 2), or a count of ids other
     than N, is a ShapeError; a row that load_map would refuse, for a
-    non-finite descriptor or pose or an id that is not UTF-8, is a
-    FormatError naming it.  Each is raised before any byte is written."""
+    non-finite descriptor or pose or an id that is not a UTF-8 string, is
+    a FormatError naming it.  Each is raised before any byte is written."""
     n, d = dmap.descriptors.shape
     if np.shape(dmap.poses) != (n, 2) or len(dmap.ids) != n:
         raise ShapeError(
@@ -191,6 +203,8 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
     _check_rows(descriptors, poses)
     ids = []
     for i, rid in enumerate(dmap.ids):
+        if not isinstance(rid, str):
+            raise FormatError(f"id of row {i} is {rid!r}, not a string")
         try:
             raw = rid.encode("utf-8")
         except UnicodeEncodeError:

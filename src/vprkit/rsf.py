@@ -34,7 +34,7 @@ from .errors import (
     VprError,
 )
 from .evaluation import evaluate_model
-from .retrieval import _rank
+from .retrieval import _nearest
 
 _EPS = 1e-12
 
@@ -297,23 +297,13 @@ def _mine(
 
     A row is skipped when it has no positive (-1) or no reference lies
     beyond negative_radius; otherwise its negatives are the
-    feature-closest references beyond that radius, as knn ranks (_rank).
+    feature-closest references beyond that radius, as knn ranks them.
     """
     ref_descs = forward_batch(model, ref_raws)
     q_descs = forward_batch(model, query_raws)
-    rows: list[int] = []
-    negatives: list[int] = []
-    skipped = 0
-    for qi, positive in enumerate(positives.tolist()):
-        candidates = np.flatnonzero(pose_dists[qi] > config.negative_radius)
-        if positive < 0 or candidates.size == 0:
-            skipped += 1
-            continue
-        hard = _rank(ref_descs, q_descs[qi], candidates, config.negatives_per_query)[0].tolist()
-        rows += [qi] * len(hard)
-        negatives += hard
-    picked = np.array(rows, dtype=np.int64)
-    return (query_raws[picked], positives[picked], np.array(negatives, dtype=np.int64)), skipped
+    candidates = (pose_dists > config.negative_radius) & (positives >= 0)[:, None]
+    picked, negatives, _ = _nearest(ref_descs, q_descs, config.negatives_per_query, candidates)
+    return (query_raws[picked], positives[picked], negatives), int((~candidates.any(1)).sum())
 
 
 def mine_triplets(

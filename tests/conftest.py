@@ -1,10 +1,32 @@
+import ctypes
 import multiprocessing
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vprkit as vk
+
+
+def pytest_report_header(config):
+    """The NumPy version and the BLAS kernel it loaded: the digest tests pin
+    one NumPy/OpenBLAS build on one kernel, so a digest failure on another
+    host names the kernel it ran on."""
+    return f"numpy {np.__version__}, OpenBLAS kernel {openblas_corename()}"
+
+
+def openblas_corename() -> str:
+    """The kernel name NumPy's bundled OpenBLAS reports in this process,
+    read through ctypes; "unknown" where the library or symbol is missing."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 @pytest.fixture(autouse=True)

@@ -1094,3 +1094,47 @@ def test_evaluate_results_property(small_map, data):
         assert code == (1 if repeated or gapped or any(fault for _, fault in rows) else 0)
         if code == 0:
             assert len(list(Path(tmp, "ev").glob("*/report.csv"))) == 1
+
+
+@pytest.fixture(scope="module")
+def retrieve_inputs(tmp_path_factory):
+    """A saved 3-place world, its reference side alone, a model and the
+    model's map: (directory, map size, query count)."""
+    root = tmp_path_factory.mktemp("retrieve")
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=3, spacing=30.0, reference_style=vk.StyleParams(),
+            query_style=vk.StyleParams(), queries_per_place=1, image_size=16, seed=3,
+        )
+    )
+    vk.save_dataset(world, root / "ds")
+    vk.save_dataset(world.reference_only(), root / "refs")
+    model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+    vk.save_model(model, root / "model.vprh")
+    vk.save_map(vk.build_map(world, model), root / "map.vprm")
+    return root, len(world.references), len(world.queries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from(["1", "3", "4", "0", "-2", "abc", "", "2.5"]), queries=st.booleans())
+def test_retrieve_k_property(retrieve_inputs, k, queries):
+    """Whatever --k, retrieve exits 0, 1 or 2 and nothing escapes it: 2 for
+    text that is no integer, 1 with a JSON error record for k below 1 with
+    queries to search, else 0 with min(k, N) rows per query, and evaluate
+    scores every results.csv written."""
+    root, n, n_queries = retrieve_inputs
+    ds = str(root / ("ds" if queries else "refs"))
+    inputs = ["--map", str(root / "map.vprm"), "--dataset", ds]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_main(
+            ["retrieve", *inputs, "--model", str(root / "model.vprh"), "--k", k, "--out", tmp]
+        )
+        assert_exit_contract(code, err)
+        number = k.lstrip("-").isdigit()
+        assert code == (2 if not number else 1 if queries and int(k) < 1 else 0)
+        if code == 0:
+            (results,) = Path(tmp).glob("*/results.csv")
+            rows = results.read_text().splitlines()[1:]
+            assert len(rows) == (n_queries * min(int(k), n) if queries else 0)
+            code, err = run_main(["evaluate", "--results", str(results), *inputs, "--out", tmp])
+            assert code == 0, err

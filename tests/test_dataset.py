@@ -253,7 +253,7 @@ def test_saving_a_record_without_a_pose_writes_no_file(tmp_path, side):
     "ids, named",
     [(["a", "a"], "a"), (["a,b"], "a,b"), (["a\nb"], "a\nb"), ([""], ""), (["sub/x"], "sub/x"),
      (["../../escaped"], "../../escaped"), ([" a"], " a"), (["a\rb"], "a\rb"),
-     (["\ud800"], "\ud800"), (["a\0b"], "a\0b")],
+     (["\ud800"], "\ud800"), (["a\0b"], "a\0b"), ([7], 7), (["a", 7], 7)],
 )
 def test_an_id_that_would_not_load_back_is_named_and_writes_no_file(tmp_path, ids, named):
     """Checked on the query side, after references that alone would save,

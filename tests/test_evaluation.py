@@ -289,3 +289,10 @@ class TestProject2d:
         base = np.outer(np.arange(5.0), np.ones(4))
         with pytest.raises(DegenerateSpectrum):
             vk.project_2d(base)
+
+
+@pytest.mark.parametrize("ns", [(1, 5), (0,)])
+def test_evaluate_model_on_no_queries_evaluates_none(tiny_world, small_model, ns):
+    """With ns (0,) the k searched for is 0, but no query means no search."""
+    report = vk.evaluate_model(small_model, tiny_world.reference_only(), ns=ns)
+    assert report.evaluated_queries == report.total_queries == 0

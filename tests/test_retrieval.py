@@ -18,7 +18,7 @@ from vprkit.errors import (
     TruncatedError,
     VprError,
 )
-from vprkit.retrieval import knn, load_map, save_map
+from vprkit.retrieval import _nearest, knn, load_map, save_map
 
 
 def toy_map(rows, poses=None):
@@ -87,6 +87,65 @@ def brute_force(rows, query, k):
         dists.append((acc**0.5, i))
     dists.sort()
     return [(i, d) for d, i in dists[:k]]
+
+
+def rank_oracle(rows, query, cand, k):
+    """The re-rank knn and RSF mining each ran before they shared one core:
+    the k rows among ``cand`` nearest the float64 query, nearest first, by
+    float64 distance (float32 rows widen exactly), ties to the lower index."""
+    diffs = rows[cand] - query
+    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    order = np.lexsort((cand, dists))[:k]
+    return cand[order], dists[order]
+
+
+def per_query_oracle(rows, queries, k, candidates=None):
+    """The per-query loop RSF mining ran: each query's candidates ranked
+    alone by rank_oracle, a query with none skipped; as the core's flat
+    (query, row, distance) lists, distances as bytes."""
+    picked, found, dists = [], [], []
+    for qi, query in enumerate(queries):
+        cand = np.arange(len(rows)) if candidates is None else np.flatnonzero(candidates[qi])
+        if cand.size == 0:
+            continue
+        idx, dist = rank_oracle(rows, query, cand, k)
+        picked += [qi] * len(idx)
+        found += idx.tolist()
+        dists.append(dist)
+    return picked, found, np.concatenate([np.empty(0), *dists]).tobytes()
+
+
+def core(rows, queries, k, candidates=None):
+    """_nearest's result in per_query_oracle's form."""
+    picked, found, dists = _nearest(rows, queries, k, candidates)
+    assert dists.dtype == np.float64
+    return picked.tolist(), found.tolist(), dists.tobytes()
+
+
+@st.composite
+def core_searches(draw):
+    """near_tie_searches' rows, with repeats and near ties, as float32 or
+    float64; a batch of queries at, near or away from rows, sometimes over
+    more than one block; k up to n + 2; and no mask or a mask of a drawn
+    density, under which a query may have no candidate or fewer than k."""
+    dmap, _, _ = draw(near_tie_searches())
+    rows = dmap.descriptors.astype(draw(st.sampled_from([np.float32, np.float64])))
+    n, d = rows.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = draw(st.sampled_from([1, 2, 7, 64, 65, 130]))
+    scale = float(np.abs(rows).max()) or 1.0
+    at = rows[rng.integers(n, size=q)].astype(np.float64)
+    kind = rng.integers(3, size=(q, 1))
+    queries = np.where(kind == 0, at, np.where(
+        kind == 1, at + rng.normal(size=(q, d)) * scale * 1e-7, rng.normal(size=(q, d)) * scale
+    ))
+    density = draw(st.sampled_from([None, 0.0, 0.05, 0.3, 1.0]))
+    mask = None if density is None else rng.random((q, n)) < density
+    return rows, queries, draw(st.integers(1, n + 2)), mask
+
+
+# The (row, query) scales of TestKnn's extreme-magnitude test.
+EXTREME_SCALES = [(1e-42, 1e-42), (1e-20, 1.0), (1e30, 1e-30), (1e36, 1e36), (1.0, 1e200)]
 
 
 class TestKnn:
@@ -176,6 +235,38 @@ class TestKnn:
         assert dists == sorted(dists)
 
 
+class TestNearest:
+    @settings(max_examples=300, deadline=None)
+    @given(search=core_searches())
+    def test_equals_the_per_query_oracle_bit_for_bit(self, search):
+        rows, queries, k, mask = search
+        assert core(rows, queries, k, mask) == per_query_oracle(rows, queries, k, mask)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row_scale, query_scale", EXTREME_SCALES)
+    def test_extreme_magnitudes_equal_the_oracle(self, dtype, row_scale, query_scale):
+        rng = np.random.default_rng(1)
+        rows = (rng.normal(size=(50, 8)) * row_scale).astype(dtype)
+        queries = rng.normal(size=(6, 8)) * query_scale
+        mask = rng.random((6, 50)) < 0.5
+        mask[0] = False  # no candidate
+        mask[1, 3:] = False  # fewer candidates than k
+        for candidates in (None, mask):
+            assert core(rows, queries, 5, candidates) == per_query_oracle(
+                rows, queries, 5, candidates
+            )
+
+    def test_nan_scores_keep_their_candidates(self):
+        """A diverged head's NaN descriptors are ranked as the oracle ranks
+        them, NaN last and then by index, not dropped."""
+        rows = np.array([[np.nan, 0.0], [1.0, 0.0], [0.0, 1.0], [np.nan, 1.0]])
+        queries = np.array([[1.0, 0.1], [np.nan, 0.0]])
+        mask = np.array([[True, False, True, True], [True, True, True, True]])
+        for k in (1, 2, 4):
+            assert core(rows, queries, k, mask) == per_query_oracle(rows, queries, k, mask)
+        assert core(rows, queries, 4, mask)[:2] == ([0, 0, 0, 1, 1, 1, 1], [2, 0, 3, 0, 1, 2, 3])
+
+
 class TestBuildMap:
     def test_rows_match_per_image_forward(self, tiny_world, small_model):
         dmap = vk.build_map(tiny_world, small_model)
@@ -220,6 +311,25 @@ class TestRetrieveAll:
             vk.retrieve_all(dmap, tiny_world, other, k=1)
         results = vk.retrieve_all(dmap, tiny_world, small_model, k=1)
         assert [r.query_id for r in results] == [q.id for q in tiny_world.queries]
+
+    @pytest.mark.parametrize("k", [0, 1, 100, -1])
+    def test_no_queries_no_results_whatever_k(self, tiny_world, small_model, k):
+        refs = tiny_world.reference_only()
+        dmap = vk.build_map(refs, small_model)
+        assert vk.retrieve_all(dmap, refs, small_model, k) == []
+
+    @pytest.mark.parametrize("k", [0, -1, 7])
+    def test_k_outside_one_to_the_map_size_is_refused(self, tiny_world, small_model, k):
+        dmap = vk.build_map(tiny_world, small_model)
+        assert dmap.size == 6
+        with pytest.raises(KTooLarge):
+            vk.retrieve_all(dmap, tiny_world, small_model, k)
+
+    def test_a_non_finite_map_row_is_named(self, tiny_world, small_model):
+        dmap = vk.build_map(tiny_world, small_model)
+        dmap.descriptors[4, 1] = np.inf
+        with pytest.raises(NonFiniteValue, match="row 4"):
+            vk.retrieve_all(dmap, tiny_world, small_model, 2)
 
 
 class TestMapSerialization:
@@ -285,8 +395,8 @@ class TestMapSerialization:
     @pytest.mark.parametrize(
         "field, value",
         [("descriptors", np.nan), ("descriptors", -np.inf), ("poses", np.inf),
-         ("descriptors", 1e39), ("ids", "\ud800")],
-        ids=["nan", "inf", "pose", "float32-overflow", "surrogate-id"],
+         ("descriptors", 1e39), ("ids", "\ud800"), ("ids", 7)],
+        ids=["nan", "inf", "pose", "float32-overflow", "surrogate-id", "int-id"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
     def test_a_row_load_map_would_refuse_is_named_before_writing(self, tmp_path, field, value):

@@ -21,7 +21,7 @@ from vprkit.errors import (
     ShapeError,
     VprError,
 )
-from vprkit.retrieval import _rank
+from vprkit.retrieval import _nearest
 from vprkit.rsf import _hinge, _labeled_rows, _mine
 
 
@@ -338,8 +338,8 @@ class TestMining:
         assert np.linalg.norm(ref_descs[2] - q_desc) > np.linalg.norm(
             ref_descs[3] - q_desc
         )
-        candidates = np.array([2, 3])
-        assert _rank(ref_descs, q_desc, candidates, 1)[0].tolist() == [3]
+        candidates = np.array([[False, False, True, True]])
+        assert _nearest(ref_descs, q_desc[None], 1, candidates)[1].tolist() == [3]
 
     def test_mining_matches_brute_force_scan(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[16], output_dim=8, seed=6)
