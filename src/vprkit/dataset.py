@@ -34,7 +34,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
+from .errors import (InconsistentManifest, InvalidFraction, ManifestMissing, VprError,
+                     check_count, check_real)
 from .manifest import atomic_write_text, temp_name_bytes
 from .ppm import check_pixels, read_ppm, write_ppm
 
@@ -301,10 +302,13 @@ def split_validation(
 ) -> tuple[Dataset, Dataset]:
     """Partition the queries into (train, validation) by a seeded shuffle.
 
-    References are shared by both splits. Same seed, same partition.
+    References are shared by both splits. Same seed, same partition.  A
+    fraction outside [0, 1] is an InvalidFraction, a seed that is not an
+    integer of at least 0 a VprError.
     """
-    if not 0.0 <= fraction <= 1.0:
+    if not 0.0 <= check_real(fraction, "fraction", InvalidFraction) <= 1.0:
         raise InvalidFraction(f"fraction must be in [0, 1], got {fraction}")
+    check_count(seed, "seed", 0)
     n = len(dataset.queries)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     order = rng.permutation(n)

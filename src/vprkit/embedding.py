@@ -21,7 +21,7 @@ import numpy as np
 
 from .colorops import LUMA_WEIGHTS
 from .dataset import ImageRecord
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ShapeError, check_count
 from .imageops import resize_area
 from .manifest import BinaryReader, atomic_write_bytes
 from .ppm import check_pixels
@@ -138,12 +138,16 @@ def init_model(
     seed: int = 0,
     input_dim: int = RAW_DIM,
 ) -> EmbeddingModel:
-    """Seeded initialization: uniform weights scaled 1/sqrt(fan_in), zero bias."""
+    """Seeded initialization: uniform weights scaled 1/sqrt(fan_in), zero bias.
+    A layer dim that is not an integer of at least 1 is a ShapeError, a
+    seed that is not one of at least 0 a VprError."""
     if hidden_dims is None:
         hidden_dims = [256]
     dims = [input_dim, *hidden_dims, output_dim]
-    if any(d <= 0 for d in dims):
-        raise ShapeError(f"all layer dims must be positive, got {dims}")
+    names = ["input_dim", *(f"hidden_dims[{i}]" for i in range(len(hidden_dims))), "output_dim"]
+    for name, d in zip(names, dims):
+        check_count(d, f"all layer dims must be positive, got {dims}; {name}", 1, ShapeError)
+    check_count(seed, "seed", 0)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x11A7]))
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):

@@ -4,6 +4,9 @@ Every module raises subclasses of VprError so callers can catch one base
 class at the CLI boundary and map it to a nonzero exit status.
 """
 
+import math
+import numbers
+
 
 class VprError(Exception):
     """Base class for all toolkit errors."""
@@ -71,3 +74,27 @@ class NumericalDivergence(VprError):
 
 class ModelMismatch(VprError):
     """A descriptor map was built by a different model than the one given."""
+
+
+def check_count(value, name: str, low, error: type[VprError] = VprError):
+    """``value`` if it is an integer (NumPy's too, never a bool) of at least
+    ``low``; else ``error`` naming the field and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be at least {low}, got {value}")
+    return value
+
+
+def check_real(value, name: str, error: type[VprError] = VprError, positive: bool = False):
+    """``value`` if it is a finite real number (NumPy's too, never a bool),
+    above zero if ``positive``; else ``error`` naming the field and the value."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not (finite and (value > 0 or not positive)):
+        raise error(f"{name} must be {'positive and ' * positive}finite, got {value}")
+    return value

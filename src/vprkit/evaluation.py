@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, Pose, pose_distances
-from .errors import DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError
+from .errors import (DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError,
+                     check_count, check_real)
 from .retrieval import DescriptorMap, RetrievalResult, _encode, build_map, knn
 from .embedding import EmbeddingModel
 
@@ -34,11 +34,6 @@ class GroundTruth:
         return [qid for qid, hit in self.matches.items() if not hit]
 
 
-def _check_radius(radius: float) -> None:
-    if not 0 < radius < math.inf:  # also rejects nan
-        raise VprError(f"radius must be positive and finite, got {radius}")
-
-
 def ground_truth(
     query_poses: list[Pose] | np.ndarray,
     reference_poses: list[Pose] | np.ndarray,
@@ -49,10 +44,14 @@ def ground_truth(
     Distances are computed one query row at a time, so memory stays O(N)
     however many queries there are. ``query_ids`` name the queries in
     order: a count other than the poses' is a ShapeError, a repeated id
-    a VprError."""
-    _check_radius(radius)
-    qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
-    rp = np.asarray(reference_poses, np.float64)
+    a VprError.  Poses other than Pose lists or (·, 2) arrays are a
+    ShapeError."""
+    check_real(radius, "radius", positive=True)
+    qp, rp = (np.asarray(p, np.float64) for p in (query_poses, reference_poses))
+    for side, poses in (("query", qp), ("reference", rp)):
+        if poses.size and (poses.ndim != 2 or poses.shape[1] != 2):
+            raise ShapeError(f"{side} poses have shape {poses.shape}, not (·, 2)")
+    qp = qp.reshape(-1, 2)
     if query_ids is None:
         query_ids = [str(i) for i in range(len(qp))]
     if len(query_ids) != len(qp):
@@ -106,6 +105,16 @@ def format_recall(value: float) -> str:
     return f"{value * 100:.1f}"
 
 
+def _check_ns(ns: list[int] | tuple[int, ...]) -> list[int] | tuple[int, ...]:
+    """``ns`` if it holds at least one cutoff and each is an integer of at
+    least 1, as ``--ns`` takes; otherwise a VprError."""
+    if not len(ns):
+        raise VprError("ns must hold at least one cutoff")
+    for n in ns:
+        check_count(n, "ns", 1)
+    return ns
+
+
 def recall_at_n(
     results: list[RetrievalResult],
     gt: GroundTruth,
@@ -116,8 +125,8 @@ def recall_at_n(
     """Fraction of the ground truth's matched queries whose top-N holds a
     correct index; a matched query with no result is a miss.  A result
     for an unknown query is MissingGroundTruth, two results for one
-    query a VprError."""
-    ns = sorted(ns)
+    query a VprError, and so is an ``ns`` that ``_check_ns`` refuses."""
+    ns = sorted(_check_ns(ns))
     ranked: dict[str, list[tuple[int, float]]] = {}
     for res in results:
         if res.query_id not in gt.matches:
@@ -158,7 +167,9 @@ def evaluate_model(
     """Build map, retrieve every query, score Recall@N in one call.
 
     The queries go to knn directly: retrieve_all's model check would hash
-    the model again, and the map was built by this model."""
+    the model again, and the map was built by this model.  An ``ns`` that
+    ``_check_ns`` refuses is a VprError raised before any encoding."""
+    _check_ns(ns)
     dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
     descs = _encode(model, dataset.queries)
@@ -188,8 +199,10 @@ def generalization_matrix(
     ns: tuple[int, ...] = DEFAULT_NS,
 ) -> list[list[RecallReport | Exception]]:
     """Cross-product evaluation; a failing cell records its error and the
-    run continues. A bad radius would fail every cell, so it raises."""
-    _check_radius(radius)
+    run continues. A bad radius or ``ns`` would fail every cell, so it
+    raises."""
+    check_real(radius, "radius", positive=True)
+    _check_ns(ns)
     matrix: list[list[RecallReport | Exception]] = []
     for _, model in models:
         row: list[RecallReport | Exception] = []

@@ -18,6 +18,7 @@ from .errors import (
     ModelMismatch,
     NonFiniteValue,
     ShapeError,
+    check_count,
 )
 from .manifest import BinaryReader, atomic_write_bytes
 
@@ -104,7 +105,7 @@ def _search(dmap: DescriptorMap, qs: np.ndarray, k: int, ids: list[str]) -> list
         return []
     if not np.isfinite(qs).all():
         raise NonFiniteValue("query descriptor is not finite")
-    if not 1 <= k <= dmap.size:
+    if check_count(k, "k", 1, KTooLarge) > dmap.size:
         raise KTooLarge(f"k={k} outside [1, {dmap.size}]")
     _, rows, dists = _nearest(dmap.descriptors, qs, k, norms=dmap._norms)
     ranked = list(zip(rows.tolist(), dists.tolist()))  # k per query

@@ -11,7 +11,6 @@ engine also pretrains on a labeled dataset with real queries.
 from __future__ import annotations
 
 import contextlib
-import math
 import multiprocessing
 import os
 import signal
@@ -32,6 +31,8 @@ from .errors import (
     NumericalDivergence,
     ShapeError,
     VprError,
+    check_count,
+    check_real,
 )
 from .evaluation import evaluate_model
 from .retrieval import _nearest
@@ -53,8 +54,7 @@ def triplet_loss(
         raise ShapeError(
             f"descriptor shapes differ: {f_q.shape}, {f_p.shape}, {f_n.shape}"
         )
-    if not 0 < margin < math.inf:  # False for nan too
-        raise VprError(f"margin must be positive and finite, got {margin}")
+    check_real(margin, "margin", positive=True)
     losses, grads = _hinge(np.stack([f_q, f_p, f_n]).reshape(3, 1, -1), margin)
     return (float(losses[0]), *grads.reshape(3, *f_q.shape))
 
@@ -99,8 +99,8 @@ class FinetuneDataset:
     )
 
     def __post_init__(self) -> None:
-        if self.multiplicity < 1:
-            raise InvalidMultiplicity(f"multiplicity must be >= 1, got {self.multiplicity}")
+        check_count(self.multiplicity, "multiplicity", 1, InvalidMultiplicity)
+        check_count(self.seed, "seed", 0)
         self.references = tuple(self.references)
         self._record_ids = tuple(map(id, self.references))
 
@@ -131,37 +131,34 @@ class FinetuneDataset:
         extracted on first use and kept, across the allowed CPUs while
         train() runs over the stream (_realizing).  A spec that enables no
         category draws nothing, so each of its epochs is epoch 0.  A stream
-        over zero references has no epoch: EmptyReferences."""
+        over zero references has no epoch: EmptyReferences.
+
+        The epoch's copies are split into contiguous slices, one more than
+        the pool's workers (none without a pool): the workers do every slice
+        but the last, and this process the last.  Each copy's draws depend
+        only on its own seed and each raw only on its own pixels, so the
+        split moves no bit.  An error is the one the copies' order raises
+        inline: the earliest slice's first."""
         if not self.references:
             raise EmptyReferences("a stream over zero references realizes no epoch")
         if not self.augmentation_spec.categories:
             epoch = 0
         if epoch not in self._epochs:
+            pool, workers = self._pool or (None, 0)
             sources = np.repeat(np.arange(len(self.references), dtype=np.int64), self.multiplicity)
-            raws = self._raws(epoch, 0, len(sources)) if self._pool is None else self._split_raws(epoch)
+            bounds = [len(sources) * k // (workers + 1) for k in range(workers + 2)]
+            # Only the slice's numbers are sent: the workers hold the stream.
+            futures = [pool.submit(_adopted_raws, epoch, *bounds[k : k + 2]) for k in range(workers)]
+            try:
+                last = self._raws(epoch, bounds[-2], bounds[-1])
+            except Exception:
+                for future in futures:
+                    future.result()
+                raise
+            raws = np.concatenate([*(future.result() for future in futures), last])
             sources.flags.writeable = raws.flags.writeable = False
             self._epochs[epoch] = sources, raws
         return self._epochs[epoch]
-
-    def _split_raws(self, epoch: int) -> np.ndarray:
-        """``_raws`` of the whole epoch, its copies split into contiguous
-        slices: the pool's workers do every slice but the last, and this
-        process the last.  Each copy's draws depend only on its own seed and
-        each raw only on its own pixels, so the split moves no bit.  An
-        error is the one the copies' order raises inline: the earliest
-        slice's first."""
-        pool, workers = self._pool
-        copies = len(self.references) * self.multiplicity
-        bounds = [copies * k // (workers + 1) for k in range(workers + 2)]
-        # Only the slice's numbers are sent: the workers hold the stream.
-        futures = [pool.submit(_adopted_raws, epoch, *bounds[k : k + 2]) for k in range(workers)]
-        try:
-            last = self._raws(epoch, bounds[-2], bounds[-1])
-        except Exception:
-            for future in futures:
-                future.result()
-            raise
-        return np.concatenate([*(future.result() for future in futures), last])
 
 
 @contextlib.contextmanager
@@ -234,26 +231,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Each comparison is False for nan, so nan is rejected too.
-        if not 0 < self.margin < math.inf:
-            raise VprError(f"margin must be positive and finite, got {self.margin}")
-        if not 0 < self.learning_rate < math.inf:
-            raise VprError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        for name in ("positive_radius", "negative_radius", "validation_radius"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise VprError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        for name in ("margin", "learning_rate", "positive_radius", "negative_radius",
+                     "validation_radius"):
+            check_real(getattr(self, name), name, positive=True)
         if self.negative_radius < self.positive_radius:
             raise VprError("negative_radius must be >= positive_radius")
-        for name in ("batch_size", "negatives_per_query", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise VprError(f"{name} must be at least 1, got {getattr(self, name)}")
-        for name in ("epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise VprError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.aug_multiplicity < 1:
-            raise InvalidMultiplicity(
-                f"aug_multiplicity must be at least 1, got {self.aug_multiplicity}"
-            )
+        for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_query", 1),
+                          ("early_stop_patience", 1), ("seed", 0)):
+            check_count(getattr(self, name), name, low)
+        check_count(self.aug_multiplicity, "aug_multiplicity", 1, InvalidMultiplicity)
+        if not isinstance(self.poseless, (bool, np.bool_)):
+            raise VprError(f"poseless must be a bool, got {self.poseless!r}")
 
 
 # One epoch's triplets as aligned rows: (T, RAW_DIM) query raws and (T,)
@@ -374,7 +362,9 @@ def train(
     epoch with the best validation Recall@1 and training stops early
     after `early_stop_patience` epochs without improvement. Without one,
     the epoch with the lowest mean training loss is returned, the latest
-    among ties. A validation dataset with no queries, and data from
+    among ties, and training still stops early: after
+    `early_stop_patience` epochs in a row whose mean loss is above the
+    lowest so far. A validation dataset with no queries, and data from
     which an epoch mines no triplet, are VprErrors.
     """
     if not data.references:

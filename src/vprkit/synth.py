@@ -17,7 +17,7 @@ import numpy as np
 
 from .colorops import adjust_contrast, rotate_hue
 from .dataset import Dataset, ImageRecord, Pose
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_count, check_real
 
 TEXTURE_FAMILIES = ("blocks", "stripes", "gradients")
 
@@ -44,13 +44,11 @@ class StyleParams:
     texture_family: str = "blocks"
 
     def __post_init__(self) -> None:
+        check_count(self.palette_id, "palette_id", -math.inf, InvalidSpec)  # it wraps around
         for name in ("hue_shift", "brightness_offset", "contrast_gain", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidSpec(f"{name} must be finite, got {getattr(self, name)}")
+            check_real(getattr(self, name), name, InvalidSpec, positive=name == "contrast_gain")
         if self.texture_family not in TEXTURE_FAMILIES:
             raise InvalidSpec(f"unknown texture family {self.texture_family!r}")
-        if self.contrast_gain <= 0:
-            raise InvalidSpec("contrast_gain must be positive")
         if self.noise_sigma < 0:
             raise InvalidSpec("noise_sigma must be non-negative")
 
@@ -69,21 +67,13 @@ class SynthWorldSpec:
     jitter_px: int = 2  # max query pixel-translation jitter per axis
 
     def __post_init__(self) -> None:
-        if self.place_count < 2:
-            raise InvalidSpec("place_count must be at least 2")
-        if not 0 < self.spacing < math.inf:  # also rejects nan
-            raise InvalidSpec(f"spacing must be positive and finite, got {self.spacing}")
-        if not math.isfinite((self.place_count - 1) * self.spacing):
-            raise InvalidSpec(
-                f"place poses must be finite: {self.place_count} places at spacing {self.spacing}"
-            )
-        if self.queries_per_place < 1:
-            raise InvalidSpec("queries_per_place must be at least 1")
-        if self.image_size < 16:
-            raise InvalidSpec("image_size must be at least 16")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
-        if not 0 <= self.jitter_px < self.image_size:
+        for name, low in (("place_count", 2), ("queries_per_place", 1), ("image_size", 16),
+                          ("seed", 0), ("jitter_px", 0)):
+            check_count(getattr(self, name), name, low, InvalidSpec)
+        check_real(self.spacing, "spacing", InvalidSpec, positive=True)
+        check_real((self.place_count - 1) * self.spacing,  # the last place's pose
+                   f"{self.place_count} places at spacing {self.spacing}: place poses", InvalidSpec)
+        if self.jitter_px >= self.image_size:
             raise InvalidSpec(
                 f"jitter_px must be in [0, image_size), got {self.jitter_px}"
             )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
-from vprkit.dataset import Pose, save_dataset
+from vprkit.dataset import Pose, _name_max, save_dataset
 from vprkit.errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
 from vprkit.ppm import quantize, write_ppm
 
@@ -165,6 +165,23 @@ def test_a_manifest_without_header_or_with_a_repeated_id_is_named(tmp_path, text
     (tmp_path / "reference_poses.csv").write_text(text)
     with pytest.raises(InconsistentManifest, match=f"reference_poses.csv: {needle}"):
         vk.load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("row", ["r1,0", "r1,0,0,0", "r1"])
+def test_a_row_without_three_fields_is_named(tmp_path, row):
+    _write_side(tmp_path, "references", [("r0", 0.0, 0.0)])
+    with open(tmp_path / "reference_poses.csv", "a") as fh:
+        fh.write(row + "\n")
+    with pytest.raises(InconsistentManifest, match=f"reference_poses.csv:3: expected id,x,y got '{row}'"):
+        vk.load_dataset(tmp_path)
+
+
+def test_blank_lines_in_a_manifest_are_skipped(tmp_path):
+    _write_side(tmp_path, "references", [("r0", 0.0, 0.0), ("r1", 10.0, 0.0)])
+    manifest = tmp_path / "reference_poses.csv"
+    manifest.write_text(manifest.read_text().replace("\n", "\n\n  \n"))
+    ds = vk.load_dataset(tmp_path)
+    assert [(r.id, r.pose) for r in ds.references] == [("r0", (0.0, 0.0)), ("r1", (10.0, 0.0))]
 
 
 def test_latlon_out_of_range_is_reported(tmp_path):
@@ -339,6 +356,18 @@ def test_the_longest_id_is_the_file_systems_name_limit(tmp_path):
             with pytest.raises(InconsistentManifest, match=f"{n + 14} bytes"):
                 save_dataset(vk.Dataset(refs), root)
             assert not root.exists()
+
+
+@pytest.mark.parametrize("error", [OSError, ValueError])
+def test_the_name_limit_is_255_bytes_where_the_system_cannot_tell(tmp_path, monkeypatch, error):
+    def pathconf(path, name):
+        raise error(name)
+
+    monkeypatch.setattr(os, "pathconf", pathconf)
+    assert _name_max(tmp_path / "not" / "made") == 255
+    refs = [vk.ImageRecord("x" * 242, np.zeros((2, 2, 3)), Pose(0.0, 0.0))]
+    with pytest.raises(InconsistentManifest, match="256 bytes, and this file system's are at most 255"):
+        save_dataset(vk.Dataset(refs), tmp_path / "out")
 
 
 def test_missing_pose_is_named_by_the_pose_lists(tiny_world):

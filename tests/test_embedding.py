@@ -477,6 +477,15 @@ class TestInitAndSerialization:
         with pytest.raises(FormatError):
             load_model(path)
 
+    def test_another_version_is_named(self, tmp_path, small_model):
+        path = tmp_path / "m.vprh"
+        save_model(small_model, path)
+        data = bytearray(path.read_bytes())
+        data[4:6] = struct.pack("<H", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unsupported VPRH file version 2"):
+            load_model(path)
+
     def test_truncation_names_byte_counts(self, tmp_path, small_model):
         path = tmp_path / "m.vprh"
         save_model(small_model, path)

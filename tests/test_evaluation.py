@@ -293,6 +293,11 @@ class TestProject2d:
 
 @pytest.mark.parametrize("ns", [(1, 5), (0,)])
 def test_evaluate_model_on_no_queries_evaluates_none(tiny_world, small_model, ns):
-    """With ns (0,) the k searched for is 0, but no query means no search."""
+    """No query means no search, but an ns of (0,) is refused all the same,
+    as --ns refuses it."""
+    if ns == (0,):
+        with pytest.raises(VprError, match="ns must be at least 1, got 0"):
+            vk.evaluate_model(small_model, tiny_world.reference_only(), ns=ns)
+        return
     report = vk.evaluate_model(small_model, tiny_world.reference_only(), ns=ns)
     assert report.evaluated_queries == report.total_queries == 0
