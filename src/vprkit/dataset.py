@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import (InconsistentManifest, InvalidFraction, ManifestMissing, VprError,
-                     check_count, check_real)
+                     check_count, check_flag, check_real)
 from .manifest import atomic_write_text, temp_name_bytes
 from .ppm import check_pixels, read_ppm, write_ppm
 
@@ -206,8 +206,10 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
     """Load a dataset directory into memory.
 
     Raises ManifestMissing / InconsistentManifest / DecodeError as
-    appropriate; all orderings are lexicographic by id.
+    appropriate, and VprError for a ``latlon`` that is not a bool; all
+    orderings are lexicographic by id.
     """
+    check_flag(latlon, "latlon")
     root = Path(root_path)
     sides = [(root / "references", root / "reference_poses.csv")]
     if (root / "queries").is_dir() or (root / "query_poses.csv").is_file():

@@ -311,7 +311,7 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
         parts.append(struct.pack("<II", *w.shape))
     for w, b in zip(weights, biases):
         parts += [w, b]
-    atomic_write_bytes(Path(path), *parts)
+    atomic_write_bytes(Path(path), parts)
 
 
 def _check_layers(shapes: list[tuple[int, int]]) -> None:

@@ -7,6 +7,8 @@ class at the CLI boundary and map it to a nonzero exit status.
 import math
 import numbers
 
+import numpy as np
+
 
 class VprError(Exception):
     """Base class for all toolkit errors."""
@@ -97,4 +99,12 @@ def check_real(value, name: str, error: type[VprError] = VprError, positive: boo
         finite = False
     if not (finite and (value > 0 or not positive)):
         raise error(f"{name} must be {'positive and ' * positive}finite, got {value}")
+    return value
+
+
+def check_flag(value, name: str):
+    """``value`` if it is a bool (NumPy's too); else VprError naming the
+    field and the value, so that a truthy string never turns a flag on."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise VprError(f"{name} must be a bool, got {value!r}")
     return value

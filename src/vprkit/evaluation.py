@@ -221,7 +221,8 @@ def format_matrix(
     matrix: list[list[RecallReport | Exception]],
     n: int = 1,
 ) -> str:
-    """Aligned plain-text table of Recall@n, models as rows."""
+    """Aligned plain-text table of Recall@n, models as rows; a VprError
+    naming ``n`` if a report has no Recall@n."""
     header = ["model \\ dataset", *datasets]
     lines = [header]
     for name, row in zip(models, matrix):
@@ -229,6 +230,8 @@ def format_matrix(
         for cell in row:
             if isinstance(cell, Exception):
                 cells.append(type(cell).__name__)
+            elif n not in cell.ns:
+                raise VprError(f"n={n!r} is not among the report's cutoffs {list(cell.ns)}")
             else:
                 cells.append(format_recall(cell.recalls[cell.ns.index(n)]))
         lines.append(cells)

@@ -45,10 +45,11 @@ def hash_input(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def atomic_write_bytes(path: Path, *parts) -> None:
-    """Write the parts one after another as the file at ``path``, or
-    leave the file as it was.  A part is anything ``write`` takes: bytes
-    or a C-contiguous array, so large arrays are written without a copy."""
+def atomic_write_bytes(path: Path, parts) -> None:
+    """Write an iterable of parts one after another as the file at
+    ``path``, or leave the file as it was.  A part is anything ``write``
+    takes: bytes or a C-contiguous array, so large arrays are written
+    without a copy, and a generator's parts need not all exist at once."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
@@ -70,7 +71,7 @@ def temp_name_bytes(name: str) -> int:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_bytes(path, [text.encode("utf-8")])
 
 
 class BinaryReader:
@@ -81,14 +82,16 @@ class BinaryReader:
     def __init__(self, data: bytes, magic: bytes, version: int):
         if data[:4] != magic:
             raise FormatError(f"bad magic {data[:4]!r}, expected {magic!r}")
-        self.data, self.pos = data, 4
+        self.data, self.pos, self.base = data, 4, 0  # base: file offset of data[0]
         (found,) = self.unpack("<H")
         if found != version:
             raise FormatError(f"unsupported {magic.decode()} file version {found}")
 
     # Reads check bounds inline: a 100k-row map's id table is 200,000 reads.
     def _truncated(self) -> TruncatedError:
-        return TruncatedError(f"expected {self.pos} bytes, file has only {len(self.data)}")
+        return TruncatedError(
+            f"expected {self.base + self.pos} bytes, file has only {self.base + len(self.data)}"
+        )
 
     def unpack(self, fmt: str) -> tuple:
         start, self.pos = self.pos, self.pos + struct.calcsize(fmt)
@@ -110,10 +113,16 @@ class BinaryReader:
             raise self._truncated()
         return self.data[start : self.pos]
 
+    def resume(self, skipped: int, data: bytes) -> None:
+        """Go on after ``skipped`` bytes that the caller read itself, with
+        ``data`` the bytes that follow them."""
+        self.base += self.pos + skipped
+        self.data, self.pos = data, 0
+
     def end(self, after: str) -> None:
         if self.pos != len(self.data):
             raise FormatError(
-                f"{len(self.data) - self.pos} bytes after the {after} at byte {self.pos}"
+                f"{len(self.data) - self.pos} bytes after the {after} at byte {self.base + self.pos}"
             )
 
 

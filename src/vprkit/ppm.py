@@ -68,7 +68,7 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     height, width = pixels.shape[:2]
     raster = quantize(pixels)
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    atomic_write_bytes(Path(path), header, np.ascontiguousarray(raster))
+    atomic_write_bytes(Path(path), [header, np.ascontiguousarray(raster)])
 
 
 def quantize(pixels: np.ndarray) -> np.ndarray:

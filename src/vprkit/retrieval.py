@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import itertools
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +20,7 @@ from .errors import (
     ModelMismatch,
     NonFiniteValue,
     ShapeError,
+    TruncatedError,
     check_count,
 )
 from .manifest import BinaryReader, atomic_write_bytes
@@ -26,16 +29,19 @@ _MAP_MAGIC = b"VPRM"
 _MAP_VERSION = 1
 _FLAG_NORMALIZED = 1
 _ENCODE_BLOCK = 64
+_IO_BLOCK = 1 << 20  # bytes of descriptor rows save_map and load_map move at a time
 
 
 @dataclass
 class DescriptorMap:
     """The offline map: reference descriptors, poses, ids, provenance.
 
-    The first search caches the row norms; do not modify the descriptors
-    in place after it."""
+    build_map and load_map give column-major (Fortran-order) descriptors,
+    so that a one-query search reads the map in one stream; any layout
+    gives the same results.  The first search caches the row norms; do not
+    modify the descriptors in place after it."""
 
-    descriptors: np.ndarray  # (N, D) float32
+    descriptors: np.ndarray  # (N, D) float32, column-major
     poses: np.ndarray  # (N, 2) float64
     ids: list[str]
     model_fingerprint: bytes  # 32 bytes
@@ -82,7 +88,7 @@ def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
     if not dataset.references:
         raise EmptyReferences("cannot build a map from zero references")
     return DescriptorMap(
-        descriptors=_encode(model, dataset.references).astype(np.float32),
+        descriptors=_encode(model, dataset.references).astype(np.float32, order="F"),
         poses=np.asarray(dataset.reference_poses, dtype=np.float64),
         ids=[rec.id for rec in dataset.references],
         model_fingerprint=model.fingerprint(),
@@ -154,16 +160,23 @@ def _nearest(
     u, tiny = float(info.eps) / 2, float(info.tiny)
     a, c, t = 2 * (d * u / (1 - d * u) * (1 + u) + u), (2 * d + 10) * 2.0**-53, 4 * d * tiny
     found = []
+    # The (B, N) float64 scores and their partitioned copy, allocated once:
+    # at 100k rows each block's pair is 100 MB, which a fresh allocation
+    # would page in anew for every block.
+    buffers = np.empty((2, min(len(queries), _ENCODE_BLOCK), n))
     for start in range(0, len(queries), _ENCODE_BLOCK):
         q = queries[start : start + _ENCODE_BLOCK]
         qn = float(np.vdot(q, q)) ** 0.5  # the block's norm, at least each |q|
         wide = qn + rmax > 2.0 ** (info.maxexp // 2 - 4)  # a product in T could overflow
         err = np.inf if wide else a * qn * rmax + c * (qn + rmax) ** 2 + t * (1 + qn + rmax)
         q_t = np.zeros_like(q, rows.dtype) if wide else (-2 * q).astype(rows.dtype)
-        scores = q_t @ rows.T + sq  # (B, N)
+        scores, kth = buffers[:, : len(q)]
+        np.add(q_t @ rows.T, sq, out=scores)
         if candidates is not None:
-            scores = np.where(candidates[start : start + len(q)], scores, np.inf)
-        keep = ~(scores > np.partition(scores, k - 1, axis=1)[:, k - 1 : k] + 2 * err)
+            np.copyto(scores, np.inf, where=~candidates[start : start + len(q)])
+        np.copyto(kth, scores)
+        kth.partition(k - 1, axis=1)
+        keep = ~(scores > kth[:, k - 1 : k] + 2 * err)
         if candidates is not None:
             keep &= candidates[start : start + len(q)]
         qi, ri = np.divmod(np.flatnonzero(keep), n)
@@ -199,7 +212,7 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
             f"a map of {n} rows needs ({n}, 2) poses and {n} ids, "
             f"got {np.shape(dmap.poses)} poses and {len(dmap.ids)} ids"
         )
-    descriptors = np.ascontiguousarray(dmap.descriptors, dtype="<f4")
+    descriptors = np.asarray(dmap.descriptors, "<f4")  # in its own layout
     poses = np.ascontiguousarray(dmap.poses, dtype="<f8")
     _check_rows(descriptors, poses)
     ids = []
@@ -216,15 +229,19 @@ def save_map(dmap: DescriptorMap, path: str | Path) -> None:
         ids.append(raw)
     if len(dmap.model_fingerprint) != 32:
         raise FormatError("model fingerprint must be 32 bytes")
-    atomic_write_bytes(
-        Path(path),
-        _MAP_MAGIC,
-        struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED),
-        descriptors,
-        poses,
-        b"".join(ids),
-        dmap.model_fingerprint,
-    )
+    step = _block_rows(d)
+    atomic_write_bytes(Path(path), itertools.chain(
+        [_MAP_MAGIC, struct.pack("<HIQH", _MAP_VERSION, d, n, _FLAG_NORMALIZED)],
+        # Row-major, a block of rows at a time: no copy of a whole
+        # column-major map.
+        (np.ascontiguousarray(descriptors[i : i + step]) for i in range(0, n, step)),
+        [poses, b"".join(ids), dmap.model_fingerprint],
+    ))
+
+
+def _block_rows(d: int) -> int:
+    """How many rows of D float32 values fill _IO_BLOCK bytes, at least one."""
+    return max(1, _IO_BLOCK // max(4 * d, 1))
 
 
 def _check_rows(descriptors: np.ndarray, poses: np.ndarray) -> None:
@@ -237,15 +254,28 @@ def _check_rows(descriptors: np.ndarray, poses: np.ndarray) -> None:
 
 
 def load_map(path: str | Path) -> DescriptorMap:
-    """Inverse of save_map; bit-exact round trip.  Bytes after the
-    fingerprint are a FormatError."""
-    r = BinaryReader(Path(path).read_bytes(), _MAP_MAGIC, _MAP_VERSION)
-    d, n, _flags = r.unpack("<IQH")
-    # Flat until the poses are read: with d = 0, an n beyond the file must
-    # be a TruncatedError, not an unrepresentable (n, 0) shape.
-    desc = r.array("<f4", n * d)
+    """Inverse of save_map; bit-exact round trip, into column-major
+    descriptors.  A file too short for the rows its header declares is a
+    TruncatedError before they are allocated; they are then read a block
+    at a time, so the file's bytes are never held beside them.  Bytes
+    after the fingerprint are a FormatError."""
+    with Path(path).open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        r = BinaryReader(fh.read(20), _MAP_MAGIC, _MAP_VERSION)
+        d, n, _flags = r.unpack("<IQH")
+        # Every row holds its descriptor, its pose and its id's length.
+        least = r.pos + n * (4 * d + 18) + 32
+        if least > size:
+            raise TruncatedError(f"expected at least {least} bytes, file has only {size}")
+        desc = np.empty((n, d), np.float32, order="F")
+        block = np.empty((_block_rows(d), d), "<f4")
+        for start in range(0, n, len(block)):
+            rows = block[: n - start]
+            if fh.readinto(rows) != rows.nbytes:
+                raise TruncatedError(f"map file ended before row {start + len(rows)}")
+            desc[start : start + len(rows)] = rows
+        r.resume(desc.nbytes, fh.read())
     poses = r.array("<f8", n, 2)
-    desc = desc.reshape(n, d)
     _check_rows(desc, poses)
     ids = []
     for i in range(n):
@@ -257,7 +287,7 @@ def load_map(path: str | Path) -> DescriptorMap:
     fingerprint = r.take(32)
     r.end("fingerprint")
     return DescriptorMap(
-        descriptors=desc.copy(),
+        descriptors=desc,
         poses=poses.copy(),
         ids=ids,
         model_fingerprint=fingerprint,

@@ -32,6 +32,7 @@ from .errors import (
     ShapeError,
     VprError,
     check_count,
+    check_flag,
     check_real,
 )
 from .evaluation import evaluate_model
@@ -209,7 +210,7 @@ def _adopted_raws(epoch: int, start: int, stop: int) -> np.ndarray:
     return _adopted._raws(epoch, start, stop)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Everything the training loop needs, all seedable and explicit.
 
@@ -240,8 +241,7 @@ class TrainConfig:
                           ("early_stop_patience", 1), ("seed", 0)):
             check_count(getattr(self, name), name, low)
         check_count(self.aug_multiplicity, "aug_multiplicity", 1, InvalidMultiplicity)
-        if not isinstance(self.poseless, (bool, np.bool_)):
-            raise VprError(f"poseless must be a bool, got {self.poseless!r}")
+        check_flag(self.poseless, "poseless")
 
 
 # One epoch's triplets as aligned rows: (T, RAW_DIM) query raws and (T,)

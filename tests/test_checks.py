@@ -202,9 +202,42 @@ def test_an_integer_past_the_float_range_is_not_finite(entry, field, value):
 
 def test_rsf_finetune_refuses_a_fractional_multiplicity_before_realizing():
     config = vk.TrainConfig(epochs=1)
-    config.aug_multiplicity = 1.5  # TrainConfig is not frozen
+    # TrainConfig is frozen and checks its fields; go round both to reach
+    # FinetuneDataset's own check.
+    object.__setattr__(config, "aug_multiplicity", 1.5)
     with pytest.raises(InvalidMultiplicity, match="multiplicity must be an integer, got 1.5"):
         vk.rsf_finetune(MODEL, WORLD, config, SPEC)
+
+
+def test_a_train_config_field_is_checked_once_and_never_reassigned():
+    """A field set after construction skipped every check: epochs = 1.5
+    reached train() as a bare TypeError."""
+    config = vk.TrainConfig(epochs=1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.epochs = 1.5
+    with pytest.raises(VprError, match="epochs"):
+        dataclasses.replace(config, epochs=1.5)
+    assert dataclasses.replace(config, poseless=True).poseless is True
+
+
+def _load_dataset(latlon):
+    return vk.load_dataset("no-such-dataset", latlon=latlon)
+
+
+@pytest.mark.parametrize("entry, field", [(vk.TrainConfig, "poseless"), (_load_dataset, "latlon")])
+@pytest.mark.parametrize("value", ["no", "", 1, 0, None, np.float64(1.0)])
+def test_a_flag_is_a_bool(entry, field, value):
+    """One rule for a flag (``errors.check_flag``): latlon="no" read the
+    poses as latitude and longitude, because the string is truthy."""
+    with pytest.raises(VprError, match=f"{field} must be a bool, got {re.escape(repr(value))}"):
+        entry(**{field: value})
+
+
+def test_a_numpy_bool_flag_is_taken_as_pythons(tmp_path):
+    vk.save_dataset(WORLD, tmp_path)
+    for flag in (False, True):
+        ours = vk.load_dataset(tmp_path, latlon=np.bool_(flag))
+        assert ours.reference_poses == vk.load_dataset(tmp_path, latlon=flag).reference_poses
 
 
 @pytest.mark.parametrize("shape", [(4, 3), (5, 3), (2,), (2, 2, 2)])

@@ -239,6 +239,13 @@ class TestGeneralizationMatrix:
         text = format_matrix(["bad", "ok"], ["w"], matrix)
         assert "ShapeError" in text
 
+    def test_a_cutoff_a_report_lacks_is_named(self):
+        """It was a bare ``ValueError: 10 is not in list``."""
+        report = vk.RecallReport("w", "f", [1, 5], [0.5, 1.0], 2, 2)
+        assert format_matrix(["m"], ["w"], [[report]], n=5).endswith("100.0")
+        with pytest.raises(VprError, match=re.escape("n=10 is not among the report's cutoffs [1, 5]")):
+            format_matrix(["m"], ["w"], [[report]], n=10)
+
 
 class TestProject2d:
     def test_shape_and_centering(self):

@@ -1,6 +1,8 @@
+import dataclasses
 import functools
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from vprkit.errors import (
     TruncatedError,
     VprError,
 )
-from vprkit.retrieval import _nearest, knn, load_map, save_map
+from vprkit.retrieval import _block_rows, _nearest, _search, knn, load_map, save_map
 
 
 def toy_map(rows, poses=None):
@@ -267,6 +269,34 @@ class TestNearest:
         assert core(rows, queries, 4, mask)[:2] == ([0, 0, 0, 1, 1, 1, 1], [2, 0, 3, 0, 1, 2, 3])
 
 
+class TestLayout:
+    """build_map and load_map give column-major rows; a row-major map of
+    the same rows gives the same results bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(search=core_searches())
+    def test_row_and_column_major_maps_search_alike(self, search):
+        """knn, and the search retrieve_all runs on its encoded queries,
+        over maps with repeated rows and near ties, one block of queries or
+        more."""
+        rows, queries, k, _ = search
+        rows = rows.astype(np.float32)
+        k = min(k, len(rows))
+        c_map, f_map = toy_map(np.ascontiguousarray(rows)), toy_map(np.asfortranarray(rows))
+        assert f_map.descriptors.flags.f_contiguous
+        ids = [f"q{i}" for i in range(len(queries))]
+        assert _search(c_map, queries, k, ids) == _search(f_map, queries, k, ids)
+        assert knn(c_map, queries[0], k) == knn(f_map, queries[0], k)
+
+    def test_retrieve_all_alike_in_either_layout(self, tiny_world, small_model):
+        dmap = vk.build_map(tiny_world, small_model)
+        assert dmap.descriptors.flags.f_contiguous and not dmap.descriptors.flags.c_contiguous
+        c_map = dataclasses.replace(dmap, descriptors=np.ascontiguousarray(dmap.descriptors))
+        for k in (1, dmap.size):
+            assert (vk.retrieve_all(dmap, tiny_world, small_model, k)
+                    == vk.retrieve_all(c_map, tiny_world, small_model, k))
+
+
 class TestBuildMap:
     def test_rows_match_per_image_forward(self, tiny_world, small_model):
         dmap = vk.build_map(tiny_world, small_model)
@@ -505,6 +535,43 @@ class TestMapSerialization:
         assert dmap.size == len(dmap.ids) == dmap.poses.shape[0]
         assert np.isfinite(dmap.descriptors).all() and np.isfinite(dmap.poses).all()
         assert len(dmap.model_fingerprint) == 32
+
+    # d = 256: 1,024 rows fill a block of _IO_BLOCK bytes.
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 2049])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_either_layout_writes_row_major_blocks_and_loads_column_major(
+        self, tmp_path, n, order
+    ):
+        """The file is the rows' row-major bytes across block boundaries, in
+        either layout; the map loads back column-major with the same rows."""
+        d = 256
+        assert _block_rows(d) == 1024
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(n, d)).astype(np.float32)
+        dmap = toy_map(np.asarray(rows, order=order), poses=rng.normal(size=(n, 2)))
+        path = tmp_path / "m.vprm"
+        save_map(dmap, path)
+        head = b"VPRM" + struct.pack("<HIQH", 1, d, n, 1)
+        body = rows.tobytes() + dmap.poses.tobytes()
+        assert path.read_bytes().startswith(head + body)
+        back = load_map(path)
+        assert back.descriptors.flags.f_contiguous and back.descriptors.dtype == np.float32
+        assert back.descriptors.tobytes() == rows.tobytes()
+        save_map(back, tmp_path / "again.vprm")
+        assert (tmp_path / "again.vprm").read_bytes() == path.read_bytes()
+
+    def test_a_row_count_beyond_the_file_is_refused_before_allocating(self, tmp_path):
+        """N = 2**40 rows of 128 floats would be 512 TiB."""
+        path = tmp_path / "m.vprm"
+        path.write_bytes(b"VPRM" + struct.pack("<HIQH", 1, 128, 2**40, 1) + bytes(4096))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedError, match="at least"):
+                load_map(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("rows", [5, 2**62, 2**64 - 1])
     def test_row_count_beyond_the_file_is_truncated_at_any_dim(self, tmp_path, rows):
