@@ -9,7 +9,9 @@ stochastic commands; nothing is ever seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import os
 import resource
@@ -212,36 +214,41 @@ def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
     _add_train_flags(p)
 
 
-def _write_trainlog(ctx: RunContext, log: TrainLog, name: str = "trainlog.csv") -> None:
-    lines = ["record,index,value"]
-    lines += [f"step_loss,{i},{v:.8f}" for i, v in enumerate(log.step_losses)]
-    for record in ("epoch_mean_loss", "epoch_grad_norm"):
-        lines += [f"{record},{i},{v:.8f}" for i, v in enumerate(getattr(log, record))]
-    lines += [
-        f"epoch_val_recall1,{i},{v:.6f}" for i, v in enumerate(log.epoch_val_recall1)
-    ]
-    for record in ("epoch_skipped_queries", "epoch_triplets", "epoch_active_triplets"):
-        lines += [f"{record},{i},{v}" for i, v in enumerate(getattr(log, record))]
-    # Wall times, the records that differ between same-seed runs: each
-    # epoch's, then its stages'.
-    for record in ("epoch_seconds", "epoch_mine_seconds", "epoch_step_seconds",
-                   "epoch_validate_seconds"):
-        lines += [f"{record},{i},{v:.6f}" for i, v in enumerate(getattr(log, record))]
-    lines.append(f"selected_epoch,0,{log.selected_epoch}")
-    lines.append(f"stop_reason,0,{log.stop_reason}")
+def _write_csv(ctx: RunContext, name: str, header: str, rows) -> None:
+    """Write the run's table ``name``: the header line, then each row (a list
+    of fields, or a line of RecallReport.rows()) quoted as RFC 4180 says."""
+    lines = [header, *(row if isinstance(row, str) else _csv_row(row) for row in rows)]
     atomic_write_text(ctx.path(name), "\n".join(lines) + "\n")
 
 
+# trainlog.csv's records in file order, each with its values' format.  The
+# wall times, which differ between same-seed runs, follow the rest.
+_TRAINLOG = (
+    ("step_loss", ".8f"), ("epoch_mean_loss", ".8f"), ("epoch_grad_norm", ".8f"),
+    ("epoch_val_recall1", ".6f"), ("epoch_skipped_queries", ""), ("epoch_triplets", ""),
+    ("epoch_active_triplets", ""), ("epoch_seconds", ".6f"), ("epoch_mine_seconds", ".6f"),
+    ("epoch_step_seconds", ".6f"), ("epoch_validate_seconds", ".6f"),
+    ("selected_epoch", ""), ("stop_reason", ""),
+)
+
+
+def _write_trainlog(ctx: RunContext, log: TrainLog) -> None:
+    rows = []
+    for record, fmt in _TRAINLOG:
+        values = getattr(log, "step_losses" if record == "step_loss" else record)
+        values = values if isinstance(values, list) else [values]
+        rows += [[record, i, format(v, fmt)] for i, v in enumerate(values)]
+    _write_csv(ctx, "trainlog.csv", "record,index,value", rows)
+
+
 def _write_report(ctx: RunContext, reports, stem: str) -> None:
-    rows = [REPORT_HEADER]
     text_lines = []
     for rep in reports:
-        rows.extend(rep.rows())
         cells = "  ".join(
             f"R@{n}={format_recall(r)}" for n, r in zip(rep.ns, rep.recalls)
         )
         text_lines.append(f"{rep.dataset or '-'}  {cells}")
-    atomic_write_text(ctx.path(f"{stem}.csv"), "\n".join(rows) + "\n")
+    _write_csv(ctx, f"{stem}.csv", REPORT_HEADER, [r for rep in reports for r in rep.rows()])
     atomic_write_text(ctx.path(f"{stem}.txt"), "\n".join(text_lines) + "\n")
     for line in text_lines:
         print(line)
@@ -314,11 +321,11 @@ def cmd_retrieve(args) -> RunContext:
     model = load_model(args.model)
     dataset = load_dataset(args.dataset)
     results = retrieve_all(dmap, dataset, model, min(args.k, dmap.size))
-    rows = ["query_id,rank,ref_index,ref_id,distance"]
-    for res in results:
-        for rank, (idx, dist) in enumerate(res.ranked):
-            rows.append(f"{res.query_id},{rank},{idx},{dmap.ids[idx]},{dist:.9f}")
-    atomic_write_text(ctx.path("results.csv"), "\n".join(rows) + "\n")
+    rows = [
+        [res.query_id, rank, idx, dmap.ids[idx], f"{dist:.9f}"]
+        for res in results for rank, (idx, dist) in enumerate(res.ranked)
+    ]
+    _write_csv(ctx, "results.csv", "query_id,rank,ref_index,ref_id,distance", rows)
     return ctx
 
 
@@ -328,24 +335,30 @@ _ResultsRow = tuple[str, str, int, int, str, float]
 
 
 def _read_results(path: Path) -> list[_ResultsRow]:
-    """The rows of a results file; a malformed row, or a second row for
-    one (query id, rank), is a VprError naming its line."""
-    rows: list[_ResultsRow] = []
-    seen: set[tuple[str, int]] = set()
-    lines = read_utf8(path).splitlines()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            qid, rank, idx, rid, dist = line.split(",")
-            row = (f"{path}:{lineno}", qid, int(rank), int(idx), rid, float(dist))
-        except ValueError:
-            raise VprError(f"{path}:{lineno}: malformed results row {line!r}") from None
-        if row[1:3] in seen:
-            raise VprError(f"{path}:{lineno}: a second row for query {qid!r} at rank {row[2]}")
-        seen.add(row[1:3])
-        rows.append(row)
-    return rows
+    """The rows of a results file, read as RFC 4180 CSV, as _write_csv
+    writes it: its lines end at "\\r", "\\n" or "\\r\\n" alone, as an id may
+    hold the other breaks of str.splitlines().  A malformed row, or a second
+    row for one (query id, rank), is a VprError naming the line it starts on."""
+    rows: dict[tuple[str, int], _ResultsRow] = {}
+    lines = io.StringIO(read_utf8(path), newline="").readlines()
+    reader, end = csv.reader(lines), 0
+    try:
+        for fields in reader:
+            start, end = end + 1, reader.line_num  # a quoted field may span lines
+            if start == 1 or not lines[start - 1].strip():  # the header, or a blank line
+                continue
+            try:
+                qid, rank, idx, rid, dist = fields
+                row = (f"{path}:{start}", qid, int(rank), int(idx), rid, float(dist))
+            except ValueError:
+                text = "".join(lines[start - 1 : end]).rstrip("\r\n")
+                raise VprError(f"{path}:{start}: malformed results row {text!r}") from None
+            if row[1:3] in rows:
+                raise VprError(f"{path}:{start}: a second row for query {qid!r} at rank {row[2]}")
+            rows[row[1:3]] = row
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise VprError(f"{path}:{end + 1}: malformed results row: {exc}") from None
+    return list(rows.values())
 
 
 def _ranked_results(rows: list[_ResultsRow], dmap: DescriptorMap) -> list[RetrievalResult]:
@@ -412,15 +425,15 @@ def cmd_xeval(args) -> RunContext:
     models = [(Path(p).stem, load_model(p)) for p in args.models.split(",")]
     datasets = [(Path(p).name, load_dataset(p)) for p in args.datasets.split(",")]
     matrix = generalization_matrix(models, datasets, args.radius, args.ns)
-    rows = [REPORT_HEADER]
+    rows = []
     for (mname, model), row in zip(models, matrix):
         for (dname, _), cell in zip(datasets, row):
             if isinstance(cell, Exception):
                 error = f"error:{type(cell).__name__}"
-                rows.append(_csv_row([model.fingerprint_hex(), dname, "", error, "", ""]))
+                rows.append([model.fingerprint_hex(), dname, "", error, "", ""])
             else:
                 rows.extend(cell.rows())
-    atomic_write_text(ctx.path("xeval.csv"), "\n".join(rows) + "\n")
+    _write_csv(ctx, "xeval.csv", REPORT_HEADER, rows)
     for n in args.ns:
         table = format_matrix(
             [m for m, _ in models], [d for d, _ in datasets], matrix, n=n
@@ -440,14 +453,9 @@ def cmd_project(args) -> RunContext:
         raise ShapeError(f"maps have differing descriptor dims: {sorted(dims)}")
     stacked = np.vstack([m.descriptors for m in maps]).astype(np.float64)
     coords = project_2d(stacked)
-    rows = ["source_label,x,y"]
-    offset = 0
-    for p, m in zip(paths, maps):
-        for i in range(m.size):
-            x, y = coords[offset + i]
-            rows.append(f"{p.stem},{x:.9f},{y:.9f}")
-        offset += m.size
-    atomic_write_text(ctx.path("projection.csv"), "\n".join(rows) + "\n")
+    labels = [p.stem for p, m in zip(paths, maps) for _ in range(m.size)]
+    rows = [[label, f"{x:.9f}", f"{y:.9f}"] for label, (x, y) in zip(labels, coords)]
+    _write_csv(ctx, "projection.csv", "source_label,x,y", rows)
     return ctx
 
 

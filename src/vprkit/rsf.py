@@ -312,9 +312,9 @@ def mine_triplets(
     sources, query_raws = finetune_ds.epoch_raws(epoch)
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
     if not config.poseless:
-        # Every realized query keeps its source's pose.
+        # Every realized query keeps its source's pose, so it takes its source's row.
         ref_poses = np.asarray(record_poses(finetune_ds.references), dtype=np.float64)
-        pose_dists = pose_distances(ref_poses[sources], ref_poses)
+        pose_dists = pose_distances(ref_poses, ref_poses)[sources]
         return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
     n_refs = len(finetune_ds.references)
     if n_refs < 2:

@@ -29,6 +29,18 @@ def openblas_corename() -> str:
     return "unknown"
 
 
+def kernel_digest(digests: dict):
+    """The digest recorded for the BLAS kernel this process loaded.  The
+    float64 results of BLAS products differ in their last bits between
+    kernels, so a bit digest holds for one kernel; on a kernel with none
+    recorded the test fails naming it, for its digest to be recorded under
+    ``OPENBLAS_CORETYPE=<kernel>``."""
+    kernel = openblas_corename()
+    if kernel not in digests:
+        pytest.fail(f"no digest recorded for the OpenBLAS kernel {kernel!r}")
+    return digests[kernel]
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """Fail a test that leaves a child process or a thread running, and end

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,10 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 
 import vprkit as vk
 from vprkit.cli import _apply_config_file, build_parser, main
+from vprkit.errors import InconsistentManifest
 from vprkit.manifest import hash_input
 
 
@@ -406,6 +408,34 @@ def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError"
     assert f"{results}:3:" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "rows, line, needle",
+    [
+        (f"q0_0,0,1,{'r' * 200_000},0.5\n", 2, "malformed results row: field larger than"),
+        ('q0_0,0,1,r1,0.5\n"q\n1",0,1\n', 3, "malformed results row '\"q\\n1\",0,1'"),
+        ('\n   \n"   "\n', 4, "malformed results row"),
+        ('q0_0,0,0,"r\n0",0.5\n', 2, "ref_id 'r\\n0' is not 'r0', the map's id at 0"),
+    ],
+    ids=["oversized-field", "quoted-line-break", "quoted-blank", "map-check-of-a-quoted-id"],
+)
+def test_results_row_exits_one_naming_the_line_it_starts_on(small_map, rows, line, needle):
+    """Only an empty or whitespace line is skipped as blank; a row that
+    csv cannot read, one of the wrong width, or one the map refuses names
+    the line it starts on, though a quoted id spans lines."""
+    ds, dmap, _, _ = small_map
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp, "results.csv")
+        results.write_text("query_id,rank,ref_index,ref_id,distance\n" + rows)
+        code, err = run_main([
+            "evaluate", "--results", str(results), "--map", str(dmap), "--dataset", str(ds),
+            "--out", str(Path(tmp, "ev")),
+        ])
+        assert code == 1
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "VprError"
+        assert record["message"].startswith(f"{results}:{line}: {needle}")
 
 
 @pytest.mark.parametrize(
@@ -1138,3 +1168,137 @@ def test_retrieve_k_property(retrieve_inputs, k, queries):
             assert len(rows) == (n_queries * min(int(k), n) if queries else 0)
             code, err = run_main(["evaluate", "--results", str(results), *inputs, "--out", tmp])
             assert code == 0, err
+
+
+# Characters that a CSV writer must quote, or that str.splitlines() takes
+# for a line break, drawn often beside any other text.
+_AWKWARD = ",\"\r\n\x85\u2028\x0b\x0c\x1c\x1e é地"
+
+
+def _text(exclude: str = "", min_size: int = 0) -> st.SearchStrategy[str]:
+    """Short text of awkward and arbitrary characters, none of ``exclude``
+    and no lone surrogate, which UTF-8 cannot hold."""
+    chars = st.sampled_from([c for c in _AWKWARD if c not in exclude]) | st.characters(
+        exclude_categories=("Cs",), exclude_characters=exclude
+    )
+    return st.text(chars, min_size=min_size, max_size=8)
+
+
+# Any text save_map takes as an id, and text save_dataset may take as one:
+# it refuses an id holding a comma, a line break, a NUL or a path separator,
+# or led by whitespace.
+_MAP_IDS = st.lists(_text(), min_size=3, max_size=3)
+_LEAD = st.sampled_from('"é地q') | st.characters(
+    exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), exclude_characters=",/"
+)
+_QUERY_IDS = st.lists(
+    st.tuples(_LEAD, _text(",\r\n\0/")).map("".join).filter(lambda s: not s[0].isspace()),
+    min_size=3, max_size=3, unique=True,
+)
+
+
+@pytest.fixture(scope="module")
+def id_world(tmp_path_factory):
+    """A 3-place world, a saved model and the map of the world's saved
+    references: (world, model, model file, map)."""
+    root = tmp_path_factory.mktemp("ids")
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=3, spacing=30.0, reference_style=vk.StyleParams(),
+            query_style=vk.StyleParams(), queries_per_place=1, image_size=16, seed=3,
+        )
+    )
+    model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+    vk.save_model(model, root / "model.vprh")
+    vk.save_dataset(world.reference_only(), root / "refs")
+    return world, model, root / "model.vprh", vk.build_map(vk.load_dataset(root / "refs"), model)
+
+
+def save_with_ids(id_world, root: Path, map_ids, query_ids, map_name="map.vprm", ds_name="ds"):
+    """The world saved with these query ids under root/data, and its map
+    with these ids under root/maps: (dataset directory, map file).  Ids
+    that save_dataset refuses are rejected."""
+    world, _, _, dmap = id_world
+    queries = [dataclasses.replace(q, id=qid) for q, qid in zip(world.queries, query_ids)]
+    try:
+        vk.save_dataset(vk.Dataset(world.references, queries), root / "data" / ds_name)
+    except InconsistentManifest:
+        reject()
+    (root / "maps").mkdir()
+    vk.save_map(dataclasses.replace(dmap, ids=map_ids), root / "maps" / map_name)
+    return root / "data" / ds_name, root / "maps" / map_name
+
+
+@settings(max_examples=40, deadline=None)
+@given(map_ids=_MAP_IDS, query_ids=_QUERY_IDS)
+@example(map_ids=["a,b", 'c"d', "e"], query_ids=["q0", "q1", "q2"])
+@example(map_ids=["r0", "r1", "r2"], query_ids=["q\u2028x", "q\x85y", 'q "z" '])
+def test_any_id_round_trips_from_retrieve_to_evaluate(id_world, map_ids, query_ids):
+    """Whatever ids the map and the dataset hold, evaluate reads the
+    results.csv that retrieve writes and scores the Recall@N that
+    evaluate_model gives."""
+    _, model, model_path, _ = id_world
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, dmap = save_with_ids(id_world, Path(tmp, "in"), map_ids, query_ids)
+        inputs = ["--map", str(dmap), "--dataset", str(ds)]
+        out = str(Path(tmp, "runs"))
+        code, err = run_main(["retrieve", *inputs, "--model", str(model_path), "--out", out])
+        assert code == 0, err
+        (results,) = Path(out).glob("*/results.csv")
+        code, err = run_main(
+            ["evaluate", "--results", str(results), *inputs, "--ns", "1,2", "--out", out]
+        )
+        assert code == 0, err
+        (report,) = Path(out).glob("*/report.csv")
+        want = vk.evaluate_model(model, vk.load_dataset(ds), 25.0, (1, 2), name="dataset")
+        assert report.read_text().splitlines()[1:] == want.rows()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    map_ids=_MAP_IDS,
+    query_ids=_QUERY_IDS,
+    # A --maps or --datasets entry holds no comma; "." and ".." name no new directory.
+    map_stem=_text(",/\0", min_size=1),
+    ds_name=_text(",/\0", min_size=1).filter(lambda s: s not in (".", "..")),
+    name=_text(),
+)
+@example(map_ids=["a,b", "c", "d"], query_ids=["q0", "q1", "q2"], map_stem='"m', ds_name="ds",
+         name="dataset")
+def test_every_table_a_command_writes_reads_back_as_wide_as_its_header(
+    id_world, map_ids, query_ids, map_stem, ds_name, name
+):
+    """results.csv, trainlog.csv, report.csv, xeval.csv and projection.csv
+    read back with csv.reader into rows as wide as their header, whatever
+    the ids, file names and labels in their fields."""
+    _, _, model_path, _ = id_world
+    with tempfile.TemporaryDirectory() as tmp:
+        ds, dmap = save_with_ids(
+            id_world, Path(tmp, "in"), map_ids, query_ids, f"{map_stem}.vprm", ds_name
+        )
+        out = str(Path(tmp, "runs"))
+        inputs = ["--map", str(dmap), "--dataset", str(ds)]
+        argvs = [
+            ["retrieve", *inputs, "--model", str(model_path)],
+            ["pretrain", "--dataset", str(ds), "--seed", "5", "--epochs", "1"],
+            ["xeval", "--models", str(model_path), "--datasets", str(ds)],
+            ["project", "--maps", str(dmap)],
+        ]
+        for argv in argvs:
+            code, err = run_main([*argv, "--out", out])
+            assert code == 0, err
+        (results,) = Path(out).glob("*/results.csv")
+        code, err = run_main(["evaluate", "--results", str(results), *inputs, f"--name={name}",
+                              "--out", out])
+        assert code == 0, err
+        tables = {}
+        for table in ("results", "trainlog", "report", "xeval", "projection"):
+            (path,) = Path(out).glob(f"*/{table}.csv")
+            with path.open(newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), table
+            tables[table] = rows
+        assert all(rid == map_ids[int(idx)] for _, _, idx, rid, _ in tables["results"])
+        assert {row[1] for row in tables["report"]} == {name}
+        assert {row[1] for row in tables["xeval"]} == {ds_name}
+        assert {row[0] for row in tables["projection"]} == {Path(dmap).stem}

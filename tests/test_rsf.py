@@ -23,6 +23,8 @@ from vprkit.errors import (
 )
 from vprkit.retrieval import _nearest
 from vprkit.rsf import _hinge, _labeled_rows, _mine
+import conftest
+from conftest import kernel_digest
 
 
 def unit(v):
@@ -716,41 +718,89 @@ def _labeled_run(validate, batch_size):
     return run
 
 
-# (run, sha256 of the trained parameters as EmbeddingModel.fingerprint,
-# sha256 of the float64 step losses), recorded when each triplet was still
-# a Python object; mining into aligned index arrays must not move a bit.
+# (run, {BLAS kernel: (sha256 of the trained parameters as
+# EmbeddingModel.fingerprint, sha256 of the float64 step losses)}).  The
+# SkylakeX digests were recorded when each triplet was still a Python
+# object; mining into aligned index arrays must not move a bit.
 TRAINING_BITS = {
     "pose-rsf": (
         _rsf_run(),
-        "e3d244564d90d1c734590d3091f1c43a2358849466934648f42e7957da615a4e",
-        "2de4a3918708f00ba31b7a09907f3a9b9becbddab40c9bb58b63c0e9110c6350",
+        {
+            "SkylakeX": (
+                "e3d244564d90d1c734590d3091f1c43a2358849466934648f42e7957da615a4e",
+                "2de4a3918708f00ba31b7a09907f3a9b9becbddab40c9bb58b63c0e9110c6350",
+            ),
+            "Haswell": (
+                "3daed96f9783922ec88c039ca79d48d61538b8fbe3d33fe784f155568c6818ce",
+                "ca21b9d15da102fc41e4003f61480015759ae87ad1e9c4140cdee546ca136c67",
+            ),
+        },
     ),
     "poseless-rsf": (
         _rsf_run(poseless=True),
-        "4dc80511a232ec0659d89c5766bb143cd7f025e0cb63de28ddd1df1e100c9a07",
-        "c1830237b5cd53a41a53038c30e1323efa4e69c6e8a2d99de39bb47c42fd56e4",
+        {
+            "SkylakeX": (
+                "4dc80511a232ec0659d89c5766bb143cd7f025e0cb63de28ddd1df1e100c9a07",
+                "c1830237b5cd53a41a53038c30e1323efa4e69c6e8a2d99de39bb47c42fd56e4",
+            ),
+            "Haswell": (
+                "1015372ae0cd823379eda12c889a1f947efeb5b1cbdbd9baa9bbc177b54771f6",
+                "591b2343809368eb36da064a22dd6793ac845b588c0e464cc97bdf0783a901ba",
+            ),
+        },
     ),
     "two-negatives": (
         _rsf_run(negatives_per_query=2),
-        "7bfa51d36a01373475d832586a7100945f8558dec688a5d2d351f08fbd97d15b",
-        "335c35d4f6d924f03b1412286b0e3aa010dde89a48bb76f08c550f5dae18fda4",
+        {
+            "SkylakeX": (
+                "7bfa51d36a01373475d832586a7100945f8558dec688a5d2d351f08fbd97d15b",
+                "335c35d4f6d924f03b1412286b0e3aa010dde89a48bb76f08c550f5dae18fda4",
+            ),
+            "Haswell": (
+                "9b43ef439b3dac4b93f5af1bbc17cba084062e9f8c91f7e83a38c0d7d7ab56a2",
+                "e5ba9cb9b4a6a5b5a8980bfafff02e8436cc954f9dd99c9530297884bc267f8d",
+            ),
+        },
     ),
     "labeled-validated": (
         _labeled_run(True, 4),
-        "c53c82ebdb8619b44e0dbf9a6f7a8ff06da7150c1421f0b3875d5f2225c1e29a",
-        "fc8ed590b7588ecca72ebb6d29b4fbf05ecb6f36890cc650047e9f344ab1a389",
+        {
+            "SkylakeX": (
+                "c53c82ebdb8619b44e0dbf9a6f7a8ff06da7150c1421f0b3875d5f2225c1e29a",
+                "fc8ed590b7588ecca72ebb6d29b4fbf05ecb6f36890cc650047e9f344ab1a389",
+            ),
+            "Haswell": (
+                "4ff809cd888ff894485230ff91c15d1fdabdc7335d3bb2a19aa19aa9391e3cf8",
+                "aa159e03507f15e1018eaaf5e01d1df044f88255c291d48e9bb86aaf19615216",
+            ),
+        },
     ),
     "labeled-ragged-batches": (
         _labeled_run(False, 5),
-        "c3f8f39d7c207822b5f6feddaed7d3edd9fd2aea6ead88704b9c5a93033080ed",
-        "1769f18b25b18faa889601d452ad961ab23545f3ce4127762f21a383dcdd93eb",
+        {
+            "SkylakeX": (
+                "c3f8f39d7c207822b5f6feddaed7d3edd9fd2aea6ead88704b9c5a93033080ed",
+                "1769f18b25b18faa889601d452ad961ab23545f3ce4127762f21a383dcdd93eb",
+            ),
+            "Haswell": (
+                "8876c08e63bc852fd24be72400782ce26ee76bf170ba683490e85dcc0bd7a583",
+                "a533b972af4d6048203b9f1a0899ec71978beef90b40f8ed7b06bda52d25b05e",
+            ),
+        },
     ),
 }
 
 
+def test_a_kernel_with_no_recorded_digest_fails_naming_it(monkeypatch):
+    monkeypatch.setattr(conftest, "openblas_corename", lambda: "Prescott")
+    with pytest.raises(pytest.fail.Exception, match="OpenBLAS kernel 'Prescott'"):
+        kernel_digest(TRAINING_BITS["pose-rsf"][1])
+
+
 @pytest.mark.parametrize("case", TRAINING_BITS)
 def test_training_bits_match_the_parent(case, tiny_world_module, labeled_split):
-    run, params_sha, losses_sha = TRAINING_BITS[case]
+    run, digests = TRAINING_BITS[case]
+    params_sha, losses_sha = kernel_digest(digests)
     model, log = run(tiny_world_module, labeled_split)
     losses = np.asarray(log.step_losses, dtype=np.float64).tobytes()
     assert model.fingerprint_hex() == params_sha
@@ -874,7 +924,7 @@ def test_epoch_grad_norm_is_the_mean_applied_gradient_norm(
 
     monkeypatch.setattr(vk.rsf, "apply_gradients", recording)
     model, log = TRAINING_BITS[case][0](tiny_world_module, labeled_split)
-    assert model.fingerprint_hex() == TRAINING_BITS[case][1]
+    assert model.fingerprint_hex() == kernel_digest(TRAINING_BITS[case][1])[0]
     steps = [-(-triplets // batch_size) for triplets in log.epoch_triplets]
     assert sum(steps) == len(norms) == len(log.step_losses)
     ends = np.cumsum(steps)
@@ -916,7 +966,7 @@ class TestStreamReuse:
     def test_poseless_after_the_pose_arm_trains_the_bits_of_poseless_alone(
         self, monkeypatch
     ):
-        _, params_sha, losses_sha = TRAINING_BITS["poseless-rsf"]
+        params_sha, losses_sha = kernel_digest(TRAINING_BITS["poseless-rsf"][1])
         extracted = Extractions(monkeypatch)
         world = _tiny_world()
         _rsf_run()(world, None)
