@@ -94,15 +94,17 @@ _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no"
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Plain key=value config file; entries override command-line flags.
-    An unreadable file or a mistyped value is a usage error, as on the
+    Its lines end at "\r", "\n" or "\r\n" alone, as every text input's do,
+    so a value may hold the other breaks of str.splitlines().  An unreadable
+    or non-UTF-8 file or a mistyped value is a usage error, as on the
     command line."""
     if not getattr(args, "config", None):
         return
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        text = read_utf8(Path(args.config), argparse.ArgumentTypeError)
+    except OSError as exc:
         raise argparse.ArgumentTypeError(f"{args.config}: cannot read config: {exc}")
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(io.StringIO(text, newline="").readlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -475,12 +477,14 @@ def cmd_ablate_aug(args) -> RunContext:
 
 def cmd_ablate_poses(args) -> RunContext:
     config = _train_config(args)
+    # Both arms' configs are checked before either arm trains.
+    arms = [(label, dataclasses.replace(config, poseless=poseless))
+            for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses"))]
     spec = AugmentationSpec.from_string(args.augment)
     ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
     model, test_dataset, validation = _load_rsf_inputs(args)
     reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
-    for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
-        cfg = dataclasses.replace(config, poseless=poseless)
+    for label, cfg in arms:
         finetuned, _ = rsf_finetune(model, test_dataset, cfg, spec, validation)
         reports.append(
             evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)

@@ -30,7 +30,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,19 +74,45 @@ class ImageRecord:
         return raw
 
 
-def record_poses(records: Sequence[ImageRecord]) -> list[Pose]:
-    """The records' poses; InconsistentManifest names a record without one."""
-    poses = [r.pose for r in records]
-    if None in poses:
-        raise InconsistentManifest(f"record {records[poses.index(None)].id!r} has no pose")
-    return poses
+def record_poses(records: Sequence[ImageRecord]) -> np.ndarray:
+    """The records' poses as (N, 2) float64, by the one pose rule;
+    InconsistentManifest names the first record with no pose or a bad one."""
+    return _checked_poses([r.pose for r in records], lambda i: f"record {records[i].id!r}",
+                          (InconsistentManifest,) * 2)
 
 
-def pose_distances(query_poses, reference_poses) -> np.ndarray:
-    """(Q, N) planar distances; each argument is a Pose list or (·, 2) array."""
-    qp = np.asarray(query_poses, np.float64).reshape(-1, 2)
-    rp = np.asarray(reference_poses, np.float64).reshape(-1, 2)
-    diffs = qp[:, None, :] - rp[None, :, :]
+def _real_pairs(poses) -> np.ndarray | None:
+    """``poses`` as an array if it has no row or is (·, 2) integers or floats."""
+    try:
+        rows = np.asarray(poses)
+    except ValueError:  # rows of unequal lengths
+        return None
+    empty = rows.ndim and not len(rows)
+    return rows if empty or rows.dtype.kind in "iuf" and rows.shape[1:] == (2,) else None
+
+
+def _checked_poses(poses, name: Callable[[int], str],
+                   errors: tuple[type[VprError], type[VprError]]) -> np.ndarray:
+    """The one pose rule: (N, 2) float64 of a Pose list or (·, 2) array whose
+    rows are each two real numbers (a NumPy integer or float dtype), finite;
+    ``errors[0]``, or ``errors[1]`` for NaN or infinity, names ``name(i)``."""
+    rows = _real_pairs(poses)
+    if rows is None:
+        listed = list(poses) if np.iterable(poses) else [poses]
+        i = next((i for i, p in enumerate(listed) if _real_pairs([p]) is None), 0)
+        got = "no pose" if listed[i] is None else f"pose {listed[i]!r}, not two real numbers"
+        raise errors[0](f"{name(i)} has {got}")
+    rows = rows.astype(np.float64, copy=False).reshape(-1, 2)
+    if not np.isfinite(rows).all():
+        i = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise errors[1](f"{name(i)} has pose {poses[i]!r}, which is not finite")
+    return rows
+
+
+def pose_distances(query_poses: np.ndarray, reference_poses: np.ndarray) -> np.ndarray:
+    """(Q, N) planar distances between checked poses; inf past the float range."""
+    with np.errstate(over="ignore"):
+        diffs = query_poses[:, None, :] - reference_poses[None, :, :]
     return np.sqrt(np.einsum("qrc,qrc->qr", diffs, diffs))
 
 
@@ -99,25 +125,26 @@ class Dataset:
 
     @property
     def reference_poses(self) -> list[Pose]:
-        return record_poses(self.references)
+        return [Pose(*p) for p in record_poses(self.references).tolist()]
 
     @property
     def query_poses(self) -> list[Pose]:
-        return record_poses(self.queries)
+        return [Pose(*p) for p in record_poses(self.queries).tolist()]
 
     def reference_only(self) -> "Dataset":
         """A view of this dataset that exposes only the reference side."""
         return Dataset(self.references)
 
 
-def read_utf8(path: Path, error: type[VprError] = VprError) -> str:
+def read_utf8(path: Path, error: type[Exception] = VprError) -> str:
     """The text of a file; bytes that are not UTF-8 raise `error` naming
     the file and line."""
     data = path.read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
+        head = data[: exc.start]  # lines end at "\r", "\n" or "\r\n", as the readers split them
+        lineno = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
         raise error(f"{path}:{lineno}: not valid UTF-8") from None
 
 
@@ -225,7 +252,7 @@ def load_dataset(root_path: str | Path, latlon: bool = False) -> Dataset:
 def save_dataset(dataset: Dataset, root_path: str | Path) -> None:
     """Write a dataset back to the standard directory layout, each file
     atomically.  Every record is checked before any file is written: a
-    record with no pose or a non-finite one, or an id that load_dataset
+    pose that record_poses refuses, or an id that load_dataset
     would refuse or read back as another, is an InconsistentManifest, and
     pixels that write_ppm would refuse raise its ShapeError or
     NonFiniteValue.  Each names the record's id."""
@@ -262,8 +289,8 @@ def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
     as _load_side globs it: InconsistentManifest names the first that is
     not a string, is repeated, is not UTF-8, holds a comma, a line break, a
     NUL or a path separator, starts with whitespace, or is empty, and the
-    first whose file's names are longer than ``name_max`` bytes or whose
-    pose is not finite."""
+    first whose file's names are longer than ``name_max`` bytes;
+    record_poses names the first bad pose."""
     bad = next((rec.id for rec in records if not isinstance(rec.id, str)), None)
     if bad is not None:
         raise InconsistentManifest(f"record id {bad!r} is not a string")
@@ -290,12 +317,8 @@ def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
                 f"record id {rec.id!r} is too long: writing its file takes a name of "
                 f"{name_bytes} bytes, and this file system's are at most {name_max}"
             )
-    lines = ["id,x_m,y_m"]
-    for rec, pose in zip(records, record_poses(records)):
-        x, y = float(pose.x), float(pose.y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise InconsistentManifest(f"record {rec.id!r} has a non-finite pose {pose}")
-        lines.append(f"{rec.id},{x!r},{y!r}")
+    poses = record_poses(records).tolist()
+    lines = ["id,x_m,y_m", *(f"{rec.id},{x!r},{y!r}" for rec, (x, y) in zip(records, poses))]
     return "\n".join(lines) + "\n"
 
 

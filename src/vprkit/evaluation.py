@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Pose, pose_distances
-from .errors import (DegenerateSpectrum, MissingGroundTruth, ShapeError, VprError,
-                     check_count, check_real)
+from .dataset import Dataset, Pose, _checked_poses, pose_distances, record_poses
+from .errors import (DegenerateSpectrum, MissingGroundTruth, NonFiniteValue, ShapeError,
+                     VprError, check_count, check_real)
 from .retrieval import DescriptorMap, RetrievalResult, _encode, build_map, knn
 from .embedding import EmbeddingModel
 
@@ -44,20 +44,18 @@ def ground_truth(
     Distances are computed one query row at a time, so memory stays O(N)
     however many queries there are. ``query_ids`` name the queries in
     order: a count other than the poses' is a ShapeError, a repeated id
-    a VprError.  Poses other than Pose lists or (·, 2) arrays are a
-    ShapeError."""
+    a VprError.  A row of either side's poses that is not two real numbers
+    is a ShapeError, and one that is NaN or infinite a NonFiniteValue,
+    each naming the side and the row."""
     check_real(radius, "radius", positive=True)
-    qp, rp = (np.asarray(p, np.float64) for p in (query_poses, reference_poses))
-    for side, poses in (("query", qp), ("reference", rp)):
-        if poses.size and (poses.ndim != 2 or poses.shape[1] != 2):
-            raise ShapeError(f"{side} poses have shape {poses.shape}, not (·, 2)")
-    qp = qp.reshape(-1, 2)
+    qp = _checked_poses(query_poses, "query row {}".format, (ShapeError, NonFiniteValue))
+    rp = _checked_poses(reference_poses, "reference row {}".format, (ShapeError, NonFiniteValue))
     if query_ids is None:
         query_ids = [str(i) for i in range(len(qp))]
     if len(query_ids) != len(qp):
         raise ShapeError(f"{len(query_ids)} query ids for {len(qp)} query poses")
     matches = {
-        qid: frozenset(np.flatnonzero(pose_distances(qp[qi], rp)[0] <= radius).tolist())
+        qid: frozenset(np.flatnonzero(pose_distances(qp[qi : qi + 1], rp)[0] <= radius).tolist())
         for qi, qid in enumerate(query_ids)
     }
     if len(matches) < len(query_ids):
@@ -184,9 +182,8 @@ def score_results(
     """Recall@N of results against the map: the ground truth matches the
     dataset's query poses and ids to ``dmap.poses``, and the report
     carries the map's model fingerprint."""
-    gt = ground_truth(
-        dataset.query_poses, dmap.poses, radius, query_ids=[q.id for q in dataset.queries]
-    )
+    queries = dataset.queries
+    gt = ground_truth(record_poses(queries), dmap.poses, radius, query_ids=[q.id for q in queries])
     return recall_at_n(
         results, gt, ns, dataset=name, model_fingerprint=dmap.model_fingerprint.hex()
     )

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, ImageRecord
+from .dataset import Dataset, ImageRecord, record_poses
 from .embedding import EmbeddingModel, _encode_rows
 from .errors import (
     EmptyReferences,
@@ -89,7 +89,7 @@ def build_map(dataset: Dataset, model: EmbeddingModel) -> DescriptorMap:
         raise EmptyReferences("cannot build a map from zero references")
     return DescriptorMap(
         descriptors=_encode(model, dataset.references).astype(np.float32, order="F"),
-        poses=np.asarray(dataset.reference_poses, dtype=np.float64),
+        poses=record_poses(dataset.references),
         ids=[rec.id for rec in dataset.references],
         model_fingerprint=model.fingerprint(),
     )

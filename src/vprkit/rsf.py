@@ -241,7 +241,11 @@ class TrainConfig:
                           ("early_stop_patience", 1), ("seed", 0)):
             check_count(getattr(self, name), name, low)
         check_count(self.aug_multiplicity, "aug_multiplicity", 1, InvalidMultiplicity)
-        check_flag(self.poseless, "poseless")
+        if check_flag(self.poseless, "poseless") and self.negatives_per_query > 1:
+            raise VprError(
+                "negatives_per_query must be 1 with poseless: poseless mining draws one "
+                f"negative per query, got {self.negatives_per_query}"
+            )
 
 
 # One epoch's triplets as aligned rows: (T, RAW_DIM) query raws and (T,)
@@ -313,7 +317,7 @@ def mine_triplets(
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
     if not config.poseless:
         # Every realized query keeps its source's pose, so it takes its source's row.
-        ref_poses = np.asarray(record_poses(finetune_ds.references), dtype=np.float64)
+        ref_poses = record_poses(finetune_ds.references)
         pose_dists = pose_distances(ref_poses, ref_poses)[sources]
         return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
     n_refs = len(finetune_ds.references)
@@ -335,12 +339,12 @@ def _labeled_rows(
     """Mining inputs of a labeled dataset, fixed across epochs: per query
     the nearest reference within positive_radius (or -1), the pose
     distances to the references and the query raw. VprError for poseless
-    mining or no queries; InconsistentManifest if a query has no pose."""
+    mining or no queries; InconsistentManifest for a pose record_poses refuses."""
     if config.poseless:
         raise VprError("poseless mining applies only to reference-set finetuning")
     if not dataset.queries:
         raise VprError("cannot train on a labeled dataset with no queries")
-    pose_dists = pose_distances(dataset.query_poses, dataset.reference_poses)
+    pose_dists = pose_distances(record_poses(dataset.queries), record_poses(dataset.references))
     positives = np.where(
         pose_dists.min(axis=1) <= config.positive_radius,
         np.argmin(pose_dists, axis=1),

@@ -1,11 +1,16 @@
 """One rule for a count and one for a real number (``errors.check_count``
-and ``errors.check_real``), at every library entry that takes one: a bad
-number is the entry's VprError naming the field, never a bare Python
-error, and NumPy scalars of valid values are taken as Python's."""
+and ``errors.check_real``), at every library entry that takes one, and one
+rule for a pose (``dataset.record_poses``) at every entry that reads one: a
+bad number or pose is the entry's VprError naming the field, the record or
+the row, never a bare Python error, and NumPy scalars of valid values are
+taken as Python's."""
 
 import dataclasses
 import math
 import re
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.errors import (
+    InconsistentManifest,
     InvalidFraction,
     InvalidMultiplicity,
     InvalidSpec,
     KTooLarge,
+    NonFiniteValue,
     ShapeError,
     VprError,
     check_count,
@@ -220,6 +227,18 @@ def test_a_train_config_field_is_checked_once_and_never_reassigned():
     assert dataclasses.replace(config, poseless=True).poseless is True
 
 
+@pytest.mark.parametrize("negatives", [2, 3, np.int64(2)])
+def test_poseless_refuses_more_than_one_negative_per_query(negatives):
+    """Poseless mining draws one negative per query: with 3 it mined 6
+    triplets from 6 queries, where pose mode mines one per (query, negative)."""
+    with pytest.raises(VprError, match="negatives_per_query must be 1 with poseless"):
+        vk.TrainConfig(poseless=True, negatives_per_query=negatives)
+    config = vk.TrainConfig(negatives_per_query=negatives)
+    with pytest.raises(VprError, match="negatives_per_query must be 1 with poseless"):
+        dataclasses.replace(config, poseless=True)
+    assert vk.TrainConfig(poseless=True, negatives_per_query=1).poseless
+
+
 def _load_dataset(latlon):
     return vk.load_dataset("no-such-dataset", latlon=latlon)
 
@@ -243,10 +262,11 @@ def test_a_numpy_bool_flag_is_taken_as_pythons(tmp_path):
 @pytest.mark.parametrize("shape", [(4, 3), (5, 3), (2,), (2, 2, 2)])
 @pytest.mark.parametrize("side", ["query", "reference"])
 def test_ground_truth_takes_poses_as_two_columns_or_a_shape_error(shape, side):
-    """(4, 3) poses were read as six (x, y) pairs; (5, 3) raised ValueError."""
+    """(4, 3) poses were read as six (x, y) pairs; (5, 3) raised ValueError.
+    The error names the side and the first row that is not two numbers."""
     poses = {"query": [vk.Pose(0.0, 0.0)], "reference": [vk.Pose(0.0, 0.0)]}
     poses[side] = np.zeros(shape)
-    with pytest.raises(ShapeError, match=re.escape(f"{side} poses have shape {shape}")):
+    with pytest.raises(ShapeError, match=f"^{side} row 0 has pose "):
         vk.ground_truth(poses["query"], poses["reference"])
 
 
@@ -323,6 +343,8 @@ def test_numpy_scalars_of_valid_values_give_an_equal_train_config(
     extra, int_type, poseless, **fields
 ):
     fields["negative_radius"] = fields["positive_radius"] + extra
+    if poseless:  # poseless mining takes one negative per query
+        fields["negatives_per_query"] = 1
     python = vk.TrainConfig(**fields, poseless=poseless)
     as_numpy = vk.TrainConfig(
         **{k: (np.float64 if isinstance(v, float) else int_type)(v) for k, v in fields.items()},
@@ -355,3 +377,150 @@ def test_numpy_scalars_of_valid_values_give_an_equal_world_spec(
     )
     assert as_numpy == python
     assert dataclasses.asdict(as_numpy) == dataclasses.asdict(python)
+
+
+# ------------------------------------------------------------------ poses
+# A 3-place world 30 m apart: every query has its place's reference within
+# the positive radius and the two others beyond the negative radius.
+PLACES = vk.generate_synthetic(
+    vk.SynthWorldSpec(3, 30.0, STYLE, STYLE, queries_per_place=1, image_size=16, seed=1)
+)
+
+
+def _posed(records, poses):
+    return [vk.ImageRecord(r.id, r.pixels, p) for r, p in zip(records, poses)]
+
+
+def _world(refs, queries):
+    return vk.Dataset(_posed(PLACES.references, refs), _posed(PLACES.queries, queries))
+
+
+def _as_array(poses):
+    try:
+        return np.asarray(poses)
+    except ValueError:  # rows of unequal lengths
+        return np.array(poses, dtype=object)
+
+
+def _gt_list(refs, queries):
+    return vk.ground_truth(queries, refs)
+
+
+def _gt_array(refs, queries):
+    return vk.ground_truth(_as_array(queries), _as_array(refs))
+
+
+def _build_map(refs, queries):
+    return vk.build_map(_world(refs, queries), MODEL).poses.tobytes()
+
+
+def _evaluate_model(refs, queries):
+    report = vk.evaluate_model(MODEL, _world(refs, queries), ns=(1, 2))
+    return report.recalls, report.evaluated_queries
+
+
+def _train(refs, queries):
+    model, log = vk.train(MODEL, _world(refs, queries), vk.TrainConfig(epochs=1, batch_size=2))
+    return model.fingerprint(), log.step_losses
+
+
+def _mine_triplets(refs, queries):
+    stream = vk.FinetuneDataset(_posed(PLACES.references, refs), 1, SPEC, seed=0)
+    (raws, positives, negatives), skipped = vk.mine_triplets(MODEL, stream, vk.TrainConfig(), 0)
+    return raws.tobytes(), positives.tolist(), negatives.tolist(), skipped
+
+
+def _save_dataset(refs, queries):
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp, "ds")
+        try:
+            vk.save_dataset(_world(refs, queries), root)
+        except VprError:
+            assert not root.exists(), "a refused dataset left files behind"
+            raise
+        return sorted((p.name, p.read_bytes()) for p in root.glob("*.csv"))
+
+
+BOTH, REFERENCES = ("reference", "query"), ("reference",)
+# entry: (call on (reference poses, query poses), sides it reads, by record)
+POSE_ENTRIES = {
+    "ground_truth-list": (_gt_list, BOTH, False),
+    "ground_truth-array": (_gt_array, BOTH, False),
+    "build_map": (_build_map, REFERENCES, True),
+    "evaluate_model": (_evaluate_model, BOTH, True),
+    "labeled-train": (_train, BOTH, True),
+    "pose-mine_triplets": (_mine_triplets, REFERENCES, True),
+    "save_dataset": (_save_dataset, BOTH, True),
+}
+
+finite_coords = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0.0, -0.0, np.float64(-0.0), sys.float_info.max, -sys.float_info.max]),
+)
+non_finite_coords = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float32(-math.inf)]
+)
+text_coords = st.sampled_from(["1.5", "x", ""])
+
+
+def _pose_like(draw, x, y):
+    return draw(st.sampled_from([vk.Pose(x, y), (x, y)]))
+
+
+@st.composite
+def good_poses(draw):
+    return _pose_like(draw, draw(finite_coords), draw(finite_coords))
+
+
+@st.composite
+def bad_poses(draw):
+    """(pose, the error ground_truth raises for it)."""
+    kind = draw(st.sampled_from(["non-finite", "text", "none", "one", "three"]))
+    if kind in ("non-finite", "text"):
+        bad = draw(non_finite_coords if kind == "non-finite" else text_coords)
+        xy = (bad, draw(finite_coords))
+        pose = _pose_like(draw, *(xy if draw(st.booleans()) else xy[::-1]))
+        return pose, NonFiniteValue if kind == "non-finite" else ShapeError
+    if kind == "none":
+        return None, ShapeError
+    return tuple(draw(finite_coords) for _ in range(1 if kind == "one" else 3)), ShapeError
+
+
+def _outcome(call, refs, queries):
+    try:
+        return call(refs, queries)
+    except VprError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("entry", POSE_ENTRIES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_pose_entry_reads_poses_by_one_rule(entry, data):
+    """Each entry reads poses by one rule: a good pose gives the bits of its
+    coordinates converted one by one with float(), as each entry converted
+    them before the rule; a bad one is the entry's error naming the record,
+    or the side and the row, and save_dataset writes nothing."""
+    call, sides, by_record = POSE_ENTRIES[entry]
+    side = data.draw(st.sampled_from(sides))
+    row = data.draw(st.integers(0, 2))
+    poses = {"reference": list(PLACES.reference_poses), "query": list(PLACES.query_poses)}
+    if data.draw(st.booleans()):
+        poses[side][row] = data.draw(good_poses())
+        floats = {k: [vk.Pose(float(x), float(y)) for x, y in v] for k, v in poses.items()}
+        expected = _outcome(call, floats["reference"], floats["query"])
+        assert _outcome(call, poses["reference"], poses["query"]) == expected
+        return
+    poses[side][row], error = data.draw(bad_poses())
+    if by_record:
+        records = PLACES.references if side == "reference" else PLACES.queries
+        error, named = InconsistentManifest, f"record {records[row].id!r} has "
+    elif error is ShapeError and entry == "ground_truth-array":
+        named = f"{side} row \\d+ has "  # an array of text or objects has no real row
+    else:
+        named = f"{side} row {row} has "
+    with pytest.raises(error, match=f"^{named}"):
+        call(poses["reference"], poses["query"])

@@ -347,6 +347,35 @@ def test_non_numeric_config_value_is_a_usage_error(capsys, tmp_path, line):
     assert f"{cfg}:2:" in capsys.readouterr().err
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error_naming_the_line(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"places = 3\rseed = \xff\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["synth-gen", "--seed", "1", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"{cfg}:2: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("brk", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_a_config_value_may_hold_what_splitlines_breaks_at(capsys, tmp_path, small_map, brk):
+    """Config lines end at "\\r", "\\n" or "\\r\\n" alone: `name = a\\x85b`
+    was read as two lines, the second "b" no key=value (exit 1)."""
+    ds, dmap, _, _ = small_map
+    results = tmp_path / "results.csv"
+    results.write_text("query_id,rank,ref_index,ref_id,distance\n")
+    cfg = tmp_path / "name.cfg"
+    cfg.write_text(f"# a comment{brk}still the comment\r\nname = a{brk}b\rns = 1\n", encoding="utf-8")
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", str(dmap), "--dataset", str(ds),
+        "--config", str(cfg), "--out", str(tmp_path / "ev"),
+    )
+    assert code == 0, err
+    (report,) = (tmp_path / "ev").glob("*/report.csv")
+    with report.open(newline="", encoding="utf-8") as fh:
+        _, *rows = csv.reader(fh)
+    assert [(row[1], row[2]) for row in rows] == [(f"a{brk}b", "1")]
+
+
 @pytest.mark.parametrize(
     "value, expected",
     [("1", True), ("true", True), ("Yes", True), ("0", False), ("FALSE", False), ("no", False)],
@@ -795,6 +824,37 @@ def test_bad_train_config_exits_one_naming_the_field(capsys, tmp_path, flag, val
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError" and field in record["message"]
+
+
+def test_poseless_rsf_with_more_negatives_exits_one(capsys, tmp_path):
+    """Poseless mining draws one negative per query, so --negatives-per-query
+    2 mined the same triplets as 1."""
+    model = tmp_path / "m.vprh"
+    model.write_bytes(b"never read")
+    code, _, err = run(
+        capsys, "rsf", "--model", str(model), "--dataset", str(tmp_path), "--seed", "1",
+        "--no-poses", "--negatives-per-query", "2", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert "negatives_per_query" in record["message"] and "poseless" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_ablate_poses_refuses_both_arms_before_any_work(capsys, tmp_path, monkeypatch):
+    """The poseless arm's config is built before the baseline is scored or
+    the pose arm trains."""
+    monkeypatch.setattr(vk.cli, "load_model", lambda path: pytest.fail("an input was read"))
+    model = tmp_path / "m.vprh"
+    model.write_bytes(b"never read")
+    code, _, err = run(
+        capsys, "ablate-poses", "--model", str(model), "--dataset", str(tmp_path), "--seed", "1",
+        "--negatives-per-query", "2", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    assert "poseless" in json.loads(err.strip().splitlines()[-1])["message"]
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -1302,3 +1362,141 @@ def test_every_table_a_command_writes_reads_back_as_wide_as_its_header(
         assert {row[1] for row in tables["report"]} == {name}
         assert {row[1] for row in tables["xeval"]} == {ds_name}
         assert {row[0] for row in tables["projection"]} == {Path(dmap).stem}
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory):
+    """Inputs of every kind for build-map and project: {flag: {label: path}}.
+    "valid" and the maps "a", "b" and "c" are good inputs; "b" holds wider
+    descriptors than "a" and "c"."""
+    root = tmp_path_factory.mktemp("inputs")
+    world = vk.generate_synthetic(
+        vk.SynthWorldSpec(
+            place_count=3, spacing=30.0, reference_style=vk.StyleParams(),
+            query_style=vk.StyleParams(), queries_per_place=1, image_size=16, seed=3,
+        )
+    )
+    vk.save_dataset(world, root / "ds")
+    vk.save_model(vk.init_model(hidden_dims=[8], output_dim=4, seed=1), root / "model.vprh")
+    for name, dim, seed in (("a", 4, 1), ("b", 6, 2), ("c", 4, 3)):
+        model = vk.init_model(hidden_dims=[8], output_dim=dim, seed=seed)
+        vk.save_map(vk.build_map(world, model), root / f"{name}.vprm")
+    for src in ("model.vprh", "a.vprm"):
+        data = (root / src).read_bytes()
+        (root / f"truncated-{src}").write_bytes(data[: len(data) // 2])
+    (root / "garbage.bin").write_bytes(b"\x00garbage\xff,\n" * 9)
+    shutil.copytree(root / "ds", root / "ds-truncated")
+    ppm = next((root / "ds-truncated" / "references").glob("*.ppm"))
+    ppm.write_bytes(ppm.read_bytes()[:40])
+    shutil.copytree(root / "ds", root / "ds-garbage")
+    (root / "ds-garbage" / "reference_poses.csv").write_bytes(b"id,x_m,y_m\nr0,\xff\n")
+    (root / "ds-empty").mkdir()
+    common = {"missing": root / "missing", "garbage": root / "garbage.bin"}
+    return {
+        "dataset": {"valid": root / "ds", "missing": root / "missing",
+                    "file": root / "model.vprh", "truncated": root / "ds-truncated",
+                    "garbage": root / "ds-garbage", "empty": root / "ds-empty"},
+        "model": {"valid": root / "model.vprh", **common, "directory": root / "ds",
+                  "truncated": root / "truncated-model.vprh", "map": root / "a.vprm"},
+        "maps": {**{m: root / f"{m}.vprm" for m in "abc"}, **common, "directory": root / "ds",
+                 "truncated": root / "truncated-a.vprm", "model": root / "model.vprh"},
+    }
+
+
+# What a --config file holds besides its overrides: lines every command
+# takes, and lines that are an error (1) or make the file a usage error (2).
+_CONFIG_NOISE = {
+    "# note\x85 with breaks": 0, "": 0, "  # indented": 0,
+    "no_such_key = 1": 1, "key value": 1, "\udcff": 2,
+}
+
+
+_GOOD_INPUTS = {"dataset": ["valid"], "model": ["valid"], "maps": ["a", "b", "c"]}
+
+
+@st.composite
+def cli_inputs(draw, files, flags):
+    """(argv entries, config text or None, {flag: labels in effect}, the
+    worst config line's exit) with each flag's labels drawn from ``files``;
+    a --config entry overrides the command line's.  Half the draws take
+    good inputs and config lines only, as most others fail."""
+    clean = draw(st.booleans())
+
+    def labels(flag):
+        pool = _GOOD_INPUTS[flag] if clean else sorted(files[flag])
+        return draw(st.lists(st.sampled_from(pool), min_size=1,
+                             max_size=3 if flag == "maps" else 1))
+
+    def path(flag, chosen):
+        return ",".join(str(files[flag][label]) for label in chosen)
+
+    used = {flag: labels(flag) for flag in flags}
+    argv = [arg for flag in flags for arg in (f"--{flag}", path(flag, used[flag]))]
+    if not draw(st.booleans()):
+        return argv, None, used, 0
+    lines, worst = [], 0
+    noise = sorted(line for line, code in _CONFIG_NOISE.items() if code == 0 or not clean)
+    for line in draw(st.lists(st.sampled_from(noise), max_size=2)):
+        lines.append(line)
+        worst = max(worst, _CONFIG_NOISE[line])
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
+        used[flag] = labels(flag)
+        lines.append(f"{flag} = {path(flag, used[flag])}")
+    ends = draw(st.sampled_from(["\n", "\r", "\r\n"]))
+    return argv, ends.join(lines) + ends, used, worst
+
+
+def _run_with_config(argv, config, tmp):
+    """run_main on argv, with the config written as UTF-8 (a lone surrogate
+    as the byte 0xff) and given by --config."""
+    if config is not None:
+        cfg = Path(tmp, "run.cfg")
+        cfg.write_bytes(config.encode("utf-8", "surrogateescape"))
+        argv = [*argv, "--config", str(cfg)]
+    return run_main([*argv, "--out", str(Path(tmp, "out"))])
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_build_map_property(input_files, data):
+    """Whatever the dataset, model and config files, build-map exits 0, 1
+    or 2 and nothing escapes it, with a JSON record on exit 1; good inputs
+    exit 0, and load_map reads the map, which holds the model's fingerprint
+    and the references' ids."""
+    argv, config, used, worst = data.draw(cli_inputs(input_files, ["dataset", "model"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_with_config(["build-map", *argv], config, tmp)
+        assert_exit_contract(code, err)
+        if used == {"dataset": ["valid"], "model": ["valid"]} and worst == 0:
+            assert code == 0, err
+        if code == 0:
+            (path,) = Path(tmp, "out").glob("*/map.vprm")
+            dmap = vk.load_map(path)
+            model = vk.load_model(input_files["model"][used["model"][0]])
+            assert dmap.model_fingerprint == model.fingerprint()
+            dataset = vk.load_dataset(input_files["dataset"][used["dataset"][0]])
+            assert dmap.ids == [r.id for r in dataset.references]
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_project_property(input_files, data):
+    """Whatever the map and config files, project exits 0, 1 or 2 and
+    nothing escapes it, with a JSON record on exit 1; distinct good maps of
+    one width exit 0, and projection.csv reads back with csv.reader as
+    wide as its header, a row per map row."""
+    argv, config, used, worst = data.draw(cli_inputs(input_files, ["maps"]))
+    maps = used["maps"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_with_config(["project", *argv], config, tmp)
+        assert_exit_contract(code, err)
+        one_width = set(maps) <= {"a", "c"} or maps == ["b"]
+        if one_width and len(set(maps)) == len(maps) and worst == 0:
+            assert code == 0, err
+        if code == 0:
+            (path,) = Path(tmp, "out").glob("*/projection.csv")
+            with path.open(newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["source_label", "x", "y"]
+            assert all(len(row) == len(header) for row in rows)
+            assert len(rows) == 3 * len(maps)

@@ -250,6 +250,17 @@ def test_record_poses_reach_files_maps_and_ground_truth_unchanged(small_model, r
     )
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"])
+def test_a_byte_that_is_not_utf8_is_named_on_the_line_the_rows_are_read_on(tmp_path, end):
+    """Lines end at "\\r", "\\n" or "\\r\\n", for the row reader and for
+    the UTF-8 check: with "\\r" line ends, line 3 was named line 1."""
+    (tmp_path / "references").mkdir()
+    rows = [b"id,x_m,y_m", b"r0,1,2", b"r1,1\xff,2", b""]
+    (tmp_path / "reference_poses.csv").write_bytes(end.join(rows))
+    with pytest.raises(InconsistentManifest, match=r"reference_poses\.csv:3: not valid UTF-8"):
+        vk.load_dataset(tmp_path)
+
+
 @pytest.mark.parametrize("side", ["references", "queries"])
 def test_saving_a_record_without_a_pose_writes_no_file(tmp_path, side):
     """Every pose on both sides is checked before the first file is written:

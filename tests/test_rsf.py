@@ -3,10 +3,13 @@ import gc
 import hashlib
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import time
 import weakref
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -795,6 +798,36 @@ def test_a_kernel_with_no_recorded_digest_fails_naming_it(monkeypatch):
     monkeypatch.setattr(conftest, "openblas_corename", lambda: "Prescott")
     with pytest.raises(pytest.fail.Exception, match="OpenBLAS kernel 'Prescott'"):
         kernel_digest(TRAINING_BITS["pose-rsf"][1])
+
+
+# The tests whose digests are keyed by BLAS kernel, by pytest node id.
+KERNEL_KEYED = [
+    *(f"tests/test_rsf.py::test_training_bits_match_the_parent[{case}]" for case in TRAINING_BITS),
+    "tests/test_rsf.py::test_epoch_grad_norm_is_the_mean_applied_gradient_norm[pose-rsf-4]",
+    "tests/test_rsf.py::test_epoch_grad_norm_is_the_mean_applied_gradient_norm"
+    "[labeled-ragged-batches-5]",
+    "tests/test_rsf.py::TestStreamReuse::"
+    "test_poseless_after_the_pose_arm_trains_the_bits_of_poseless_alone",
+    "tests/test_embedding.py::TestExtractRaw::test_domain_gap_raws_are_pinned",
+]
+
+
+def test_the_kernel_keyed_digests_hold_under_a_second_kernel():
+    """Run from the SkylakeX kernel, the digest tests pass again in a child
+    process on the Haswell kernel, so that a change adding a dependence on
+    the BLAS kernel fails here at once."""
+    kernel = conftest.openblas_corename()
+    if kernel != "SkylakeX":
+        pytest.skip(f"the second-kernel step runs from SkylakeX; this process loaded {kernel!r}")
+    root = Path(__file__).resolve().parent.parent
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *KERNEL_KEYED],
+        cwd=root, env={**os.environ, "OPENBLAS_CORETYPE": "Haswell"},
+        capture_output=True, text=True, timeout=600,
+    )
+    assert "OpenBLAS kernel Haswell" in child.stdout, child.stdout[-2000:]
+    assert child.returncode == 0, child.stdout[-4000:]
+    assert f"{len(KERNEL_KEYED)} passed" in child.stdout
 
 
 @pytest.mark.parametrize("case", TRAINING_BITS)
