@@ -123,7 +123,6 @@ def _crop_resize(img: np.ndarray, scale: float, ox: float, oy: float) -> np.ndar
     fy = (ys - y0)[:, None, None]
     fx = (xs - x0)[:, None]
     top, bot = img[y0], img[y1]
-    # np.take keeps the gathered columns C-contiguous, as the grid's were.
     top = np.take(top, x0, axis=1) * (1 - fx) + np.take(top, x1, axis=1) * fx
     bot = np.take(bot, x0, axis=1) * (1 - fx) + np.take(bot, x1, axis=1) * fx
     return top * (1 - fy) + bot * fy

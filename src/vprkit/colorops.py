@@ -57,11 +57,7 @@ def _rgb_planes(
 
 
 def rotate_hue(rgb: np.ndarray, degrees: float) -> np.ndarray:
-    """Rotate hue by the given angle, preserving saturation and value.
-
-    Works on contiguous channel planes and returns a C-contiguous
-    (..., 3) array; luma's matmul bits depend on that layout.
-    """
+    """Rotate hue by the given angle, preserving saturation and value."""
     planes = np.ascontiguousarray(np.moveaxis(np.clip(rgb, 0.0, 1.0), -1, 0))
     h, s, v = _hsv_planes(*planes)
     # np.mod(h, 1.0) in place: x - floor(x) rounds the exact fraction once,
@@ -78,5 +74,6 @@ def adjust_contrast(rgb: np.ndarray, gain: float) -> np.ndarray:
 
 
 def luma(rgb: np.ndarray) -> np.ndarray:
-    """BT.601 luma channel."""
-    return rgb @ LUMA_WEIGHTS
+    """BT.601 luma channel, with the bits of a C-contiguous copy: `@` gives
+    other bits for the same values in another memory layout."""
+    return np.ascontiguousarray(rgb) @ LUMA_WEIGHTS

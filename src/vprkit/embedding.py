@@ -49,7 +49,9 @@ def extract_raw(image: ImageRecord) -> np.ndarray:
 
 def extract_raw_pixels(pixels: np.ndarray) -> np.ndarray:
     img = resize_area(np.asarray(pixels, dtype=np.float64), WORK_SIZE, WORK_SIZE)
-    y = img @ LUMA_WEIGHTS
+    # Luma over the (H, C, W) layout that resize's products leave: `@`
+    # gives other bits for the same values in another memory layout.
+    y = np.ascontiguousarray(img.transpose(0, 2, 1)).transpose(0, 2, 1) @ LUMA_WEIGHTS
 
     # 3x3 central-difference gradients; borders carry zero gradient.
     gx = np.zeros_like(y)

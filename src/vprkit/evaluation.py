@@ -166,8 +166,10 @@ def evaluate_model(
 
     The queries go to knn directly: retrieve_all's model check would hash
     the model again, and the map was built by this model.  An ``ns`` that
-    ``_check_ns`` refuses is a VprError raised before any encoding."""
+    ``_check_ns`` refuses, or a query pose that ``record_poses`` refuses, is
+    raised before any encoding."""
     _check_ns(ns)
+    record_poses(dataset.queries)
     dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
     descs = _encode(model, dataset.queries)

@@ -40,11 +40,7 @@ def resize_area(img: np.ndarray, height: int, width: int) -> np.ndarray:
     """
     flat = np.atleast_3d(img)
     if img.shape[:2] == (height, width) and img.size > 1:
-        # A copy in the (H, C, W) memory layout the products leave:
-        # `img @ LUMA_WEIGHTS` gives other bits on another layout.
-        out = np.array(flat.transpose(0, 2, 1), dtype=np.float64, order="C")
-        out += 0.0
-        out = out.transpose(0, 2, 1)
+        out = np.add(flat, 0.0, dtype=np.float64)
     else:
         wy = _overlap_weights(img.shape[0], height)
         wx = _overlap_weights(img.shape[1], width)
@@ -56,11 +52,11 @@ def resize_area(img: np.ndarray, height: int, width: int) -> np.ndarray:
 def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Sample (H, W, C) at fractional coordinates with edge clamping.
 
-    ys/xs are arrays of the same shape; the result is a fresh C-order
-    array of that shape plus the channel axis.  The four neighbours are
-    gathered with `take` from contiguous channel planes, which is several
-    times faster than fancy-indexing (H, W, C), and blended on (C, ...)
-    planes with the float operations of a per-pixel blend.
+    ys/xs are arrays of the same shape; the result has that shape plus
+    the channel axis.  The four neighbours are gathered with `take` from
+    contiguous channel planes, which is several times faster than
+    fancy-indexing (H, W, C), and blended on (C, ...) planes with the
+    float operations of a per-pixel blend.
     """
     h, w, c = img.shape
     ys = np.clip(ys, 0.0, h - 1.0)
@@ -75,8 +71,4 @@ def sample_bilinear(img: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarr
     planes = np.ascontiguousarray(np.moveaxis(img, -1, 0)).reshape(c, h * w)
     top = planes.take(row0 + x0, axis=1) * (1 - fx) + planes.take(row0 + x1, axis=1) * fx
     bot = planes.take(row1 + x0, axis=1) * (1 - fx) + planes.take(row1 + x1, axis=1) * fx
-    # Written through a (C, ...) view of a new (..., C) array: a copy of a
-    # transposed view would keep odd strides on 1-pixel axes.
-    out = np.empty((*np.shape(ys), c), dtype=np.result_type(top, fy))
-    np.add(top * (1 - fy), bot * fy, out=np.moveaxis(out, -1, 0))
-    return out
+    return np.moveaxis(top * (1 - fy) + bot * fy, 0, -1)

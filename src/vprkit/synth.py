@@ -120,8 +120,7 @@ def _render_base(
 ) -> np.ndarray:
     """Rasterize the place texture over a gradient background.
 
-    Blends into contiguous (3, size, size) planes and returns a
-    C-contiguous (size, size, 3) array. Pixel (i, j) sits at x = lin[j],
+    Blends into (3, size, size) planes. Pixel (i, j) sits at x = lin[j],
     y = lin[i], so u and v are each a column term plus a row term; each
     pixel still gets exactly two rounded products and one rounded sum.
     """
@@ -151,9 +150,8 @@ def _render_base(
         alpha = p.strength * mask
         img *= 1 - alpha
         img += palette[p.color_idx][:, None, None] * alpha
-    out = np.empty((size, size, 3))
-    np.clip(img, 0.0, 1.0, out=out.transpose(2, 0, 1))
-    return out
+    np.clip(img, 0.0, 1.0, out=img)
+    return img.transpose(1, 2, 0)
 
 
 def _apply_style(

@@ -275,16 +275,15 @@ def test_criterion_5_finetune_structure_and_hygiene(experiment):
 def test_criterion_6_domain_gap_reproduction(experiment):
     v = experiment["values"]
     gain = v["rsf_all_b"] - v["baseline_b"]
-    pinned_ok = (
-        abs(v["baseline_b"] - PINNED["baseline_b"]) <= PIN_TOL
-        and abs(v["rsf_all_b"] - PINNED["rsf_all_b"]) <= PIN_TOL
-    )
-    ok = gain >= 0.03 and pinned_ok and experiment["elapsed"] < 600
+    # Every declared pin, as the benchmark harness checks them at seed 0.
+    off_pin = [f"{key}={v[key]:.4f} (pinned {pin})" for key, pin in PINNED.items()
+               if not abs(v[key] - pin) <= PIN_TOL]
+    ok = gain >= 0.03 and not off_pin and experiment["elapsed"] < 600
     report(
         6,
         ok,
         f"baseline B R@1={v['baseline_b']:.4f}, RSF B R@1={v['rsf_all_b']:.4f} "
-        f"(+{100 * gain:.1f} pts, pinned ok={pinned_ok}, {experiment['elapsed']:.0f}s)",
+        f"(+{100 * gain:.1f} pts, off pin: {off_pin or 'none'}, {experiment['elapsed']:.0f}s)",
     )
 
 

@@ -29,6 +29,7 @@ from vprkit.errors import (
     check_count,
     check_real,
 )
+from vprkit.presets import domain_gap_pair
 
 STYLE = vk.StyleParams()
 WORLD = vk.generate_synthetic(vk.SynthWorldSpec(3, 10.0, STYLE, STYLE, image_size=16, seed=1))
@@ -214,6 +215,29 @@ def test_rsf_finetune_refuses_a_fractional_multiplicity_before_realizing():
     object.__setattr__(config, "aug_multiplicity", 1.5)
     with pytest.raises(InvalidMultiplicity, match="multiplicity must be an integer, got 1.5"):
         vk.rsf_finetune(MODEL, WORLD, config, SPEC)
+
+
+def test_evaluate_model_refuses_a_bad_query_pose_before_any_work(monkeypatch):
+    """The query poses were read only when scoring: on world B with one NaN
+    query pose, every query was encoded and searched before the refusal."""
+    world_b = domain_gap_pair()[1]
+    queries = list(world_b.queries)
+    queries[7] = dataclasses.replace(queries[7], pose=vk.Pose(math.nan, 0.0))
+    calls = {"extract_raw": 0, "knn": 0}
+
+    def counted(module, name):
+        wrapped = getattr(module, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return wrapped(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    counted(vk.embedding, "extract_raw")
+    counted(vk.evaluation, "knn")
+    with pytest.raises(InconsistentManifest, match=f"^record {queries[7].id!r} has pose "):
+        vk.evaluate_model(vk.init_model(seed=1), vk.Dataset(world_b.references, queries))
+    assert calls == {"extract_raw": 0, "knn": 0}
 
 
 def test_a_train_config_field_is_checked_once_and_never_reassigned():
