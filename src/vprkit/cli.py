@@ -9,7 +9,6 @@ stochastic commands; nothing is ever seeded from the clock.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import json
@@ -24,12 +23,11 @@ import numpy as np
 
 from . import __version__
 from .augmentation import AugmentationSpec
-from .dataset import load_dataset, read_utf8, save_dataset, split_validation
+from .dataset import csv_line, load_dataset, read_csv, read_utf8, save_dataset, split_validation
 from .embedding import init_model, load_model, save_model
 from .errors import ShapeError, VprError
 from .evaluation import (
     REPORT_HEADER,
-    _csv_row,
     evaluate_model,
     format_matrix,
     format_recall,
@@ -219,7 +217,7 @@ def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
 def _write_csv(ctx: RunContext, name: str, header: str, rows) -> None:
     """Write the run's table ``name``: the header line, then each row (a list
     of fields, or a line of RecallReport.rows()) quoted as RFC 4180 says."""
-    lines = [header, *(row if isinstance(row, str) else _csv_row(row) for row in rows)]
+    lines = [header, *(row if isinstance(row, str) else csv_line(row) for row in rows)]
     atomic_write_text(ctx.path(name), "\n".join(lines) + "\n")
 
 
@@ -337,29 +335,21 @@ _ResultsRow = tuple[str, str, int, int, str, float]
 
 
 def _read_results(path: Path) -> list[_ResultsRow]:
-    """The rows of a results file, read as RFC 4180 CSV, as _write_csv
-    writes it: its lines end at "\\r", "\\n" or "\\r\\n" alone, as an id may
-    hold the other breaks of str.splitlines().  A malformed row, or a second
-    row for one (query id, rank), is a VprError naming the line it starts on."""
+    """The rows of a results file, read by dataset.read_csv as _write_csv
+    writes them.  A malformed row, or a second row for one (query id,
+    rank), is a VprError naming the line it starts on."""
     rows: dict[tuple[str, int], _ResultsRow] = {}
-    lines = io.StringIO(read_utf8(path), newline="").readlines()
-    reader, end = csv.reader(lines), 0
-    try:
-        for fields in reader:
-            start, end = end + 1, reader.line_num  # a quoted field may span lines
-            if start == 1 or not lines[start - 1].strip():  # the header, or a blank line
-                continue
-            try:
-                qid, rank, idx, rid, dist = fields
-                row = (f"{path}:{start}", qid, int(rank), int(idx), rid, float(dist))
-            except ValueError:
-                text = "".join(lines[start - 1 : end]).rstrip("\r\n")
-                raise VprError(f"{path}:{start}: malformed results row {text!r}") from None
-            if row[1:3] in rows:
-                raise VprError(f"{path}:{start}: a second row for query {qid!r} at rank {row[2]}")
-            rows[row[1:3]] = row
-    except csv.Error as exc:  # a field longer than csv.field_size_limit()
-        raise VprError(f"{path}:{end + 1}: malformed results row: {exc}") from None
+    for start, fields, text in read_csv(path, VprError, "results row"):
+        if start == 1:  # the header
+            continue
+        try:
+            qid, rank, idx, rid, dist = fields
+            row = (f"{path}:{start}", qid, int(rank), int(idx), rid, float(dist))
+        except ValueError:
+            raise VprError(f"{path}:{start}: malformed results row {text!r}") from None
+        if row[1:3] in rows:
+            raise VprError(f"{path}:{start}: a second row for query {qid!r} at rank {row[2]}")
+        rows[row[1:3]] = row
     return list(rows.values())
 
 

@@ -4,7 +4,7 @@ Directory layout (the on-disk interchange format):
 
     root/
       references/*.ppm
-      reference_poses.csv      # header row, then id,x_m,y_m
+      reference_poses.csv      # RFC 4180: header row, then id,x_m,y_m
       queries/*.ppm            # optional
       query_poses.csv          # optional
 
@@ -23,6 +23,7 @@ adapts to, as each record keeps its ``raw``.
 
 from __future__ import annotations
 
+import csv
 import functools
 import io
 import math
@@ -30,7 +31,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -148,40 +149,58 @@ def read_utf8(path: Path, error: type[Exception] = VprError) -> str:
         raise error(f"{path}:{lineno}: not valid UTF-8") from None
 
 
+def csv_line(fields: list) -> str:
+    """One CSV row without its line end, quoted as little as RFC 4180 allows."""
+    out = io.StringIO()
+    # A "\r\n" line end makes the writer quote fields holding either byte.
+    csv.writer(out, lineterminator="\r\n").writerow(fields)
+    return out.getvalue()[:-2]
+
+
+def read_csv(
+    path: Path, error: type[Exception], what: str
+) -> Iterator[tuple[int, list[str], str]]:
+    """The rows of an RFC 4180 file as csv_line writes them: (the line each
+    starts on, its fields, its text).  Lines end at "\\r", "\\n" or "\\r\\n"
+    alone, as an id may hold the other breaks of str.splitlines(); empty and
+    whitespace-only lines are skipped.  Bytes that are not UTF-8, or a row
+    the csv module cannot read, are ``error`` naming the line and ``what``."""
+    lines = io.StringIO(read_utf8(path, error), newline="").readlines()
+    reader, end = csv.reader(lines), 0
+    try:
+        for fields in reader:
+            start, end = end + 1, reader.line_num  # a quoted field may span lines
+            if lines[start - 1].strip():
+                yield start, fields, "".join(lines[start - 1 : end]).rstrip("\r\n")
+    except csv.Error as exc:  # a field longer than csv.field_size_limit()
+        raise error(f"{path}:{end + 1}: malformed {what}: {exc}") from None
+
+
 def _read_pose_manifest(path: Path, latlon: bool) -> dict[str, tuple[float, float]]:
     if not path.is_file():
         raise ManifestMissing(f"pose manifest not found: {path}")
-    text = read_utf8(path, InconsistentManifest)
-    rows: list[tuple[str, float, float]] = []
-    with io.StringIO(text, newline=None) as fh:
-        header = fh.readline()
-        if not header.strip():
-            raise InconsistentManifest(f"{path.name}: missing header row")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise InconsistentManifest(
-                    f"{path.name}:{lineno}: expected id,x,y got {line!r}"
-                )
-            try:
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError:
-                x = y = math.nan
-            xmax, ymax = (90.0, 180.0) if latlon else (sys.float_info.max,) * 2
-            if not (abs(x) <= xmax and abs(y) <= ymax):  # also rejects nan
-                raise InconsistentManifest(
-                    f"{path.name}:{lineno}: expected finite coordinates "
-                    f"(|lat| <= 90, |lon| <= 180 with latlon), got {line!r}"
-                )
-            rows.append((parts[0], x, y))
-    ids = [r[0] for r in rows]
-    if len(set(ids)) != len(ids):
-        dupe = next(i for i in ids if ids.count(i) > 1)
-        raise InconsistentManifest(f"{path.name}: duplicate id {dupe!r}")
-    return {rid: (x, y) for rid, x, y in rows}
+    rows = read_csv(path, InconsistentManifest, "pose row")
+    header = next(rows, None)
+    if header is None or header[0] != 1:  # the header is the row on line 1
+        raise InconsistentManifest(f"{path.name}: missing header row")
+    xmax, ymax = (90.0, 180.0) if latlon else (sys.float_info.max,) * 2
+    poses: dict[str, tuple[float, float]] = {}
+    for lineno, fields, line in rows:
+        if len(fields) != 3:
+            raise InconsistentManifest(f"{path.name}:{lineno}: expected id,x,y got {line!r}")
+        try:
+            x, y = float(fields[1]), float(fields[2])
+        except ValueError:
+            x = y = math.nan
+        if not (abs(x) <= xmax and abs(y) <= ymax):  # also rejects nan
+            raise InconsistentManifest(
+                f"{path.name}:{lineno}: expected finite coordinates "
+                f"(|lat| <= 90, |lon| <= 180 with latlon), got {line!r}"
+            )
+        if fields[0] in poses:
+            raise InconsistentManifest(f"{path.name}: duplicate id {fields[0]!r}")
+        poses[fields[0]] = (x, y)
+    return poses
 
 
 def _project_latlon(
@@ -284,13 +303,12 @@ def _name_max(directory: Path) -> int:
 
 
 def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
-    """The records' pose manifest, in id order.  Each id must be one line's
-    first field as _read_pose_manifest splits it, and the stem of its file
+    """The records' pose manifest, in id order.  Each id must be one row's
+    first field as _read_pose_manifest reads it, and the stem of its file
     as _load_side globs it: InconsistentManifest names the first that is
-    not a string, is repeated, is not UTF-8, holds a comma, a line break, a
-    NUL or a path separator, starts with whitespace, or is empty, and the
-    first whose file's names are longer than ``name_max`` bytes;
-    record_poses names the first bad pose."""
+    not a string, is repeated, is not UTF-8, holds a line break, a NUL or a
+    path separator, or is empty, and the first whose file's names are
+    longer than ``name_max`` bytes; record_poses names the first bad pose."""
     bad = next((rec.id for rec in records if not isinstance(rec.id, str)), None)
     if bad is not None:
         raise InconsistentManifest(f"record id {bad!r} is not a string")
@@ -302,14 +320,12 @@ def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
             rec.id.encode("utf-8")
         except UnicodeEncodeError:
             raise InconsistentManifest(f"record id {rec.id!r} is not UTF-8") from None
-        if (
-            any(c in rec.id for c in ",\r\n\0")
-            or rec.id[:1].isspace()
-            or Path(f"{rec.id}.ppm").stem != rec.id
-        ):
+        # A line break would read back, but it would make the list of file
+        # names that manifest.hash_input joins one a line ambiguous.
+        if any(c in rec.id for c in "\r\n\0") or Path(f"{rec.id}.ppm").stem != rec.id:
             raise InconsistentManifest(
-                f"record id {rec.id!r} would not load back: an id holds no comma, line "
-                "break, NUL or path separator, and is not empty or led by whitespace"
+                f"record id {rec.id!r} would not load back: an id holds no line break, "
+                "NUL or path separator, and is not empty"
             )
         name_bytes = temp_name_bytes(f"{rec.id}.ppm")
         if name_bytes > name_max:
@@ -318,8 +334,8 @@ def _pose_manifest(records: list[ImageRecord], name_max: int) -> str:
                 f"{name_bytes} bytes, and this file system's are at most {name_max}"
             )
     poses = record_poses(records).tolist()
-    lines = ["id,x_m,y_m", *(f"{rec.id},{x!r},{y!r}" for rec, (x, y) in zip(records, poses))]
-    return "\n".join(lines) + "\n"
+    rows = (csv_line([rec.id, repr(x), repr(y)]) for rec, (x, y) in zip(records, poses))
+    return "\n".join(["id,x_m,y_m", *rows]) + "\n"
 
 
 def split_validation(

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, Pose, _checked_poses, pose_distances, record_poses
+from .dataset import Dataset, Pose, _checked_poses, csv_line, pose_distances, record_poses
 from .errors import (DegenerateSpectrum, MissingGroundTruth, NonFiniteValue, ShapeError,
                      VprError, check_count, check_real)
 from .retrieval import DescriptorMap, RetrievalResult, _encode, build_map, knn
@@ -82,20 +80,12 @@ class RecallReport:
         """CSV rows under REPORT_HEADER, one per cutoff. A field holding a
         comma, a quote or a line break is quoted as RFC 4180 says."""
         return [
-            _csv_row([
+            csv_line([
                 self.model_fingerprint, self.dataset, n, f"{r:.6f}",
                 self.evaluated_queries, self.total_queries,
             ])
             for n, r in zip(self.ns, self.recalls)
         ]
-
-
-def _csv_row(fields: list) -> str:
-    """One CSV row without its line end, quoted as little as RFC 4180 allows."""
-    out = io.StringIO()
-    # A "\r\n" line end makes the writer quote fields holding either byte.
-    csv.writer(out, lineterminator="\r\n").writerow(fields)
-    return out.getvalue()[:-2]
 
 
 def format_recall(value: float) -> str:

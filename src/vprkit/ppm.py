@@ -25,10 +25,13 @@ _HEADER = re.compile(rb"P6%s*(\d+)%s+(\d+)%s+(\d+)\s" % (_SEP, _SEP, _SEP))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:
-    """Decode a binary PPM file into a (H, W, 3) float64 array in [0, 1];
-    an image with zero width or height is a DecodeError."""
+    """Decode a binary PPM file into a (H, W, 3) float64 array in [0, 1]; a
+    file it cannot read, or an image with zero width or height, is a DecodeError."""
     path = Path(path)
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise DecodeError(f"{path.name}: cannot read: {exc.strerror}") from None
     header = _HEADER.match(data)
     if header is None:
         raise DecodeError(f"{path.name}: not a binary PPM (bad or missing P6 header)")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import re
@@ -10,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import vprkit as vk
 from vprkit.dataset import Pose, _name_max, save_dataset
-from vprkit.errors import InconsistentManifest, InvalidFraction, ManifestMissing, VprError
+from vprkit.errors import (DecodeError, InconsistentManifest, InvalidFraction, ManifestMissing,
+                           VprError)
 from vprkit.ppm import quantize, write_ppm
+from vprkit.presets import domain_gap_pair
 
 finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
@@ -279,8 +282,8 @@ def test_saving_a_record_without_a_pose_writes_no_file(tmp_path, side):
 
 @pytest.mark.parametrize(
     "ids, named",
-    [(["a", "a"], "a"), (["a,b"], "a,b"), (["a\nb"], "a\nb"), ([""], ""), (["sub/x"], "sub/x"),
-     (["../../escaped"], "../../escaped"), ([" a"], " a"), (["a\rb"], "a\rb"),
+    [(["a", "a"], "a"), (["a\nb"], "a\nb"), ([""], ""), (["sub/x"], "sub/x"),
+     (["../../escaped"], "../../escaped"), (["a\rb"], "a\rb"),
      (["\ud800"], "\ud800"), (["a\0b"], "a\0b"), ([7], 7), (["a", 7], 7)],
 )
 def test_an_id_that_would_not_load_back_is_named_and_writes_no_file(tmp_path, ids, named):
@@ -292,6 +295,49 @@ def test_an_id_that_would_not_load_back_is_named_and_writes_no_file(tmp_path, id
     with pytest.raises(InconsistentManifest, match=re.escape(repr(named))):
         save_dataset(vk.Dataset(refs, queries), tmp_path / "a" / "b" / "ds")
     assert list(tmp_path.rglob("*")) == []
+
+
+def test_an_id_with_commas_quotes_or_leading_whitespace_loads_back(tmp_path):
+    """The manifests are RFC 4180 CSV, so an augmented copy's id, whose op
+    tag holds commas, saves and loads back, as do quotes and leading
+    whitespace, each with its pose."""
+    rng = np.random.default_rng(0)
+    base = vk.ImageRecord("r00", rng.random((8, 8, 3)), Pose(3.0, 4.0))
+    crop = vk.apply(base, vk.AugmentationOp("crop_resize", (0.781, 0.00898, 0.00362)), rng)
+    assert crop.id == "r00#crop_resize(0.781,0.00898,0.00362)"
+    ids = [crop.id, "a,b", " a", '"q"', 'x "y" ']
+    records = [vk.ImageRecord(rid, rng.random((4, 4, 3)), Pose(0.5 * i, -1.0 / 3))
+               for i, rid in enumerate(ids)]
+    save_dataset(vk.Dataset(records[:3], records[3:]), tmp_path / "ds")
+    back = vk.load_dataset(tmp_path / "ds")
+    for saved, loaded in ((records[:3], back.references), (records[3:], back.queries)):
+        saved = sorted(saved, key=lambda r: r.id)
+        assert [(r.id, r.pose) for r in loaded] == [(r.id, r.pose) for r in saved]
+
+
+def test_the_manifest_bytes_of_an_ordinary_world_are_pinned(tmp_path):
+    """Ids that need no quoting are written as they always were, so the
+    dataset hashes, and with them the run ids, stay as they are."""
+    save_dataset(domain_gap_pair()[1], tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("reference_poses.csv", "query_poses.csv")}
+    assert digests == {
+        "reference_poses.csv": "f7a2def3ea36efaf9ecd917fc03c3fa368e785616266dd8462f4da6c732abfda",
+        "query_poses.csv": "ef0c44c0c81f508fadd5276b2377af90f3f04542063801f95c9f512754ce2be5",
+    }
+
+
+@pytest.mark.parametrize("kind", ["directory", "dangling link"])
+def test_an_image_that_cannot_be_read_is_a_decode_error(tmp_path, kind):
+    _write_side(tmp_path, "references", [("r0", 0.0, 0.0), ("r1", 10.0, 0.0)])
+    image = tmp_path / "references" / "r1.ppm"
+    image.unlink()
+    if kind == "directory":
+        image.mkdir()
+    else:
+        image.symlink_to(tmp_path / "gone.ppm")
+    with pytest.raises(DecodeError, match=r"r1\.ppm: cannot read"):
+        vk.load_dataset(tmp_path)
 
 
 # Ids that load back, and ids the loader refuses or reads back as another
