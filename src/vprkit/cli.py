@@ -13,6 +13,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import resource
 import sys
 import time
@@ -88,14 +89,16 @@ def _parse_ns(text: str) -> tuple[int, ...]:
 
 
 _BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+_COMMENT = re.compile(r"(?:^|\s)#")  # a "#" elsewhere is part of the value
 
 
 def _apply_config_file(args: argparse.Namespace) -> None:
     """Plain key=value config file; entries override command-line flags.
     Its lines end at "\r", "\n" or "\r\n" alone, as every text input's do,
-    so a value may hold the other breaks of str.splitlines().  An unreadable
-    or non-UTF-8 file or a mistyped value is a usage error, as on the
-    command line."""
+    so a value may hold the other breaks of str.splitlines().  A comment
+    starts at a "#" that begins a line or follows whitespace, so
+    ``name = run#2`` sets run#2.  An unreadable or non-UTF-8 file or a
+    mistyped value is a usage error, as on the command line."""
     if not getattr(args, "config", None):
         return
     try:
@@ -103,7 +106,7 @@ def _apply_config_file(args: argparse.Namespace) -> None:
     except OSError as exc:
         raise argparse.ArgumentTypeError(f"{args.config}: cannot read config: {exc}")
     for lineno, line in enumerate(io.StringIO(text, newline="").readlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -175,43 +178,44 @@ def _run_context(args: argparse.Namespace, config: dict) -> RunContext:
     )
 
 
+# The training flags, by their attribute: (TrainConfig field, type, default,
+# short options).  A command takes only the flags its run reads; a field it
+# has no flag for keeps its TrainConfig default, which is the flag's.
+_TRAIN_FLAGS = {
+    "margin": ("margin", float, 0.4),
+    "lr": ("learning_rate", float, 1e-2),
+    "epochs": ("epochs", int, 15),
+    "batch_size": ("batch_size", int, 16),
+    "positive_radius": ("positive_radius", float, 10.0),
+    "negative_radius": ("negative_radius", float, 25.0),
+    "negatives_per_query": ("negatives_per_query", int, 1),
+    "patience": ("early_stop_patience", int, 5),
+    "multiplicity": ("aug_multiplicity", int, 2, "-M"),
+    "radius": ("validation_radius", float, 25.0),
+}
+
+
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(
-        margin=args.margin,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        positive_radius=args.positive_radius,
-        negative_radius=args.negative_radius,
-        negatives_per_query=args.negatives_per_query,
-        early_stop_patience=args.patience,
-        aug_multiplicity=args.multiplicity,
-        poseless=getattr(args, "no_poses", False),
-        validation_radius=args.radius,
-        seed=args.seed,
-    )
+    fields = {field: getattr(args, flag) for flag, (field, *_) in _TRAIN_FLAGS.items()
+              if hasattr(args, flag)}
+    return TrainConfig(**fields, poseless=getattr(args, "no_poses", False), seed=args.seed)
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--margin", type=float, default=0.4)
-    p.add_argument("--lr", type=float, default=1e-2)
-    p.add_argument("--epochs", type=int, default=15)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument("--positive-radius", type=float, default=10.0)
-    p.add_argument("--negative-radius", type=float, default=25.0)
-    p.add_argument("--negatives-per-query", type=int, default=1)
-    p.add_argument("--patience", type=int, default=5)
-    p.add_argument("--multiplicity", "-M", type=int, default=2)
-    p.add_argument("--radius", type=float, default=25.0)
+def _add_train_flags(p: argparse.ArgumentParser, *unread: str) -> None:
+    """The training flags, but those named in ``unread``."""
+    for flag, (_, kind, default, *short) in _TRAIN_FLAGS.items():
+        if flag not in unread:
+            p.add_argument("--" + flag.replace("_", "-"), *short, type=kind, default=default)
 
 
-def _add_finetune_flags(p: argparse.ArgumentParser) -> None:
-    """The inputs, seed and train flags of rsf and both ablations."""
+def _add_finetune_flags(p: argparse.ArgumentParser, *unread: str) -> None:
+    """The inputs, seed and training flags of rsf and both ablations; an RSF
+    copy's positive is its source, so none reads --positive-radius."""
     p.add_argument("--model", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--validation", default=None)
     p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, "positive_radius", *unread)
 
 
 def _write_csv(ctx: RunContext, name: str, header: str, rows) -> None:
@@ -467,14 +471,12 @@ def cmd_ablate_aug(args) -> RunContext:
 
 def cmd_ablate_poses(args) -> RunContext:
     config = _train_config(args)
-    # Both arms' configs are checked before either arm trains.
-    arms = [(label, dataclasses.replace(config, poseless=poseless))
-            for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses"))]
     spec = AugmentationSpec.from_string(args.augment)
     ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
     model, test_dataset, validation = _load_rsf_inputs(args)
     reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
-    for label, cfg in arms:
+    for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
+        cfg = dataclasses.replace(config, poseless=poseless)
         finetuned, _ = rsf_finetune(model, test_dataset, cfg, spec, validation)
         reports.append(
             evaluate_model(finetuned, test_dataset, args.radius, args.ns, name=label)
@@ -514,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--val-fraction", type=float, default=0.3)
     p.add_argument("--seed", type=int, required=True)
-    _add_train_flags(p)
+    _add_train_flags(p, "multiplicity")
 
     p = add("build-map", cmd_build_map, help="encode references into a map file")
     p.add_argument("--dataset", required=True)
@@ -555,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ablate-poses", cmd_ablate_poses, help="RSF with vs without poses")
     p.add_argument("--augment", default="appearance,viewpoint")
     p.add_argument("--ns", default="1,5")
-    _add_finetune_flags(p)
+    # The poseless arm draws one negative per query.
+    _add_finetune_flags(p, "negatives_per_query")
 
     return parser
 

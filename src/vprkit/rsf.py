@@ -77,9 +77,9 @@ class FinetuneDataset:
     """Per-epoch realizable stream of augmented queries over a reference set.
 
     Invariants: the references are exactly the test-time reference set,
-    kept as a tuple of the records given; every realized query carries its
-    source reference's pose, and each epoch yields multiplicity x
-    len(references) queries, so a multiplicity below 1 is an
+    kept as a tuple of the records given.  Copy k of each epoch is an
+    augmented copy of reference sources[k] = k // M that keeps its pose, so
+    an epoch is M x len(references) copies and an M below 1 is an
     InvalidMultiplicity.  Streams are equal when they hold the same record
     objects in the same order and equal multiplicity, spec and seed.
     """
@@ -90,7 +90,8 @@ class FinetuneDataset:
     seed: int
     # Each stream keeps its records alive, so equal ids are the same records.
     _record_ids: tuple[int, ...] = field(init=False, repr=False)
-    _epochs: dict[int, tuple[np.ndarray, np.ndarray]] = field(
+    sources: np.ndarray = field(init=False, repr=False, compare=False)
+    _epochs: dict[int, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
     # A process pool and its worker count while train() runs over the
@@ -104,35 +105,28 @@ class FinetuneDataset:
         check_count(self.seed, "seed", 0)
         self.references = tuple(self.references)
         self._record_ids = tuple(map(id, self.references))
-
-    def realize_epoch(self, epoch: int) -> list[tuple[int, ImageRecord]]:
-        """Deterministic given (seed, epoch); fresh ops per epoch."""
-        return list(self._realize(epoch, range(len(self.references) * self.multiplicity)))
-
-    def _realize(self, epoch: int, copies: range) -> Iterator[tuple[int, ImageRecord]]:
-        """The epoch's copies k in ``copies``: copy k is draw k % M of
-        reference k // M, seeded by its own [seed, epoch, i, m]."""
-        for k in copies:
-            i, m = divmod(k, self.multiplicity)
-            rng = np.random.default_rng(
-                np.random.SeedSequence([self.seed, epoch, i, m])
-            )
-            op = sample_op(self.augmentation_spec, rng)
-            yield i, apply(self.references[i], op, rng)
+        self.sources = np.repeat(np.arange(len(self.references), dtype=np.int64), self.multiplicity)
+        self.sources.flags.writeable = False
 
     def _raws(self, epoch: int, start: int, stop: int) -> np.ndarray:
         """The (stop - start, RAW_DIM) raws of the epoch's copies start to
-        stop - 1.  Each realized image is dropped once its raw is read."""
-        return np.stack([query.raw for _, query in self._realize(epoch, range(start, stop))])
+        stop - 1, copy k drawn for reference k // M by its own [seed, epoch,
+        k // M, k % M].  Each realized image is dropped once its raw is read."""
+        raws = []
+        for k in range(start, stop):
+            i, m = divmod(k, self.multiplicity)
+            rng = np.random.default_rng(np.random.SeedSequence([self.seed, epoch, i, m]))
+            raws.append(apply(self.references[i], sample_op(self.augmentation_spec, rng), rng).raw)
+        return np.stack(raws)
 
-    def epoch_raws(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
-        """The epoch's (N*M,) int64 source indices and (N*M, RAW_DIM) query
-        raws, both read-only.  The backbone is frozen, so they depend on the
-        stream alone, never on the model: each epoch is realized and
-        extracted on first use and kept, across the allowed CPUs while
-        train() runs over the stream (_realizing).  A spec that enables no
-        category draws nothing, so each of its epochs is epoch 0.  A stream
-        over zero references has no epoch: EmptyReferences.
+    def epoch_raws(self, epoch: int) -> np.ndarray:
+        """The epoch's (N*M, RAW_DIM) read-only query raws, copy k's in row
+        k.  The backbone is frozen, so they depend on the stream alone,
+        never on the model: each epoch is realized and extracted on first
+        use and kept, across the allowed CPUs while train() runs over the
+        stream (_realizing).  A spec that enables no category draws nothing,
+        so each of its epochs is epoch 0.  A stream over zero references has
+        no epoch: EmptyReferences.
 
         The epoch's copies are split into contiguous slices, one more than
         the pool's workers (none without a pool): the workers do every slice
@@ -146,8 +140,7 @@ class FinetuneDataset:
             epoch = 0
         if epoch not in self._epochs:
             pool, workers = self._pool or (None, 0)
-            sources = np.repeat(np.arange(len(self.references), dtype=np.int64), self.multiplicity)
-            bounds = [len(sources) * k // (workers + 1) for k in range(workers + 2)]
+            bounds = [len(self.sources) * k // (workers + 1) for k in range(workers + 2)]
             # Only the slice's numbers are sent: the workers hold the stream.
             futures = [pool.submit(_adopted_raws, epoch, *bounds[k : k + 2]) for k in range(workers)]
             try:
@@ -157,8 +150,8 @@ class FinetuneDataset:
                     future.result()
                 raise
             raws = np.concatenate([*(future.result() for future in futures), last])
-            sources.flags.writeable = raws.flags.writeable = False
-            self._epochs[epoch] = sources, raws
+            raws.flags.writeable = False
+            self._epochs[epoch] = raws
         return self._epochs[epoch]
 
 
@@ -222,7 +215,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 20
     batch_size: int = 16
-    positive_radius: float = 10.0
+    positive_radius: float = 10.0  # read by labeled training alone (_labeled_rows)
     negative_radius: float = 25.0
     negatives_per_query: int = 1
     early_stop_patience: int = 5
@@ -235,8 +228,6 @@ class TrainConfig:
         for name in ("margin", "learning_rate", "positive_radius", "negative_radius",
                      "validation_radius"):
             check_real(getattr(self, name), name, positive=True)
-        if self.negative_radius < self.positive_radius:
-            raise VprError("negative_radius must be >= positive_radius")
         for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_query", 1),
                           ("early_stop_patience", 1), ("seed", 0)):
             check_count(getattr(self, name), name, low)
@@ -313,7 +304,7 @@ def mine_triplets(
     references. Returns the triplets and the number of queries skipped for
     lack of candidates.
     """
-    sources, query_raws = finetune_ds.epoch_raws(epoch)
+    query_raws, sources = finetune_ds.epoch_raws(epoch), finetune_ds.sources
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
     if not config.poseless:
         # Every realized query keeps its source's pose, so it takes its source's row.
@@ -339,9 +330,13 @@ def _labeled_rows(
     """Mining inputs of a labeled dataset, fixed across epochs: per query
     the nearest reference within positive_radius (or -1), the pose
     distances to the references and the query raw. VprError for poseless
-    mining or no queries; InconsistentManifest for a pose record_poses refuses."""
+    mining, a negative_radius below positive_radius or no queries;
+    InconsistentManifest for a pose record_poses refuses."""
     if config.poseless:
         raise VprError("poseless mining applies only to reference-set finetuning")
+    if config.negative_radius < config.positive_radius:
+        raise VprError(f"negative_radius {config.negative_radius} must be >= "
+                       f"positive_radius {config.positive_radius}")
     if not dataset.queries:
         raise VprError("cannot train on a labeled dataset with no queries")
     pose_dists = pose_distances(record_poses(dataset.queries), record_poses(dataset.references))

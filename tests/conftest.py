@@ -88,3 +88,19 @@ def random_image(rng: np.random.Generator, size: int = 24) -> vk.ImageRecord:
         pixels=rng.random((size, size, 3)),
         pose=vk.Pose(float(rng.uniform(-50, 50)), float(rng.uniform(-50, 50))),
     )
+
+
+def oracle_epoch(references, multiplicity, spec, seed, epoch):
+    """A finetuning stream's epoch as its documented seeding draws it,
+    without FinetuneDataset: [(k // M, copy k)], copy k drawn by sample_op
+    and made by apply on reference k // M with the generator of
+    SeedSequence([seed, epoch, k // M, k % M]).  A `none` spec draws
+    nothing, so its every epoch is epoch 0."""
+    if not spec.categories:
+        epoch = 0
+    copies = []
+    for k in range(len(references) * multiplicity):
+        i, m = divmod(k, multiplicity)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, epoch, i, m]))
+        copies.append((i, vk.apply(references[i], vk.sample_op(spec, rng), rng)))
+    return copies

@@ -225,15 +225,16 @@ def test_criterion_4_mining_oracle():
         )
         mined = dict(zip(positives.tolist(), negatives.tolist()))
         expected_skips = 0
-        for src, query in stream.realize_epoch(0):
+        # Each copy keeps its source's pose.
+        for src, raw in zip(stream.sources.tolist(), stream.epoch_raws(0)):
             eligible = [
                 ri for ri, rp in enumerate(ds.reference_poses)
-                if query.pose.distance(rp) > config.negative_radius
+                if refs[src].pose.distance(rp) > config.negative_radius
             ]
             if not eligible:
                 expected_skips += 1
                 continue
-            q_desc = vk.forward(model, vk.extract_raw(query))
+            q_desc = vk.forward(model, raw)
             best = min(
                 eligible, key=lambda ri: (float(np.linalg.norm(ref_descs[ri] - q_desc)), ri)
             )
@@ -250,9 +251,10 @@ def test_criterion_5_finetune_structure_and_hygiene(experiment):
     ok = True
     for m in (1, 2, 4):
         stream = vk.FinetuneDataset(world_b.references, m, spec, seed=1)
-        realized = stream.realize_epoch(0)
-        ok &= len(realized) == m * len(world_b.references)
-        ok &= all(q.pose == stream.references[src].pose for src, q in realized)
+        n = len(world_b.references)
+        ok &= len(stream.epoch_raws(0)) == m * n
+        # Copy k is of reference k // m, whose pose mining gives it.
+        ok &= stream.sources.tolist() == [k // m for k in range(m * n)]
 
     class CountingList(list):
         accesses = 0

@@ -868,32 +868,50 @@ def test_poseless_rsf_with_more_negatives_exits_one(capsys, tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_ablate_poses_refuses_both_arms_before_any_work(capsys, tmp_path, monkeypatch):
-    """The poseless arm's config is built before the baseline is scored or
-    the pose arm trains."""
-    monkeypatch.setattr(vk.cli, "load_model", lambda path: pytest.fail("an input was read"))
+@pytest.mark.parametrize(
+    "command, flag",
+    [("pretrain", "--multiplicity"), ("pretrain", "-M"), ("rsf", "--positive-radius"),
+     ("ablate-aug", "--positive-radius"), ("ablate-poses", "--positive-radius"),
+     ("ablate-poses", "--negatives-per-query")],
+)
+def test_a_training_flag_the_run_does_not_read_is_not_taken(
+    capsys, tmp_path, monkeypatch, command, flag
+):
+    """pretrain makes no augmented copy, an RSF copy's positive is its
+    source, and ablate-poses's poseless arm draws one negative per query:
+    such a flag is a usage error (exit 2) and such a config key unknown
+    (exit 1), before any input is read."""
+    monkeypatch.setattr(vk.cli, "load_dataset", lambda path: pytest.fail("an input was read"))
     model = tmp_path / "m.vprh"
     model.write_bytes(b"never read")
-    code, _, err = run(
-        capsys, "ablate-poses", "--model", str(model), "--dataset", str(tmp_path), "--seed", "1",
-        "--negatives-per-query", "2", "--out", str(tmp_path / "out"),
-    )
-    assert code == 1
-    assert "poseless" in json.loads(err.strip().splitlines()[-1])["message"]
+    argv = [command, "--dataset", str(tmp_path), "--seed", "1", "--out", str(tmp_path / "out")]
+    argv += [] if command == "pretrain" else ["--model", str(model)]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "1"])
+    assert exc.value.code == 2 and f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    if flag.startswith("--"):
+        key = flag[2:].replace("-", "_")
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key} = 1\n")
+        code, _, err = run(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert f"unknown config key {key!r}" in json.loads(err.strip().splitlines()[-1])["message"]
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
-def test_pretrain_multiplicity_below_one_exits_one(capsys, tmp_path, value):
+def test_rsf_multiplicity_below_one_exits_one(capsys, tmp_path, value):
+    model = tmp_path / "m.vprh"
+    model.write_bytes(b"never read")
     code, _, err = run(
-        capsys, "pretrain", "--dataset", str(tmp_path), "--seed", "1",
-        "--multiplicity", value, "--out", str(tmp_path / "pre"),
+        capsys, "rsf", "--model", str(model), "--dataset", str(tmp_path), "--seed", "1",
+        "--multiplicity", value, "--out", str(tmp_path / "out"),
     )
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "InvalidMultiplicity"
     assert f"aug_multiplicity must be at least 1, got {value}" in record["message"]
-    assert not (tmp_path / "pre").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -1409,7 +1427,8 @@ def command_inputs(tmp_path_factory):
                 "file": root / "model.vprh"}
     models = {"valid": root / "model.vprh", "garbage": root / "junk.vprh",
               "missing": root / "missing", "directory": root / "ds"}
-    return world, {"--dataset": datasets, "--datasets": datasets, "--models": models}
+    return world, {"--dataset": datasets, "--datasets": datasets, "--validation": datasets,
+                   "--models": models, "--model": models}
 
 
 def _labels(valid: list[str], labels: list[str], max_size: int = 1):
@@ -1443,7 +1462,6 @@ _PRETRAIN_FLAGS = {
     "--negative-radius": (_number(st.floats(20.0, 90.0), ["20", "1e308"]), _ANYWHERE),
     "--negatives-per-query": (_number(st.integers(1, 2), ["1", "9"]), _ANYWHERE),
     "--patience": (_number(st.integers(1, 3), ["1", "99999"]), _ANYWHERE),
-    "--multiplicity": (_number(st.integers(1, 2), ["1", "9"]), _ANYWHERE),
     "--radius": (_REAL, _ANYWHERE),
 }
 
@@ -1482,6 +1500,8 @@ def run_with_flags(command: str, flags: dict, paths: dict, tmp: str) -> tuple[in
             value = ",".join(str(paths[flag][label]) for label in value.split(","))
         if place == "argv":
             argv += [flag, value]
+        elif place == "switch":  # a flag that takes no value, given bare
+            argv.append(flag)
         elif place == "config":
             config.append(f"{flag[2:]} = {value}")
     if config:
@@ -1490,6 +1510,12 @@ def run_with_flags(command: str, flags: dict, paths: dict, tmp: str) -> tuple[in
     code, err = run_main(argv)
     assert_exit_contract(code, err)
     return code, sorted(Path(tmp, "runs").glob("*/"))
+
+
+def _report_reads_back(path: Path) -> None:
+    """The recall report has rows, each as wide as its header."""
+    (_, header, _), *rows = read_csv(path, VprError, "report row")
+    assert rows and all(len(fields) == len(header) for _, fields, _ in rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1527,8 +1553,127 @@ def test_xeval_argv_property(command_inputs, flags, ref_ids, query_ids):
         code, runs = run_with_flags("xeval", flags, paths, tmp)
         if code == 0:
             (run_dir,) = runs
-            (_, header, _), *rows = read_csv(run_dir / "xeval.csv", VprError, "xeval row")
-            assert rows and all(len(fields) == len(header) for _, fields, _ in rows)
+            _report_reads_back(run_dir / "xeval.csv")
+
+
+# The flags rsf and both ablations share, drawn as pretrain's are; at most
+# two epochs and two copies per reference keep each run small.
+_FINETUNE_FLAGS = {
+    "--model": (_labels(["valid"], ["garbage", "missing", "directory"]), ["argv"]),
+    "--dataset": (_labels(["valid", "refs"], ["empty", "garbage", "missing", "file"]), ["argv"]),
+    "--validation": (
+        _labels(["valid"], ["refs", "empty", "garbage", "missing", "file"]), _ANYWHERE
+    ),
+    "--seed": _PRETRAIN_FLAGS["--seed"],
+    "--epochs": (_number(st.integers(1, 2), ["2"]), _ANYWHERE),
+    **{flag: _PRETRAIN_FLAGS[flag] for flag in
+       ("--batch-size", "--margin", "--lr", "--negative-radius", "--patience", "--radius")},
+    "--multiplicity": (_number(st.integers(1, 2), ["1", "3"]), _ANYWHERE),
+}
+_AUGMENT = ((st.sampled_from(["none", "appearance", "viewpoint", "appearance,viewpoint"]),
+             st.sampled_from(["", "appearance,", "none,appearance", "weather"])), _ANYWHERE)
+_RSF_FLAGS = {
+    **_FINETUNE_FLAGS,
+    "--negatives-per-query": _PRETRAIN_FLAGS["--negatives-per-query"],
+    "--augment": _AUGMENT,
+    "--no-poses": ((st.sampled_from(["yes", "0", "True"]), st.sampled_from(["ture", "2", ""])),
+                   ["switch", "config", None]),
+}
+_ABLATE_AUG_FLAGS = {
+    **_FINETUNE_FLAGS,
+    "--negatives-per-query": _PRETRAIN_FLAGS["--negatives-per-query"],
+    "--ns": _XEVAL_FLAGS["--ns"],
+}
+_ABLATE_POSES_FLAGS = {**_FINETUNE_FLAGS, "--augment": _AUGMENT, "--ns": _XEVAL_FLAGS["--ns"]}
+
+
+@settings(max_examples=25, deadline=None)
+@given(flags=command_flags(_RSF_FLAGS))
+def test_rsf_argv_property(command_inputs, flags):
+    """Whatever the flags, rsf exits 0, 1 or 2 and nothing escapes it;
+    exit 1 prints a JSON error record, and exit 0 leaves a model that
+    load_model reads."""
+    _, paths = command_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        code, runs = run_with_flags("rsf", flags, paths, tmp)
+        if code == 0:
+            (run_dir,) = runs
+            vk.load_model(run_dir / "model.vprh")
+
+
+@settings(max_examples=20, deadline=None)
+@given(flags=command_flags(_ABLATE_AUG_FLAGS))
+def test_ablate_aug_argv_property(command_inputs, flags):
+    """As test_rsf_argv_property, for ablate-aug: exit 0 leaves an
+    ablate_aug.csv whose rows read back as wide as its header."""
+    _, paths = command_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        code, runs = run_with_flags("ablate-aug", flags, paths, tmp)
+        if code == 0:
+            (run_dir,) = runs
+            _report_reads_back(run_dir / "ablate_aug.csv")
+
+
+@settings(max_examples=20, deadline=None)
+@given(flags=command_flags(_ABLATE_POSES_FLAGS))
+def test_ablate_poses_argv_property(command_inputs, flags):
+    """As test_rsf_argv_property, for ablate-poses: exit 0 leaves an
+    ablate_poses.csv whose rows read back as wide as its header."""
+    _, paths = command_inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        code, runs = run_with_flags("ablate-poses", flags, paths, tmp)
+        if code == 0:
+            (run_dir,) = runs
+            _report_reads_back(run_dir / "ablate_poses.csv")
+
+
+# The config of a training run with no training flag given and --seed 5:
+# every TrainConfig field, whether or not the command takes its flag.
+_DEFAULT_TRAINING = {
+    "margin": 0.4, "learning_rate": 0.01, "epochs": 15, "batch_size": 16,
+    "positive_radius": 10.0, "negative_radius": 25.0, "negatives_per_query": 1,
+    "early_stop_patience": 5, "aug_multiplicity": 2, "poseless": False,
+    "validation_radius": 25.0, "seed": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("pretrain", {"val_fraction": 0.3}), ("rsf", {"augment": "appearance,viewpoint"}),
+     ("ablate-aug", {}), ("ablate-poses", {"augment": "appearance,viewpoint"})],
+)
+def test_a_default_runs_manifest_holds_every_training_field(
+    capsys, tmp_path, command_inputs, command, extra
+):
+    """The manifest, and so the run id, of a default run is the one it was
+    when every command took every training flag."""
+    _, paths = command_inputs
+    argv = [command, "--dataset", str(paths["--dataset"]["valid"]), "--seed", "5"]
+    argv += [] if command == "pretrain" else ["--model", str(paths["--model"]["valid"])]
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    manifest = json.loads(Path(out.strip().splitlines()[-1], "manifest.json").read_text())
+    assert manifest["config"] == {**_DEFAULT_TRAINING, **extra}
+
+
+def test_only_labeled_training_refuses_a_negative_radius_below_the_positive(
+    capsys, tmp_path, command_inputs
+):
+    _, paths = command_inputs
+    inputs = ["--dataset", str(paths["--dataset"]["valid"]), "--seed", "1", "--epochs", "1",
+              "--negative-radius", "5"]
+    code, _, err = run(
+        capsys, "rsf", *inputs, "--model", str(paths["--model"]["valid"]),
+        "--out", str(tmp_path / "rsf"),
+    )
+    assert code == 0, err
+    code, _, err = run(capsys, "pretrain", *inputs, "--out", str(tmp_path / "pre"))
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "VprError"
+    assert "negative_radius 5.0" in record["message"]
+    assert "positive_radius 10.0" in record["message"]
+    assert not (tmp_path / "pre").exists()
 
 
 @pytest.fixture(scope="module")
@@ -1576,6 +1721,27 @@ _CONFIG_NOISE = {
     "# note\x85 with breaks": 0, "": 0, "  # indented": 0,
     "no_such_key = 1": 1, "key value": 1, "\udcff": 2,
 }
+
+
+@pytest.mark.parametrize(
+    "line, key, value",
+    [("name = run#2", "name", "run#2"), ("name = run #2", "name", "run"),
+     ("places = 3  # note", "places", 3), ("places = 3\t#note", "places", 3),
+     *[(line, "places", 30) for line, code in _CONFIG_NOISE.items() if code == 0]],
+)
+def test_a_config_comment_starts_at_a_hash_opening_the_line_or_after_whitespace(
+    tmp_path, line, key, value
+):
+    """`name = run#2` was cut at its "#" and set --name to `run`, so an
+    augmented id could not be given through --config."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    command = ["evaluate", "--results", "r", "--map", "m", "--dataset", "d"]
+    args = build_parser().parse_args(
+        [*(command if key == "name" else ["synth-gen", "--seed", "1"]), "--config", str(cfg)]
+    )
+    _apply_config_file(args)
+    assert getattr(args, key) == value
 
 
 _GOOD_INPUTS = {"dataset": ["valid"], "model": ["valid"], "maps": ["a", "b", "c"]}

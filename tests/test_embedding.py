@@ -148,10 +148,9 @@ class TestExtractRaw:
             seed=200,
         )
         records = world_a.references + world_a.queries + world_b.references + world_b.queries
-        records += [rec for _, rec in stream.realize_epoch(0)]
         h = hashlib.sha256()
-        for rec in records:
-            h.update(rec.raw.tobytes())
+        for raw in [rec.raw for rec in records] + list(stream.epoch_raws(0)):
+            h.update(raw.tobytes())
         assert h.hexdigest() == kernel_digest({
             "SkylakeX": "600b5c81a5d866366e0ed70727f84ab16633e151f682a5a3ad7fa56d60364753",
             "Haswell": "ce1e4e4e39b6ef30bcb9a72c4f8ef44b2dcd9cf40b5b0df0b18a0596f328585b",

@@ -258,7 +258,6 @@ class TestBatchedHinge:
         ("validation_radius", -1.0),
         ("validation_radius", 0.0),
         ("negative_radius", float("inf")),
-        ("negative_radius", 5.0),  # below positive_radius
         ("validation_radius", float("nan")),
         ("epochs", -1),
         ("seed", -1),
@@ -271,6 +270,24 @@ class TestBatchedHinge:
 def test_bad_train_config_is_a_vpr_error_naming_the_field(field, value):
     with pytest.raises(VprError, match=field):
         vk.TrainConfig(**{field: value})
+
+
+def test_a_negative_radius_below_the_positive_is_refused_before_any_epoch(
+    tiny_world_module, monkeypatch
+):
+    """Only labeled training reads positive_radius, so it alone refuses a
+    negative_radius below it, naming both; a stream trains with it."""
+    config = vk.TrainConfig(epochs=1, positive_radius=10.0, negative_radius=5.0)
+    model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+    mined = []
+    monkeypatch.setattr(vk.rsf, "_mine", lambda *args: mined.append(args))
+    with pytest.raises(VprError, match="negative_radius 5.0 must be >= positive_radius 10.0"):
+        vk.train(model, tiny_world_module, config)
+    assert not mined
+    monkeypatch.undo()
+    stream = vk.FinetuneDataset(tiny_world_module.references, 1, vk.AugmentationSpec(), 0)
+    _, log = vk.train(model, stream, config)
+    assert log.epoch_triplets == [len(tiny_world_module.references)]
 
 
 @pytest.fixture(scope="module")
@@ -300,24 +317,30 @@ def tiny_world_module():
 
 class TestFinetuneStream:
     def test_cardinality_per_epoch(self, stream):
+        n = len(stream.references)
         for multiplicity in (1, 2, 4):
             s = dataclasses.replace(stream, multiplicity=multiplicity)
-            assert len(s.realize_epoch(0)) == multiplicity * len(s.references)
+            assert s.epoch_raws(0).shape == (multiplicity * n, vk.embedding.RAW_DIM)
+            assert s.sources.tolist() == [i for i in range(n) for _ in range(multiplicity)]
 
     def test_queries_inherit_source_pose(self, stream):
-        for src, query in stream.realize_epoch(2):
+        """Copy k is of reference sources[k] and keeps its pose, which is
+        the pose mining gives row k."""
+        raws = stream.epoch_raws(2)
+        copies = conftest.oracle_epoch(
+            stream.references, stream.multiplicity, stream.augmentation_spec, stream.seed, 2
+        )
+        assert stream.sources.tolist() == [src for src, _ in copies]
+        for raw, src, (_, query) in zip(raws, stream.sources, copies):
             assert query.pose == stream.references[src].pose
+            assert raw.tobytes() == vk.extract_raw(query).tobytes()
 
     def test_epochs_differ_but_replay_is_identical(self, stream):
-        e0a = stream.realize_epoch(0)
-        e0b = stream.realize_epoch(0)
-        e1 = stream.realize_epoch(1)
-        for (_, qa), (_, qb) in zip(e0a, e0b):
-            np.testing.assert_array_equal(qa.pixels, qb.pixels)
-        assert any(
-            not np.array_equal(qa.pixels, q1.pixels)
-            for (_, qa), (_, q1) in zip(e0a, e1)
-        )
+        e0a = stream.epoch_raws(0)
+        e0b = dataclasses.replace(stream).epoch_raws(0)
+        e1 = stream.epoch_raws(1)
+        assert e0a.tobytes() == e0b.tobytes()
+        assert any(not np.array_equal(qa, q1) for qa, q1 in zip(e0a, e1))
 
     def test_invalid_multiplicity(self, tiny_world_module):
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
@@ -359,15 +382,15 @@ class TestMining:
         ref_descs = vk.forward_batch(
             model, np.stack([vk.extract_raw(r) for r in stream.references])
         )
-        realized = stream.realize_epoch(0)
-        assert len(positives) == len(negatives) == len(q_raws) == len(realized)
-        for qi, (src, query) in enumerate(realized):
+        raws = stream.epoch_raws(0)
+        assert len(positives) == len(negatives) == len(q_raws) == len(raws)
+        for qi, src in enumerate(stream.sources.tolist()):
             assert positives[qi] == src
-            np.testing.assert_array_equal(q_raws[qi], vk.extract_raw(query))
-            q_desc = vk.forward(model, vk.extract_raw(query))
+            np.testing.assert_array_equal(q_raws[qi], raws[qi])
+            q_desc = vk.forward(model, raws[qi])
             best = None
             for ri, rp in enumerate(r.pose for r in stream.references):
-                if query.pose.distance(rp) <= config.negative_radius:
+                if stream.references[src].pose.distance(rp) <= config.negative_radius:
                     continue
                 d = float(np.linalg.norm(ref_descs[ri] - q_desc))
                 if best is None or d < best[0]:
@@ -1063,20 +1086,22 @@ class TestStreamReuse:
     def test_epoch_raws_equal_a_fresh_realization(
         self, tiny_world_module, multiplicity, label, seed, epoch, n_refs
     ):
+        """The kept raws are the oracle's copies' raws, bit for bit, and
+        the stream keeps nothing else per epoch."""
         refs = tiny_world_module.references[:n_refs]
         spec = vk.AugmentationSpec.from_string(label)
         stream = vk.FinetuneDataset(refs, multiplicity, spec, seed)
-        sources, raws = stream.epoch_raws(epoch)
-        fresh = vk.FinetuneDataset(
+        raws = stream.epoch_raws(epoch)
+        fresh = conftest.oracle_epoch(
             [vk.ImageRecord(r.id, r.pixels.copy(), r.pose) for r in refs],
-            multiplicity, spec, seed,
-        ).realize_epoch(epoch)
-        assert sources.dtype == np.int64
-        assert sources.tolist() == [src for src, _ in fresh]
+            multiplicity, spec, seed, epoch,
+        )
+        assert stream.sources.dtype == np.int64
+        assert stream.sources.tolist() == [src for src, _ in fresh]
         assert raws.tobytes() == np.stack([vk.extract_raw(q) for _, q in fresh]).tobytes()
-        assert not sources.flags.writeable and not raws.flags.writeable
-        memo = stream.epoch_raws(epoch)
-        assert memo[0] is sources and memo[1] is raws
+        assert not stream.sources.flags.writeable and not raws.flags.writeable
+        assert stream.epoch_raws(epoch) is raws
+        assert [type(kept) for kept in stream._epochs.values()] == [np.ndarray]
 
     @pytest.mark.parametrize("poseless", [False, True])
     def test_mined_arrays_cannot_write_into_the_memo(self, tiny_world_module, poseless):
@@ -1084,13 +1109,14 @@ class TestStreamReuse:
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(poseless=poseless, negative_radius=40.0)
         triplets, _ = vk.mine_triplets(model, stream, config, epoch=0)
-        memo = [a.copy() for a in stream.epoch_raws(0)]
+        memo = [stream.sources.copy(), stream.epoch_raws(0).copy()]
         for arr in triplets:
             try:
                 arr[...] = 0
             except ValueError:  # a read-only view of the memo
                 pass
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(stream.epoch_raws(0), memo))
+        kept = [stream.sources, stream.epoch_raws(0)]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(kept, memo))
 
     @pytest.mark.parametrize("poseless", [False, True])
     def test_errors_arrive_in_the_same_order(self, poseless):
@@ -1221,9 +1247,9 @@ class TestWorkers:
                 _cpus(monkeypatch, cpus)
                 forks = _counting_forks(monkeypatch)
                 with vk.rsf._realizing(stream):
-                    sources, raws = stream.epoch_raws(epoch)
-                    assert len(forks) == min(cpus, len(sources)) - 1
-            realized.append((sources.tobytes(), raws.tobytes()))
+                    raws = stream.epoch_raws(epoch)
+                    assert len(forks) == min(cpus, len(raws)) - 1
+            realized.append(raws.tobytes())
         assert realized[0] == realized[1]
         assert not multiprocessing.active_children()
 
@@ -1244,8 +1270,7 @@ class TestWorkers:
             forks.clear()
             with vk.rsf._realizing(stream):
                 try:
-                    sources, raws = stream.epoch_raws(0)
-                    outcomes.append((sources.tobytes(), raws.tobytes()))
+                    outcomes.append(stream.epoch_raws(0).tobytes())
                 except ShapeError as exc:
                     outcomes.append((type(exc), str(exc)))
                 assert len(forks) == cpus - 1
