@@ -265,7 +265,7 @@ def _append_event(ctx: RunContext, wall_s: float) -> None:
     stay out of the manifest and the run id."""
     mb = 2**20 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes there, KiB on Linux
     event = {
-        "command": ctx.command,
+        "command": ctx.core["command"],
         "wall_s": wall_s,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / mb,
         "children_peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / mb,
@@ -333,72 +333,63 @@ def cmd_retrieve(args) -> RunContext:
     return ctx
 
 
-# One results row: its "file:line", query id, rank, reference index and id,
-# distance.
-_ResultsRow = tuple[str, str, int, int, str, float]
-
-
-def _read_results(path: Path) -> list[_ResultsRow]:
-    """The rows of a results file, read by dataset.read_csv as _write_csv
-    writes them.  A malformed row, or a second row for one (query id,
-    rank), is a VprError naming the line it starts on."""
-    rows: dict[tuple[str, int], _ResultsRow] = {}
+def _read_results(path: Path, dmap: DescriptorMap) -> list[RetrievalResult]:
+    """Each query's (reference index, distance) pairs in rank order, read in
+    one pass by dataset.read_csv as _write_csv writes them.  The first row
+    in file order that is malformed, repeats an earlier row's (query id,
+    rank) or names a reference the map does not hold at its index, then a
+    query whose ranks are not 0, 1, ..., k - 1, is a VprError naming a line."""
+    by_query: dict[str, dict[int, tuple[int, float, str]]] = {}
     for start, fields, text in read_csv(path, VprError, "results row"):
         if start == 1:  # the header
             continue
+        where = f"{path}:{start}"
         try:
             qid, rank, idx, rid, dist = fields
-            row = (f"{path}:{start}", qid, int(rank), int(idx), rid, float(dist))
+            rank, idx, dist = int(rank), int(idx), float(dist)
         except ValueError:
-            raise VprError(f"{path}:{start}: malformed results row {text!r}") from None
-        if row[1:3] in rows:
-            raise VprError(f"{path}:{start}: a second row for query {qid!r} at rank {row[2]}")
-        rows[row[1:3]] = row
-    return list(rows.values())
-
-
-def _ranked_results(rows: list[_ResultsRow], dmap: DescriptorMap) -> list[RetrievalResult]:
-    """Each query's rows in rank order.  A row naming a reference the map
-    does not hold at its index, or a query whose ranks are not 0, 1, ...,
-    k - 1, is a VprError naming a line."""
-    by_query: dict[str, list[tuple[int, int, float, str]]] = {}
-    for where, qid, rank, idx, rid, dist in rows:
+            raise VprError(f"{where}: malformed results row {text!r}") from None
+        ranked = by_query.setdefault(qid, {})
+        if rank in ranked:
+            raise VprError(f"{where}: a second row for query {qid!r} at rank {rank}")
         if not 0 <= idx < dmap.size:
             raise VprError(f"{where}: ref_index {idx} is outside the map's {dmap.size} references")
         if rid != dmap.ids[idx]:
             raise VprError(
                 f"{where}: ref_id {rid!r} is not {dmap.ids[idx]!r}, the map's id at {idx}"
             )
-        by_query.setdefault(qid, []).append((rank, idx, dist, where))
-    results = []
-    for qid, entries in by_query.items():
-        entries.sort()  # by rank alone: each (query, rank) is one row
-        for expected, (rank, _, _, where) in enumerate(entries):
-            if rank != expected:
-                raise VprError(
-                    f"{where}: query {qid!r} has rank {rank} where rank {expected} is due; "
-                    "a query's ranks must be 0, 1, 2, ..."
-                )
-        results.append(RetrievalResult(qid, [(i, d) for _, i, d, _ in entries]))
-    return results
+        ranked[rank] = (idx, dist, where)
+    for qid, ranked in by_query.items():
+        due = next((r for r in range(len(ranked)) if r not in ranked), None)
+        if due is not None:  # name the rank that sorts first out of place
+            rank = min(r for r in ranked if not 0 <= r < due)
+            raise VprError(
+                f"{ranked[rank][2]}: query {qid!r} has rank {rank} where rank "
+                f"{due if rank > due else 0} is due; a query's ranks must be 0, 1, 2, ..."
+            )
+    return [RetrievalResult(qid, [ranked[r][:2] for r in range(len(ranked))])
+            for qid, ranked in by_query.items()]
 
 
 def cmd_evaluate(args) -> RunContext:
     ctx = _run_context(
         args, {"radius": args.radius, "ns": list(args.ns), "name": args.name}
     )
-    rows = _read_results(Path(args.results))
     dmap = load_map(args.map)
-    results = _ranked_results(rows, dmap)
+    results = _read_results(Path(args.results), dmap)
     dataset = load_dataset(args.dataset)
     report = score_results(results, dataset, dmap, args.radius, args.ns, args.name)
     _write_report(ctx, [report], "report")
     return ctx
 
 
-def _load_rsf_inputs(args):
+def _load_rsf_inputs(args, scored: bool = False):
+    """The model, the dataset and the validation set, if any; a dataset
+    with no query is refused if the run is to score it."""
     model = load_model(args.model)
     test_dataset = load_dataset(args.dataset)
+    if scored and not test_dataset.queries:
+        raise VprError(f"--dataset {args.dataset} has no queries to score")
     validation = load_dataset(args.validation) if args.validation else None
     return model, test_dataset, validation
 
@@ -458,7 +449,7 @@ def cmd_project(args) -> RunContext:
 def cmd_ablate_aug(args) -> RunContext:
     config = _train_config(args)
     ctx = _run_context(args, dataclasses.asdict(config))
-    model, test_dataset, validation = _load_rsf_inputs(args)
+    model, test_dataset, validation = _load_rsf_inputs(args, scored=True)
     reports = []
     for label in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
         spec = AugmentationSpec.from_string(label)
@@ -473,7 +464,7 @@ def cmd_ablate_poses(args) -> RunContext:
     config = _train_config(args)
     spec = AugmentationSpec.from_string(args.augment)
     ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
-    model, test_dataset, validation = _load_rsf_inputs(args)
+    model, test_dataset, validation = _load_rsf_inputs(args, scored=True)
     reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
     for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):
         cfg = dataclasses.replace(config, poseless=poseless)

@@ -138,19 +138,15 @@ class RunContext:
         seed: int | None,
         out_root: str | Path,
     ):
-        self.command = command
-        self.config = config
-        self.input_hashes = {name: hash_input(p) for name, p in inputs.items()}
-        self.seed = seed
-        core = {
+        self.core = {
             "command": command,
             "config": config,
-            "inputs": self.input_hashes,
+            "inputs": {name: hash_input(p) for name, p in inputs.items()},
             "seed": seed,
             "version": __version__,
         }
         digest = hashlib.sha256(
-            json.dumps(core, sort_keys=True).encode("utf-8")
+            json.dumps(self.core, sort_keys=True).encode("utf-8")
         ).hexdigest()
         self.run_id = digest[:12]
         self.run_dir = Path(out_root) / self.run_id  # made by its first write
@@ -163,13 +159,9 @@ class RunContext:
 
     def finalize(self) -> Path:
         manifest = {
-            "command": self.command,
-            "config": self.config,
-            "inputs": self.input_hashes,
+            **self.core,
             "outputs": sorted(set(self.outputs)),
-            "seed": self.seed,
             "run_id": self.run_id,
-            "version": __version__,
             # The interpreter and NumPy of this run: recorded, not hashed.
             "python": platform.python_version(),
             "numpy": np.__version__,

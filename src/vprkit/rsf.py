@@ -363,15 +363,16 @@ def train(
     the epoch with the lowest mean training loss is returned, the latest
     among ties, and training still stops early: after
     `early_stop_patience` epochs in a row whose mean loss is above the
-    lowest so far. A validation dataset with no queries, and data from
+    lowest so far. A validation dataset with no queries, labeled data that
+    _labeled_rows refuses (before any image is extracted), and data from
     which an epoch mines no triplet, are VprErrors.
     """
     if not data.references:
         raise EmptyReferences("cannot train on zero references")
     if validation is not None and not validation.queries:
         raise VprError("validation dataset has no queries")
-    ref_raws = np.stack([r.raw for r in data.references])
     labeled_rows = None if isinstance(data, FinetuneDataset) else _labeled_rows(data, config)
+    ref_raws = np.stack([r.raw for r in data.references])
     log = TrainLog(mode="poseless" if config.poseless else "pose", stop_reason="epochs")
     model = model.copy()
     best_model = model.copy()

@@ -427,13 +427,13 @@ def test_project_over_maps_of_differing_dims_exits_one(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path):
+def test_malformed_results_row_exits_one_naming_the_line(capsys, tmp_path, small_map):
+    ds, dmap, _, _ = small_map
     results = tmp_path / "results.csv"
     results.write_text("query_id,rank,ref_index,ref_id,distance\nq0,0,1,r1,0.5\nq1,0,x,r1,0.5\n")
-    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results row fails first
     code, _, err = run(
-        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
-        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+        capsys, "evaluate", "--results", str(results), "--map", str(dmap),
+        "--dataset", str(ds), "--out", str(tmp_path / "ev"),
     )
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
@@ -504,16 +504,16 @@ def test_results_row_naming_a_reference_the_map_lacks_exits_one(
     assert not (tmp_path / "ev").exists()
 
 
-def test_second_row_for_a_query_and_rank_exits_one_naming_it(capsys, tmp_path):
+def test_second_row_for_a_query_and_rank_exits_one_naming_it(capsys, tmp_path, small_map):
+    ds, dmap, _, _ = small_map
     results = tmp_path / "results.csv"
     results.write_text(
         "query_id,rank,ref_index,ref_id,distance\n"
         "q0,0,1,r1,0.5\nq0,1,2,r2,0.6\nq1,0,1,r1,0.5\n\nq0,1,0,r0,0.7\n"
     )
-    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results row fails first
     code, _, err = run(
-        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
-        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+        capsys, "evaluate", "--results", str(results), "--map", str(dmap),
+        "--dataset", str(ds), "--out", str(tmp_path / "ev"),
     )
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
@@ -559,18 +559,65 @@ def test_a_query_whose_ranks_are_not_0_to_k_exits_one(
     assert not (tmp_path / "ev").exists()
 
 
-def test_results_file_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
+def test_results_file_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path, small_map):
+    ds, dmap, _, _ = small_map
     results = tmp_path / "results.csv"
     results.write_bytes(b"query_id,rank,ref_index,ref_id,distance\nq0,0,1,r\xff,0.5\n")
-    (tmp_path / "m.vprm").write_bytes(b"")  # never read: the results file fails first
     code, _, err = run(
-        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
-        "--dataset", str(tmp_path), "--out", str(tmp_path / "ev"),
+        capsys, "evaluate", "--results", str(results), "--map", str(dmap),
+        "--dataset", str(ds), "--out", str(tmp_path / "ev"),
     )
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == "VprError"
     assert f"{results}:2:" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "rows, line, needle",
+    [
+        ("q0_0,0,0,r0,0.5\nq0_0,1,1,zzz,0.6\nq1_0,0,1,r1,0.5\n\nq0_0,0,2,r2,0.7\n", 3,
+         "ref_id 'zzz' is not 'r1', the map's id at 1"),
+        ("q0_0,0,0,r0,0.5\nq0_0,0,1,r1,0.6\nq1_0,0,9,r1,0.5\n", 3,
+         "a second row for query 'q0_0' at rank 0"),
+        ("q0_0,1,0,r0,0.5\nq1_0,0,7,r1,0.5\nq1_0,x\n", 3,
+         "ref_index 7 is outside the map's 3 references"),
+        ("q0_0,1,0,r0,0.5\nq1_0,0,1,r1,0.5\n", 2, "query 'q0_0' has rank 1 where rank 0 is due"),
+    ],
+    ids=["map-before-a-later-duplicate", "duplicate-before-a-later-map-fault",
+         "map-before-a-later-malformed-row", "ranks-after-the-last-row"],
+)
+def test_evaluate_names_the_first_faulty_row_in_file_order(small_map, rows, line, needle):
+    """Each row is checked where it is read, so the first faulty row in the
+    file is named whatever its fault; a query's ranks are checked after the
+    last row."""
+    ds, dmap, _, _ = small_map
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp, "results.csv")
+        results.write_text("query_id,rank,ref_index,ref_id,distance\n" + rows)
+        code, err = run_main([
+            "evaluate", "--results", str(results), "--map", str(dmap), "--dataset", str(ds),
+            "--out", str(Path(tmp, "ev")),
+        ])
+        assert code == 1
+        record = json.loads(err.strip().splitlines()[-1])
+        assert record["error"] == "VprError"
+        assert record["message"].startswith(f"{results}:{line}: {needle}")
+        assert not Path(tmp, "ev").exists()
+
+
+def test_evaluate_reports_a_bad_map_ahead_of_a_bad_results_file(capsys, tmp_path, small_map):
+    ds, _, _, _ = small_map
+    results = tmp_path / "results.csv"
+    results.write_bytes(b"query_id,rank,ref_index,ref_id,distance\nq0,0,1,r\xff,0.5\n")
+    (tmp_path / "m.vprm").write_bytes(b"")
+    code, _, err = run(
+        capsys, "evaluate", "--results", str(results), "--map", str(tmp_path / "m.vprm"),
+        "--dataset", str(ds), "--out", str(tmp_path / "ev"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record["error"] == "FormatError" and "bad magic" in record["message"]
 
 
 def test_ppm_with_an_overlong_header_number_exits_one(capsys, tmp_path):
@@ -1231,6 +1278,59 @@ def test_evaluate_results_property(small_map, data):
 
 
 @pytest.fixture(scope="module")
+def small_results(small_map, tmp_path_factory):
+    """The results.csv that retrieve writes at --k 3 on the small_map world,
+    and evaluate's report of it: (evaluate's input flags, the file's lines,
+    the bytes of report.csv and report.txt)."""
+    ds, dmap, _, _ = small_map
+    root = tmp_path_factory.mktemp("results")
+    vk.save_model(vk.init_model(hidden_dims=[8], output_dim=4, seed=1), root / "model.vprh")
+    inputs = ["--map", str(dmap), "--dataset", str(ds)]
+    code, err = run_main([
+        "retrieve", *inputs, "--model", str(root / "model.vprh"), "--k", "3", "--out", str(root),
+    ])
+    assert code == 0, err
+    (results,) = root.glob("*/results.csv")
+    code, err = run_main(["evaluate", "--results", str(results), *inputs, "--out", str(root)])
+    assert code == 0, err
+    reports = tuple(next(root.glob(f"*/{name}")).read_bytes() for name in _REPORT)
+    return inputs, results.read_text().splitlines(), reports
+
+
+_REPORT = ("report.csv", "report.txt")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_any_order_of_retrieves_rows_scores_the_same(small_results, data):
+    """Any shuffle of the rows retrieve writes, with blank lines mixed in,
+    gives the report of the file as written; with one row written twice,
+    evaluate exits 1 naming the later line."""
+    inputs, (header, *rows), reports = small_results
+    lines = data.draw(st.permutations(rows))
+    for blank in data.draw(st.lists(st.sampled_from(["", "  "]), max_size=3)):
+        lines.insert(data.draw(st.integers(0, len(lines))), blank)
+    twice = data.draw(st.none() | st.sampled_from(rows))
+    if twice is not None:
+        lines.insert(data.draw(st.integers(0, len(lines))), twice)
+    with tempfile.TemporaryDirectory() as tmp:
+        results = Path(tmp, "results.csv")
+        results.write_text("\n".join([header, *lines]) + "\n")
+        out = Path(tmp, "ev")
+        code, err = run_main(["evaluate", "--results", str(results), *inputs, "--out", str(out)])
+        if twice is None:
+            assert code == 0, err
+            (run_dir,) = out.iterdir()
+            assert tuple((run_dir / name).read_bytes() for name in _REPORT) == reports
+        else:
+            later = 2 + max(i for i, line in enumerate(lines) if line == twice)  # line 1: header
+            assert code == 1
+            message = json.loads(err.strip().splitlines()[-1])["message"]
+            assert message.startswith(f"{results}:{later}: a second row for query ")
+            assert not out.exists()
+
+
+@pytest.fixture(scope="module")
 def retrieve_inputs(tmp_path_factory):
     """A saved 3-place world, its reference side alone, a model and the
     model's map: (directory, map size, query count)."""
@@ -1406,7 +1506,8 @@ def test_every_table_a_command_writes_reads_back_as_wide_as_its_header(
 def command_inputs(tmp_path_factory):
     """Inputs of every kind for pretrain and xeval: (the labeled 3-place
     world, {flag: {label: path}}).  "valid" is a good input; "refs" holds
-    no query, "empty" no reference."""
+    no query, "empty" no reference; "truncated-ref" and "truncated-query"
+    each hold one PPM cut short on that side."""
     root = tmp_path_factory.mktemp("commands")
     world = vk.generate_synthetic(
         vk.SynthWorldSpec(
@@ -1420,11 +1521,16 @@ def command_inputs(tmp_path_factory):
     (root / "empty" / "reference_poses.csv").write_text("id,x_m,y_m\n")
     shutil.copytree(root / "ds", root / "garbage")
     (root / "garbage" / "query_poses.csv").write_bytes(b'id,x_m,y_m\n"q,0\n\xff\n')
+    for side in ("references", "queries"):
+        shutil.copytree(root / "ds", root / f"truncated-{side}")
+        ppm = next((root / f"truncated-{side}" / side).glob("*.ppm"))
+        ppm.write_bytes(ppm.read_bytes()[:40])
     vk.save_model(vk.init_model(hidden_dims=[8], output_dim=4, seed=1), root / "model.vprh")
     (root / "junk.vprh").write_bytes(b"\x00garbage\xff,\n" * 9)
     datasets = {"valid": root / "ds", "refs": root / "refs", "empty": root / "empty",
                 "garbage": root / "garbage", "missing": root / "missing",
-                "file": root / "model.vprh"}
+                "file": root / "model.vprh", "truncated-ref": root / "truncated-references",
+                "truncated-query": root / "truncated-queries"}
     models = {"valid": root / "model.vprh", "garbage": root / "junk.vprh",
               "missing": root / "missing", "directory": root / "ds"}
     return world, {"--dataset": datasets, "--datasets": datasets, "--validation": datasets,
@@ -1442,6 +1548,14 @@ def _labels(valid: list[str], labels: list[str], max_size: int = 1):
 # Where an optional flag may be: on the command line, in the --config
 # file, or not at all.
 _ANYWHERE = ["argv", "config", None]
+
+# What a --config file holds besides its overrides: lines every command
+# takes, and lines that are an error (1) or make the file a usage error (2).
+_CONFIG_NOISE = {
+    "# note\x85 with breaks": 0, "": 0, "  # indented": 0,
+    "no_such_key = 1": 1, "key value": 1, "\udcff": 2,
+}
+
 
 _REAL = _number(st.floats(1.0, 90.0), ["5e-324", "1e308"])
 
@@ -1490,11 +1604,16 @@ def command_flags(draw, flags: dict):
     }
 
 
-def run_with_flags(command: str, flags: dict, paths: dict, tmp: str) -> tuple[int, list[Path]]:
+def run_with_flags(
+    command: str, flags: dict, paths: dict, tmp: str, noise=()
+) -> tuple[int, list[Path]]:
     """main's exit code for ``command`` with each flag in its place, a path
     flag's labels given as the paths they name, and the run directories it
-    left under tmp/runs; exit 1 must print a JSON error record."""
-    argv, config = [command, "--out", str(Path(tmp, "runs"))], []
+    left under tmp/runs; exit 1 must print a JSON error record.  The
+    _CONFIG_NOISE lines ``noise`` open the --config file, written as UTF-8
+    (a lone surrogate as the byte 0xff); the worst of them bounds the exit
+    from below."""
+    argv, config = [command, "--out", str(Path(tmp, "runs"))], list(noise)
     for flag, (value, place) in flags.items():
         if flag in paths:
             value = ",".join(str(paths[flag][label]) for label in value.split(","))
@@ -1505,10 +1624,12 @@ def run_with_flags(command: str, flags: dict, paths: dict, tmp: str) -> tuple[in
         elif place == "config":
             config.append(f"{flag[2:]} = {value}")
     if config:
-        Path(tmp, "exp.cfg").write_text("\n".join(config) + "\n")
+        text = "\n".join(config) + "\n"
+        Path(tmp, "exp.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
         argv += ["--config", str(Path(tmp, "exp.cfg"))]
     code, err = run_main(argv)
     assert_exit_contract(code, err)
+    assert code >= max((_CONFIG_NOISE[line] for line in noise), default=0)
     return code, sorted(Path(tmp, "runs").glob("*/"))
 
 
@@ -1557,13 +1678,15 @@ def test_xeval_argv_property(command_inputs, flags, ref_ids, query_ids):
 
 
 # The flags rsf and both ablations share, drawn as pretrain's are; at most
-# two epochs and two copies per reference keep each run small.
+# two epochs and two copies per reference keep each run small.  Each
+# property also draws up to two _CONFIG_NOISE lines.
+_NOISE = st.lists(st.sampled_from(sorted(_CONFIG_NOISE)), max_size=2)
 _FINETUNE_FLAGS = {
     "--model": (_labels(["valid"], ["garbage", "missing", "directory"]), ["argv"]),
-    "--dataset": (_labels(["valid", "refs"], ["empty", "garbage", "missing", "file"]), ["argv"]),
-    "--validation": (
-        _labels(["valid"], ["refs", "empty", "garbage", "missing", "file"]), _ANYWHERE
-    ),
+    "--dataset": (_labels(["valid", "refs"], ["empty", "garbage", "missing", "file",
+                                               "truncated-ref", "truncated-query"]), ["argv"]),
+    "--validation": (_labels(["valid"], ["refs", "empty", "garbage", "missing", "file",
+                                         "truncated-ref", "truncated-query"]), _ANYWHERE),
     "--seed": _PRETRAIN_FLAGS["--seed"],
     "--epochs": (_number(st.integers(1, 2), ["2"]), _ANYWHERE),
     **{flag: _PRETRAIN_FLAGS[flag] for flag in
@@ -1588,40 +1711,40 @@ _ABLATE_POSES_FLAGS = {**_FINETUNE_FLAGS, "--augment": _AUGMENT, "--ns": _XEVAL_
 
 
 @settings(max_examples=25, deadline=None)
-@given(flags=command_flags(_RSF_FLAGS))
-def test_rsf_argv_property(command_inputs, flags):
+@given(flags=command_flags(_RSF_FLAGS), noise=_NOISE)
+def test_rsf_argv_property(command_inputs, flags, noise):
     """Whatever the flags, rsf exits 0, 1 or 2 and nothing escapes it;
     exit 1 prints a JSON error record, and exit 0 leaves a model that
     load_model reads."""
     _, paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("rsf", flags, paths, tmp)
+        code, runs = run_with_flags("rsf", flags, paths, tmp, noise)
         if code == 0:
             (run_dir,) = runs
             vk.load_model(run_dir / "model.vprh")
 
 
 @settings(max_examples=20, deadline=None)
-@given(flags=command_flags(_ABLATE_AUG_FLAGS))
-def test_ablate_aug_argv_property(command_inputs, flags):
+@given(flags=command_flags(_ABLATE_AUG_FLAGS), noise=_NOISE)
+def test_ablate_aug_argv_property(command_inputs, flags, noise):
     """As test_rsf_argv_property, for ablate-aug: exit 0 leaves an
     ablate_aug.csv whose rows read back as wide as its header."""
     _, paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("ablate-aug", flags, paths, tmp)
+        code, runs = run_with_flags("ablate-aug", flags, paths, tmp, noise)
         if code == 0:
             (run_dir,) = runs
             _report_reads_back(run_dir / "ablate_aug.csv")
 
 
 @settings(max_examples=20, deadline=None)
-@given(flags=command_flags(_ABLATE_POSES_FLAGS))
-def test_ablate_poses_argv_property(command_inputs, flags):
+@given(flags=command_flags(_ABLATE_POSES_FLAGS), noise=_NOISE)
+def test_ablate_poses_argv_property(command_inputs, flags, noise):
     """As test_rsf_argv_property, for ablate-poses: exit 0 leaves an
     ablate_poses.csv whose rows read back as wide as its header."""
     _, paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("ablate-poses", flags, paths, tmp)
+        code, runs = run_with_flags("ablate-poses", flags, paths, tmp, noise)
         if code == 0:
             (run_dir,) = runs
             _report_reads_back(run_dir / "ablate_poses.csv")
@@ -1676,6 +1799,27 @@ def test_only_labeled_training_refuses_a_negative_radius_below_the_positive(
     assert not (tmp_path / "pre").exists()
 
 
+@pytest.mark.parametrize("command", ["ablate-aug", "ablate-poses"])
+def test_an_ablation_refuses_a_dataset_with_no_queries_before_any_arm_trains(
+    capsys, tmp_path, command_inputs, monkeypatch, command
+):
+    """Both ablations trained every arm on a reference-only dataset and
+    wrote recall 0.000000 over zero queries, which reads like a score."""
+    _, paths = command_inputs
+    finetunings = []
+    monkeypatch.setattr("vprkit.cli.rsf_finetune", lambda *args: finetunings.append(args))
+    refs = paths["--dataset"]["refs"]
+    code, _, err = run(
+        capsys, command, "--model", str(paths["--model"]["valid"]), "--dataset", str(refs),
+        "--seed", "1", "--out", str(tmp_path / "out"),
+    )
+    assert code == 1
+    record = json.loads(err.strip().splitlines()[-1])
+    assert record == {"error": "VprError", "message": f"--dataset {refs} has no queries to score"}
+    assert not finetunings
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def input_files(tmp_path_factory):
     """Inputs of every kind for build-map and project: {flag: {label: path}}.
@@ -1713,14 +1857,6 @@ def input_files(tmp_path_factory):
         "maps": {**{m: root / f"{m}.vprm" for m in "abc"}, **common, "directory": root / "ds",
                  "truncated": root / "truncated-a.vprm", "model": root / "model.vprh"},
     }
-
-
-# What a --config file holds besides its overrides: lines every command
-# takes, and lines that are an error (1) or make the file a usage error (2).
-_CONFIG_NOISE = {
-    "# note\x85 with breaks": 0, "": 0, "  # indented": 0,
-    "no_such_key = 1": 1, "key value": 1, "\udcff": 2,
-}
 
 
 @pytest.mark.parametrize(

@@ -539,6 +539,30 @@ class TestTrain:
         with pytest.raises(VprError, match="labeled dataset with no queries"):
             vk.train(model, tiny_world_module.reference_only(), vk.TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize(
+        "fault, config, needle",
+        [
+            ("none", {"poseless": True}, "poseless mining applies only"),
+            ("none", {"negative_radius": 5.0}, "negative_radius 5.0 must be >="),
+            ("no queries", {}, "labeled dataset with no queries"),
+            ("query without pose", {}, "record 'q2_0' has no pose"),
+        ],
+        ids=["poseless", "negative-radius-below-positive", "no-queries", "query-without-pose"],
+    )
+    def test_a_refused_labeled_run_extracts_no_image(self, monkeypatch, fault, config, needle):
+        """A labeled run that _labeled_rows refuses used to extract every
+        reference first; it is refused before any image is extracted."""
+        world = _tiny_world()  # fresh records, with no raw kept yet
+        if fault == "no queries":
+            world = world.reference_only()
+        elif fault == "query without pose":
+            world.queries[2] = dataclasses.replace(world.queries[2], pose=None)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        extracted = Extractions(monkeypatch)
+        with pytest.raises(VprError, match=needle):
+            vk.train(model, world, vk.TrainConfig(epochs=1, **config))
+        assert len(extracted) == 0
+
     def test_epoch_that_mines_no_triplet_is_rejected(self):
         rng = np.random.default_rng(2)
         refs = [
