@@ -448,7 +448,7 @@ def cmd_project(args) -> RunContext:
 
 def cmd_ablate_aug(args) -> RunContext:
     config = _train_config(args)
-    ctx = _run_context(args, dataclasses.asdict(config))
+    ctx = _run_context(args, {**dataclasses.asdict(config), "ns": list(args.ns)})
     model, test_dataset, validation = _load_rsf_inputs(args, scored=True)
     reports = []
     for label in ("none", "appearance", "viewpoint", "appearance,viewpoint"):
@@ -463,7 +463,9 @@ def cmd_ablate_aug(args) -> RunContext:
 def cmd_ablate_poses(args) -> RunContext:
     config = _train_config(args)
     spec = AugmentationSpec.from_string(args.augment)
-    ctx = _run_context(args, {**dataclasses.asdict(config), "augment": args.augment})
+    ctx = _run_context(
+        args, {**dataclasses.asdict(config), "augment": args.augment, "ns": list(args.ns)}
+    )
     model, test_dataset, validation = _load_rsf_inputs(args, scored=True)
     reports = [evaluate_model(model, test_dataset, args.radius, args.ns, name="baseline")]
     for poseless, label in ((False, "rsf-poses"), (True, "rsf-no-poses")):

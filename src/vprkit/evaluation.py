@@ -155,16 +155,19 @@ def evaluate_model(
     """Build map, retrieve every query, score Recall@N in one call.
 
     The queries go to knn directly: retrieve_all's model check would hash
-    the model again, and the map was built by this model.  An ``ns`` that
-    ``_check_ns`` refuses, or a query pose that ``record_poses`` refuses, is
-    raised before any encoding."""
+    the model again, and the map was built by this model.  The ground
+    truth is computed first, so whatever ``_check_ns``, ``record_poses``
+    or ``ground_truth`` refuses is raised before any encoding."""
     _check_ns(ns)
-    record_poses(dataset.queries)
+    queries = dataset.queries
+    gt = ground_truth(record_poses(queries), record_poses(dataset.references), radius,
+                      query_ids=[q.id for q in queries])
     dmap = build_map(dataset, model)
     k = min(max(ns), dmap.size)
-    descs = _encode(model, dataset.queries)
-    results = [knn(dmap, d, k, query_id=q.id) for q, d in zip(dataset.queries, descs)]
-    return score_results(results, dataset, dmap, radius, ns, name)
+    results = [knn(dmap, d, k, query_id=q.id) for q, d in zip(queries, _encode(model, queries))]
+    return recall_at_n(
+        results, gt, ns, dataset=name, model_fingerprint=dmap.model_fingerprint.hex()
+    )
 
 
 def score_results(

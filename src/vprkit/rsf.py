@@ -215,7 +215,7 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 20
     batch_size: int = 16
-    positive_radius: float = 10.0  # read by labeled training alone (_labeled_rows)
+    positive_radius: float = 10.0  # read by labeled training alone (_plan)
     negative_radius: float = 25.0
     negatives_per_query: int = 1
     early_stop_patience: int = 5
@@ -267,24 +267,62 @@ class TrainLog:
     stop_reason: str = ""  # "epochs": all configured epochs ran; "patience": stopped early
 
 
+def _plan(
+    data: FinetuneDataset | Dataset, config: TrainConfig
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """A run's mining plan, from poses alone: each query row's positive (a
+    copy's source, or a labeled query's nearest reference within
+    positive_radius, else -1) and, unless poseless, the (rows, N) mask of
+    its candidate negatives: the references beyond negative_radius of a
+    row with a positive.  What cannot be mined is a VprError, or an
+    InconsistentManifest naming a pose record_poses refuses."""
+    if isinstance(data, FinetuneDataset):
+        if config.poseless:
+            if len(data.references) < 2:
+                raise VprError("poseless mining needs at least two references, "
+                               f"got {len(data.references)}")
+            return data.sources, None
+        # Every realized query keeps its source's pose, so it takes its source's row.
+        ref_poses = record_poses(data.references)
+        positives, pose_dists = data.sources, pose_distances(ref_poses, ref_poses)[data.sources]
+    else:
+        if config.poseless:
+            raise VprError("poseless mining applies only to reference-set finetuning")
+        if config.negative_radius < config.positive_radius:
+            raise VprError(f"negative_radius {config.negative_radius} must be >= "
+                           f"positive_radius {config.positive_radius}")
+        if not data.queries:
+            raise VprError("cannot train on a labeled dataset with no queries")
+        pose_dists = pose_distances(record_poses(data.queries), record_poses(data.references))
+        nearest = pose_dists.argmin(axis=1)
+        positives = np.where(pose_dists.min(axis=1) <= config.positive_radius, nearest, -1)
+    return positives, (pose_dists > config.negative_radius) & (positives >= 0)[:, None]
+
+
 def _mine(
     model: EmbeddingModel,
     ref_raws: np.ndarray,
-    positives: np.ndarray,
-    pose_dists: np.ndarray,
+    plan: tuple[np.ndarray, np.ndarray | None],
     query_raws: np.ndarray,
     config: TrainConfig,
+    epoch: int,
+    stream: FinetuneDataset | None,
 ) -> tuple[Triplets, int]:
-    """Pose-aware mining over (positive or -1, (N,) pose distances to the
-    references, query raw) rows.
-
-    A row is skipped when it has no positive (-1) or no reference lies
-    beyond negative_radius; otherwise its negatives are the
-    feature-closest references beyond that radius, as knn ranks them.
-    """
+    """One epoch's triplets of the query raws by the plan, and the number
+    of rows skipped for want of a candidate.  A row's negatives are its
+    feature-closest candidates, as knn ranks them; poseless (a stream's
+    plan alone), its one negative is drawn uniformly among the other
+    references, seeded by [stream.seed, epoch, row, 0x4E9]."""
+    positives, candidates = plan
+    if candidates is None:
+        negatives = np.empty_like(positives)
+        for qi, src in enumerate(positives.tolist()):
+            rng = np.random.default_rng(np.random.SeedSequence([stream.seed, epoch, qi, 0x4E9]))
+            neg = int(rng.integers(0, len(ref_raws) - 1))
+            negatives[qi] = neg + (neg >= src)
+        return (query_raws, positives, negatives), 0
     ref_descs = forward_batch(model, ref_raws)
     q_descs = forward_batch(model, query_raws)
-    candidates = (pose_dists > config.negative_radius) & (positives >= 0)[:, None]
     picked, negatives, _ = _nearest(ref_descs, q_descs, config.negatives_per_query, candidates)
     return (query_raws[picked], positives[picked], negatives), int((~candidates.any(1)).sum())
 
@@ -295,57 +333,18 @@ def mine_triplets(
     config: TrainConfig,
     epoch: int,
 ) -> tuple[Triplets, int]:
-    """Mine one triplet per (query, negative) over the epoch's queries,
-    realized once per stream (``FinetuneDataset.epoch_raws``).
-
-    Pose-mode: the positive is the source reference and negatives are the
-    feature-closest references beyond negative_radius. Poseless mode draws
-    the negative uniformly among the other references, so it needs two
-    references. Returns the triplets and the number of queries skipped for
-    lack of candidates.
+    """One epoch of train()'s mining over a stream: its triplets, one per
+    (query, negative), and the number of queries skipped for lack of
+    candidates.  The positive is the source reference; the negatives are
+    the feature-closest references beyond negative_radius, or poseless one
+    drawn uniformly among the other references, of which there must be one.
     """
-    query_raws, sources = finetune_ds.epoch_raws(epoch), finetune_ds.sources
+    if not finetune_ds.references:
+        raise EmptyReferences("a stream over zero references realizes no epoch")
+    plan = _plan(finetune_ds, config)
+    query_raws = finetune_ds.epoch_raws(epoch)
     ref_raws = np.stack([r.raw for r in finetune_ds.references])
-    if not config.poseless:
-        # Every realized query keeps its source's pose, so it takes its source's row.
-        ref_poses = record_poses(finetune_ds.references)
-        pose_dists = pose_distances(ref_poses, ref_poses)[sources]
-        return _mine(model, ref_raws, sources, pose_dists, query_raws, config)
-    n_refs = len(finetune_ds.references)
-    if n_refs < 2:
-        raise VprError(f"poseless mining needs at least two references, got {n_refs}")
-    negatives = np.empty_like(sources)
-    for qi, src in enumerate(sources.tolist()):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([finetune_ds.seed, epoch, qi, 0x4E9])
-        )
-        neg = int(rng.integers(0, n_refs - 1))
-        negatives[qi] = neg + (neg >= src)
-    return (query_raws, sources, negatives), 0
-
-
-def _labeled_rows(
-    dataset: Dataset, config: TrainConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mining inputs of a labeled dataset, fixed across epochs: per query
-    the nearest reference within positive_radius (or -1), the pose
-    distances to the references and the query raw. VprError for poseless
-    mining, a negative_radius below positive_radius or no queries;
-    InconsistentManifest for a pose record_poses refuses."""
-    if config.poseless:
-        raise VprError("poseless mining applies only to reference-set finetuning")
-    if config.negative_radius < config.positive_radius:
-        raise VprError(f"negative_radius {config.negative_radius} must be >= "
-                       f"positive_radius {config.positive_radius}")
-    if not dataset.queries:
-        raise VprError("cannot train on a labeled dataset with no queries")
-    pose_dists = pose_distances(record_poses(dataset.queries), record_poses(dataset.references))
-    positives = np.where(
-        pose_dists.min(axis=1) <= config.positive_radius,
-        np.argmin(pose_dists, axis=1),
-        -1,
-    )
-    return positives, pose_dists, np.stack([q.raw for q in dataset.queries])
+    return _mine(model, ref_raws, plan, query_raws, config, epoch, finetune_ds)
 
 
 def train(
@@ -363,15 +362,21 @@ def train(
     the epoch with the lowest mean training loss is returned, the latest
     among ties, and training still stops early: after
     `early_stop_patience` epochs in a row whose mean loss is above the
-    lowest so far. A validation dataset with no queries, labeled data that
-    _labeled_rows refuses (before any image is extracted), and data from
-    which an epoch mines no triplet, are VprErrors.
+    lowest so far. A validation dataset with no queries, data that _plan
+    refuses, and data of which no query row has a negative candidate, are
+    VprErrors raised before any image is extracted; a step's loss sum or
+    an epoch's mean loss that is not finite is a NumericalDivergence.
     """
     if not data.references:
         raise EmptyReferences("cannot train on zero references")
     if validation is not None and not validation.queries:
         raise VprError("validation dataset has no queries")
-    labeled_rows = None if isinstance(data, FinetuneDataset) else _labeled_rows(data, config)
+    plan = _plan(data, config)
+    if plan[1] is not None and not plan[1].any():
+        raise VprError(f"mines no triplet: {len(plan[0])} queries skipped for lack of a "
+                       "positive or of a reference beyond negative_radius")
+    stream = data if isinstance(data, FinetuneDataset) else None
+    query_raws = None if stream is not None else np.stack([q.raw for q in data.queries])
     ref_raws = np.stack([r.raw for r in data.references])
     log = TrainLog(mode="poseless" if config.poseless else "pose", stop_reason="epochs")
     model = model.copy()
@@ -380,21 +385,14 @@ def train(
     stale = 0
 
     # A stream realizes its new epochs across the allowed CPUs.
-    realizing = contextlib.nullcontext() if labeled_rows is not None else _realizing(data)
-    with realizing:
+    with _realizing(stream) if stream is not None else contextlib.nullcontext():
         for epoch in range(config.epochs):
             tic = time.perf_counter()
-            if labeled_rows is None:
-                triplets, skipped = mine_triplets(model, data, config, epoch)
-            else:
-                triplets, skipped = _mine(model, ref_raws, *labeled_rows, config)
+            if stream is not None:
+                query_raws = stream.epoch_raws(epoch)
+            triplets, skipped = _mine(model, ref_raws, plan, query_raws, config, epoch, stream)
             mined = time.perf_counter()
             q_raws, positives, negatives = triplets
-            if not len(positives):
-                raise VprError(
-                    f"epoch {epoch} mined no triplet: {skipped} queries skipped for lack "
-                    "of a positive or of a reference beyond negative_radius"
-                )
             log.epoch_skipped_queries.append(skipped)
             order = np.random.default_rng(
                 np.random.SeedSequence([config.seed, epoch, 0x5F0F])
@@ -410,7 +408,10 @@ def train(
                 raws = np.concatenate([q_raws[b], ref_raws[positives[b]], ref_raws[negatives[b]]])
                 trace = _trace(model, raws)
                 losses, upstream = _hinge(trace[0].reshape(3, n, -1), config.margin)
-                if not np.isfinite(losses).all():
+                # Losses are >= 0 or NaN: a finite sum has every loss finite.
+                with np.errstate(over="ignore"):
+                    step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
+                if not np.isfinite(step_loss):
                     raise NumericalDivergence(
                         f"non-finite loss at epoch {epoch}, step {len(log.step_losses)}"
                     )
@@ -419,7 +420,6 @@ def train(
                 grads.scale(1.0 / n)
                 grad_norms.append(grads.norm())
                 apply_gradients(model, grads, config.learning_rate)
-                step_loss = float(np.cumsum(losses)[-1]) / n  # summed in order
                 log.step_losses.append(step_loss)
                 epoch_losses.append(step_loss)
 
@@ -427,7 +427,12 @@ def train(
             log.epoch_triplets.append(len(positives))
             log.epoch_active_triplets.append(active)
             log.epoch_grad_norm.append(float(np.mean(grad_norms)))
-            mean_loss = float(np.mean(epoch_losses))
+            with np.errstate(over="ignore"):
+                mean_loss = float(np.mean(epoch_losses))
+            if not np.isfinite(mean_loss):
+                raise NumericalDivergence(
+                    f"non-finite mean loss at epoch {epoch}, step {len(log.step_losses) - 1}"
+                )
             log.epoch_mean_loss.append(mean_loss)
             if validation is not None:
                 report = evaluate_model(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import vprkit as vk
-from vprkit.cli import _apply_config_file, build_parser, main
+from vprkit.cli import _INPUTS, _apply_config_file, build_parser, main
 from vprkit.dataset import read_csv
 from vprkit.errors import InconsistentManifest, VprError
 from vprkit.ppm import write_ppm
-from vprkit.manifest import hash_input
+from vprkit.manifest import RunContext, hash_input
 
 
 def run(capsys, *argv):
@@ -716,7 +717,7 @@ def test_pretrain_on_empty_references_exits_one(capsys, tmp_path):
     [
         (["pretrain", "--val-fraction", "1"], None, "VprError", "labeled dataset with no queries"),
         (["rsf", "--no-poses"], 1, "VprError", "at least two references, got 1"),
-        (["rsf"], 1, "VprError", "epoch 0 mined no triplet: 2 queries skipped"),
+        (["rsf"], 1, "VprError", "mines no triplet: 2 queries skipped"),
         (["rsf"], 0, "EmptyReferences", "zero references"),
     ],
     ids=["all-queries-validate", "poseless-one-reference", "pose-one-reference", "no-reference"],
@@ -738,6 +739,26 @@ def test_training_that_can_form_no_triplet_exits_one(
     assert code == 1
     record = json.loads(err.strip().splitlines()[-1])
     assert record["error"] == error and needle in record["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "batch_size, needle",
+    [("16", "non-finite loss at epoch 0, step 0"),
+     ("1", "non-finite mean loss at epoch 0, step 5")],
+    ids=["step-sum", "epoch-mean"],
+)
+def test_a_loss_sum_that_overflows_exits_one(capsys, tmp_path, pipeline, batch_size, needle):
+    """--margin 1e308 keeps each triplet's loss finite but not their sum:
+    the run exits 1 with a NumericalDivergence, writes no run and prints no
+    NumPy warning."""
+    ds, model, _ = pipeline
+    code, _, err = run(
+        capsys, "rsf", "--model", model, "--dataset", ds, "--seed", "1", "--epochs", "1",
+        "-M", "1", "--margin", "1e308", "--batch-size", batch_size, "--out", str(tmp_path / "o"),
+    )
+    assert code == 1
+    assert json.loads(err) == {"error": "NumericalDivergence", "message": needle}
     assert not (tmp_path / "o").exists()
 
 
@@ -1504,10 +1525,11 @@ def test_every_table_a_command_writes_reads_back_as_wide_as_its_header(
 
 @pytest.fixture(scope="module")
 def command_inputs(tmp_path_factory):
-    """Inputs of every kind for pretrain and xeval: (the labeled 3-place
-    world, {flag: {label: path}}).  "valid" is a good input; "refs" holds
-    no query, "empty" no reference; "truncated-ref" and "truncated-query"
-    each hold one PPM cut short on that side."""
+    """Inputs of every kind for the training commands and xeval: {flag:
+    {label: path}}.  "valid" is a labeled 3-place world; "refs" holds no
+    query, "empty" no reference; "truncated-ref" and "truncated-query" each
+    hold one PPM cut short on that side.  Paths alone, so that hypothesis
+    prints a failing example's inputs in a few lines."""
     root = tmp_path_factory.mktemp("commands")
     world = vk.generate_synthetic(
         vk.SynthWorldSpec(
@@ -1533,8 +1555,8 @@ def command_inputs(tmp_path_factory):
                 "truncated-query": root / "truncated-queries"}
     models = {"valid": root / "model.vprh", "garbage": root / "junk.vprh",
               "missing": root / "missing", "directory": root / "ds"}
-    return world, {"--dataset": datasets, "--datasets": datasets, "--validation": datasets,
-                   "--models": models, "--model": models}
+    return {"--dataset": datasets, "--datasets": datasets, "--validation": datasets,
+            "--models": models, "--model": models}
 
 
 def _labels(valid: list[str], labels: list[str], max_size: int = 1):
@@ -1605,14 +1627,14 @@ def command_flags(draw, flags: dict):
 
 
 def run_with_flags(
-    command: str, flags: dict, paths: dict, tmp: str, noise=()
+    command: str, flags: dict, paths: dict, tmp: str, noise=(), end: str = "\n"
 ) -> tuple[int, list[Path]]:
     """main's exit code for ``command`` with each flag in its place, a path
     flag's labels given as the paths they name, and the run directories it
     left under tmp/runs; exit 1 must print a JSON error record.  The
     _CONFIG_NOISE lines ``noise`` open the --config file, written as UTF-8
-    (a lone surrogate as the byte 0xff); the worst of them bounds the exit
-    from below."""
+    (a lone surrogate as the byte 0xff) with each line ending in ``end``;
+    the worst of them bounds the exit from below."""
     argv, config = [command, "--out", str(Path(tmp, "runs"))], list(noise)
     for flag, (value, place) in flags.items():
         if flag in paths:
@@ -1624,7 +1646,7 @@ def run_with_flags(
         elif place == "config":
             config.append(f"{flag[2:]} = {value}")
     if config:
-        text = "\n".join(config) + "\n"
+        text = end.join(config) + end
         Path(tmp, "exp.cfg").write_bytes(text.encode("utf-8", "surrogateescape"))
         argv += ["--config", str(Path(tmp, "exp.cfg"))]
     code, err = run_main(argv)
@@ -1645,7 +1667,7 @@ def test_pretrain_argv_property(command_inputs, flags):
     """Whatever the flags, pretrain exits 0, 1 or 2 and nothing escapes it;
     exit 1 prints a JSON error record, and exit 0 leaves a model that
     load_model reads."""
-    _, paths = command_inputs
+    paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
         code, runs = run_with_flags("pretrain", flags, paths, tmp)
         if code == 0:
@@ -1665,7 +1687,8 @@ def test_xeval_argv_property(command_inputs, flags, ref_ids, query_ids):
     exits 0, 1 or 2 and nothing escapes it; exit 1 prints a JSON error
     record, and exit 0 leaves an xeval.csv whose rows read back as wide as
     its header."""
-    world, paths = command_inputs
+    paths = command_inputs
+    world = vk.load_dataset(paths["--dataset"]["valid"])
     with tempfile.TemporaryDirectory() as tmp:
         refs = [dataclasses.replace(r, id=rid) for r, rid in zip(world.references, ref_ids)]
         queries = [dataclasses.replace(q, id=qid) for q, qid in zip(world.queries, query_ids)]
@@ -1679,8 +1702,9 @@ def test_xeval_argv_property(command_inputs, flags, ref_ids, query_ids):
 
 # The flags rsf and both ablations share, drawn as pretrain's are; at most
 # two epochs and two copies per reference keep each run small.  Each
-# property also draws up to two _CONFIG_NOISE lines.
+# property also draws up to two _CONFIG_NOISE lines and the config's line end.
 _NOISE = st.lists(st.sampled_from(sorted(_CONFIG_NOISE)), max_size=2)
+_ENDS = st.sampled_from(["\n", "\r", "\r\n"])
 _FINETUNE_FLAGS = {
     "--model": (_labels(["valid"], ["garbage", "missing", "directory"]), ["argv"]),
     "--dataset": (_labels(["valid", "refs"], ["empty", "garbage", "missing", "file",
@@ -1711,40 +1735,40 @@ _ABLATE_POSES_FLAGS = {**_FINETUNE_FLAGS, "--augment": _AUGMENT, "--ns": _XEVAL_
 
 
 @settings(max_examples=25, deadline=None)
-@given(flags=command_flags(_RSF_FLAGS), noise=_NOISE)
-def test_rsf_argv_property(command_inputs, flags, noise):
+@given(flags=command_flags(_RSF_FLAGS), noise=_NOISE, end=_ENDS)
+def test_rsf_argv_property(command_inputs, flags, noise, end):
     """Whatever the flags, rsf exits 0, 1 or 2 and nothing escapes it;
     exit 1 prints a JSON error record, and exit 0 leaves a model that
     load_model reads."""
-    _, paths = command_inputs
+    paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("rsf", flags, paths, tmp, noise)
+        code, runs = run_with_flags("rsf", flags, paths, tmp, noise, end)
         if code == 0:
             (run_dir,) = runs
             vk.load_model(run_dir / "model.vprh")
 
 
 @settings(max_examples=20, deadline=None)
-@given(flags=command_flags(_ABLATE_AUG_FLAGS), noise=_NOISE)
-def test_ablate_aug_argv_property(command_inputs, flags, noise):
+@given(flags=command_flags(_ABLATE_AUG_FLAGS), noise=_NOISE, end=_ENDS)
+def test_ablate_aug_argv_property(command_inputs, flags, noise, end):
     """As test_rsf_argv_property, for ablate-aug: exit 0 leaves an
     ablate_aug.csv whose rows read back as wide as its header."""
-    _, paths = command_inputs
+    paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("ablate-aug", flags, paths, tmp, noise)
+        code, runs = run_with_flags("ablate-aug", flags, paths, tmp, noise, end)
         if code == 0:
             (run_dir,) = runs
             _report_reads_back(run_dir / "ablate_aug.csv")
 
 
 @settings(max_examples=20, deadline=None)
-@given(flags=command_flags(_ABLATE_POSES_FLAGS), noise=_NOISE)
-def test_ablate_poses_argv_property(command_inputs, flags, noise):
+@given(flags=command_flags(_ABLATE_POSES_FLAGS), noise=_NOISE, end=_ENDS)
+def test_ablate_poses_argv_property(command_inputs, flags, noise, end):
     """As test_rsf_argv_property, for ablate-poses: exit 0 leaves an
     ablate_poses.csv whose rows read back as wide as its header."""
-    _, paths = command_inputs
+    paths = command_inputs
     with tempfile.TemporaryDirectory() as tmp:
-        code, runs = run_with_flags("ablate-poses", flags, paths, tmp, noise)
+        code, runs = run_with_flags("ablate-poses", flags, paths, tmp, noise, end)
         if code == 0:
             (run_dir,) = runs
             _report_reads_back(run_dir / "ablate_poses.csv")
@@ -1763,14 +1787,15 @@ _DEFAULT_TRAINING = {
 @pytest.mark.parametrize(
     "command, extra",
     [("pretrain", {"val_fraction": 0.3}), ("rsf", {"augment": "appearance,viewpoint"}),
-     ("ablate-aug", {}), ("ablate-poses", {"augment": "appearance,viewpoint"})],
+     ("ablate-aug", {"ns": [1, 5]}),
+     ("ablate-poses", {"augment": "appearance,viewpoint", "ns": [1, 5]})],
 )
 def test_a_default_runs_manifest_holds_every_training_field(
     capsys, tmp_path, command_inputs, command, extra
 ):
     """The manifest, and so the run id, of a default run is the one it was
     when every command took every training flag."""
-    _, paths = command_inputs
+    paths = command_inputs
     argv = [command, "--dataset", str(paths["--dataset"]["valid"]), "--seed", "5"]
     argv += [] if command == "pretrain" else ["--model", str(paths["--model"]["valid"])]
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -1782,7 +1807,7 @@ def test_a_default_runs_manifest_holds_every_training_field(
 def test_only_labeled_training_refuses_a_negative_radius_below_the_positive(
     capsys, tmp_path, command_inputs
 ):
-    _, paths = command_inputs
+    paths = command_inputs
     inputs = ["--dataset", str(paths["--dataset"]["valid"]), "--seed", "1", "--epochs", "1",
               "--negative-radius", "5"]
     code, _, err = run(
@@ -1805,7 +1830,7 @@ def test_an_ablation_refuses_a_dataset_with_no_queries_before_any_arm_trains(
 ):
     """Both ablations trained every arm on a reference-only dataset and
     wrote recall 0.000000 over zero queries, which reads like a score."""
-    _, paths = command_inputs
+    paths = command_inputs
     finetunings = []
     monkeypatch.setattr("vprkit.cli.rsf_finetune", lambda *args: finetunings.append(args))
     refs = paths["--dataset"]["refs"]
@@ -1969,3 +1994,67 @@ def test_project_property(input_files, data):
             assert header == ["source_label", "x", "y"]
             assert all(len(row) == len(header) for row in rows)
             assert len(rows) == 3 * len(maps)
+
+
+# A second valid value of each text option, for the run id test below.
+_OTHER_TEXT = {"--ref-style": "palette=1", "--query-style": "palette=1",
+               "--augment": "appearance", "--ns": "1,2", "--name": "other"}
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options():
+    """(command, option) for every option of every subcommand but --out,
+    --config and the input paths."""
+    return [
+        (command, action.option_strings[0])
+        for command, parser in _subcommands().items() for action in parser._actions
+        if action.option_strings and action.dest not in ("help", "out", "config", *_INPUTS)
+    ]
+
+
+class _Opened(Exception):
+    """Raised with the run a command opens, to stop it there."""
+
+
+@pytest.mark.parametrize("command, option", _options())
+def test_every_option_moves_the_run_id(monkeypatch, tmp_path, command, option):
+    """Two invocations that differ in one option other than --out, --config
+    or an input path open runs with different ids: a report of one never
+    overwrites the other's."""
+    actions = {a.option_strings[0]: a for a in _subcommands()[command]._actions
+               if a.option_strings}
+    argv = [command, "--out", str(tmp_path / "runs")]
+    for flag, action in actions.items():
+        if action.dest in _INPUTS and action.required:
+            path = tmp_path / action.dest
+            file = path / "f" if _INPUTS[action.dest][0] else path  # a directory holds a file
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.write_text(action.dest)
+            argv += [flag, str(path)]
+        elif action.required:
+            argv += [flag, "0"]
+    action = actions[option]
+    if action.nargs == 0:
+        other = [option]
+    elif action.required:
+        other = [option, "1"]
+    elif action.type in (int, float):
+        other = [option, str(action.type(action.default) * 2)]
+    else:
+        other = [option, _OTHER_TEXT[option]]
+    opened = []
+
+    def opening(*args):
+        opened.append(RunContext(*args))
+        raise _Opened
+
+    monkeypatch.setattr("vprkit.cli.RunContext", opening)
+    for variant in (argv, argv + other):
+        with pytest.raises(_Opened):
+            main(variant)
+    first, second = opened
+    assert first.run_id != second.run_id, (first.core, second.core)

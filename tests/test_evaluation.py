@@ -308,3 +308,42 @@ def test_evaluate_model_on_no_queries_evaluates_none(tiny_world, small_model, ns
         return
     report = vk.evaluate_model(small_model, tiny_world.reference_only(), ns=ns)
     assert report.evaluated_queries == report.total_queries == 0
+
+
+@pytest.mark.parametrize(
+    "fault, error, needle",
+    [
+        ("radius nan", VprError, "radius"),
+        ("ns of zero", VprError, "ns must be at least 1"),
+        ("repeated query id", VprError, "query id 'q' is repeated"),
+        ("query without pose", InconsistentManifest, "record 'q1_0' has no pose"),
+        ("reference without pose", InconsistentManifest, "record 'r2' has no pose"),
+    ],
+)
+def test_evaluate_model_refuses_before_any_encoding_or_search(
+    tiny_world, small_model, monkeypatch, fault, error, needle
+):
+    """The ground truth is computed first: a bad radius, cutoff, query id
+    or pose is refused before any image is extracted or any query searched."""
+    refs = [vk.ImageRecord(r.id, r.pixels, r.pose) for r in tiny_world.references]
+    queries = [vk.ImageRecord(q.id, q.pixels, q.pose) for q in tiny_world.queries]
+    kwargs = {"radius": float("nan")} if fault == "radius nan" else {}
+    if fault == "ns of zero":
+        kwargs["ns"] = (1, 0)
+    elif fault == "repeated query id":
+        queries[1].id = queries[3].id = "q"
+    elif fault == "query without pose":
+        queries[1].pose = None
+    elif fault == "reference without pose":
+        refs[2].pose = None
+    calls = []
+
+    def count(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    count(vk.embedding, "extract_raw")
+    count(vk.evaluation, "knn")
+    with pytest.raises(error, match=needle):
+        vk.evaluate_model(small_model, vk.Dataset(refs, queries), **kwargs)
+    assert not calls

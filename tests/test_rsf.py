@@ -1,12 +1,14 @@
 import dataclasses
 import gc
 import hashlib
+import json
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import time
+import warnings
 import weakref
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -24,8 +26,9 @@ from vprkit.errors import (
     ShapeError,
     VprError,
 )
+from vprkit.cli import main
 from vprkit.retrieval import _nearest
-from vprkit.rsf import _hinge, _labeled_rows, _mine
+from vprkit.rsf import _hinge, _mine, _plan
 import conftest
 from conftest import kernel_digest
 
@@ -472,8 +475,9 @@ class TestLabeledMining:
             ds = vk.Dataset(references=refs, queries=queries)
             model = vk.init_model(hidden_dims=[8], output_dim=6, seed=trial)
             ref_raws = np.stack([vk.extract_raw(r) for r in refs])
+            q_raws = np.stack([vk.extract_raw(q) for q in queries])
             (q_raws, positives, negatives), skipped = _mine(
-                model, ref_raws, *_labeled_rows(ds, config), config
+                model, ref_raws, _plan(ds, config), q_raws, config, 0, None
             )
 
             ref_descs = vk.forward_batch(model, ref_raws)
@@ -550,7 +554,7 @@ class TestTrain:
         ids=["poseless", "negative-radius-below-positive", "no-queries", "query-without-pose"],
     )
     def test_a_refused_labeled_run_extracts_no_image(self, monkeypatch, fault, config, needle):
-        """A labeled run that _labeled_rows refuses used to extract every
+        """A labeled run that _plan refuses used to extract every
         reference first; it is refused before any image is extracted."""
         world = _tiny_world()  # fresh records, with no raw kept yet
         if fault == "no queries":
@@ -571,7 +575,7 @@ class TestTrain:
         ]
         stream = vk.FinetuneDataset(refs, 1, vk.AugmentationSpec(), seed=0)
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
-        with pytest.raises(VprError, match="epoch 0 mined no triplet: 4 queries skipped"):
+        with pytest.raises(VprError, match="mines no triplet: 4 queries skipped"):
             vk.train(model, stream, vk.TrainConfig(epochs=2))
 
     def test_poseless_mining_needs_two_references(self, tiny_world_module):
@@ -951,6 +955,26 @@ def test_a_non_finite_head_weight_is_a_numerical_divergence(value):
         vk.rsf_finetune(model, _tiny_world(), config, spec)
 
 
+@pytest.mark.parametrize(
+    "batch_size, needle",
+    [(4, "non-finite loss at epoch 0, step 0$"), (1, "non-finite mean loss at epoch 0, step 4$")],
+    ids=["step-sum", "epoch-mean"],
+)
+def test_a_loss_sum_that_overflows_is_a_numerical_divergence(
+    tiny_world_module, batch_size, needle
+):
+    """A finite but huge margin keeps every triplet's loss finite, but a
+    step's sum of them, or with one triplet per step the epoch's mean,
+    overflows: training stops there, and NumPy warns of no overflow."""
+    stream = vk.FinetuneDataset(tiny_world_module.references, 1, vk.AugmentationSpec(), 0)
+    model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+    config = vk.TrainConfig(epochs=2, margin=1e308, batch_size=batch_size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalDivergence, match=needle):
+            vk.train(model, stream, config)
+
+
 @pytest.mark.parametrize("case", TRAINING_BITS)
 def test_log_times_each_epochs_stages(case, tiny_world_module, labeled_split):
     """Mining, the batch loop and validation: one value per epoch each,
@@ -1144,14 +1168,16 @@ class TestStreamReuse:
 
     @pytest.mark.parametrize("poseless", [False, True])
     def test_errors_arrive_in_the_same_order(self, poseless):
-        """Realizing comes first: a 1x8 warp is a ShapeError before a
-        missing pose is an InconsistentManifest, on every call."""
+        """The mining plan comes first: with poses, a missing pose is an
+        InconsistentManifest before a 1x8 warp is a ShapeError; poseless,
+        which reads no pose, the warp is refused.  So on every call."""
         pixels = np.random.default_rng(0).random((1, 8, 3))
         ds = vk.Dataset([vk.ImageRecord(f"r{i}", pixels, None) for i in range(4)])
         model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
         config = vk.TrainConfig(epochs=1, poseless=poseless)
+        first = (ShapeError, "1x8") if poseless else (InconsistentManifest, "'r0' has no pose")
         for _ in range(2):
-            with pytest.raises(ShapeError, match="1x8"):
+            with pytest.raises(first[0], match=first[1]):
                 vk.rsf_finetune(model, ds, config, vk.AugmentationSpec.from_string("viewpoint"))
         appearance = vk.AugmentationSpec.from_string("appearance")
         if poseless:  # needs no pose; the pose arm after it reuses its epoch
@@ -1400,3 +1426,72 @@ class TestWorkers:
         _cpus(monkeypatch, 2)
         model = _rsf_run()(_tiny_world(), None)[0]
         assert model.fingerprint() == inline.fingerprint() and not forks
+
+
+class TestRefusedStreams:
+    """A stream that its mining plan or the no-triplet check refuses is
+    refused before any image is realized or extracted and before any
+    realization worker is forked, through rsf_finetune and vprkit rsf."""
+
+    @pytest.mark.parametrize(
+        "fault, poseless, error, needle",
+        [
+            ("missing pose", False, InconsistentManifest, "record 'r2' has no pose"),
+            ("bad pose", False, InconsistentManifest, "record 'r2'"),
+            ("one reference", True, VprError, "at least two references, got 1"),
+            ("every row skipped", False, VprError, "mines no triplet: 10 queries skipped"),
+        ],
+    )
+    def test_through_rsf_finetune(self, monkeypatch, fault, poseless, error, needle):
+        world = _tiny_world()  # fresh records, with no raw kept yet
+        refs = world.references
+        if fault == "missing pose":
+            refs[2].pose = None
+        elif fault == "bad pose":
+            refs[2].pose = vk.Pose(float("nan"), 0.0)
+        elif fault == "one reference":
+            del refs[1:]
+        else:  # every reference within negative_radius of every other
+            for i, ref in enumerate(refs):
+                ref.pose = vk.Pose(float(i), 0.0)
+        _cpus(monkeypatch, 2)
+        forks = _counting_forks(monkeypatch)
+        extracted = Extractions(monkeypatch)
+        model = vk.init_model(hidden_dims=[8], output_dim=4, seed=1)
+        config = vk.TrainConfig(epochs=2, poseless=poseless, aug_multiplicity=2)
+        spec = vk.AugmentationSpec.from_string("appearance")
+        with pytest.raises(error, match=needle):
+            vk.rsf_finetune(model, world, config, spec)
+        assert len(extracted) == 0 and not forks
+
+    @pytest.mark.parametrize(
+        "argv, places, spacing, needle",
+        [
+            (["--no-poses"], 1, 30.0, "at least two references, got 1"),
+            ([], 1, 30.0, "mines no triplet: 2 queries skipped"),
+            ([], 4, 1.0, "mines no triplet: 8 queries skipped"),
+        ],
+        ids=["poseless-one-reference", "one-reference", "every-row-skipped"],
+    )
+    def test_through_vprkit_rsf(
+        self, monkeypatch, capsys, tmp_path, argv, places, spacing, needle
+    ):
+        world = vk.generate_synthetic(
+            vk.SynthWorldSpec(
+                place_count=4, spacing=spacing, reference_style=vk.StyleParams(),
+                query_style=vk.StyleParams(), queries_per_place=1, image_size=16, seed=2,
+            )
+        )
+        vk.save_dataset(vk.Dataset(world.references[:places]), tmp_path / "ds")
+        vk.save_model(vk.init_model(hidden_dims=[8], output_dim=4, seed=1), tmp_path / "m.vprh")
+        _cpus(monkeypatch, 2)
+        forks = _counting_forks(monkeypatch)
+        extracted = Extractions(monkeypatch)
+        code = main([
+            "rsf", "--model", str(tmp_path / "m.vprh"), "--dataset", str(tmp_path / "ds"),
+            "--seed", "1", "--epochs", "2", *argv, "--out", str(tmp_path / "out"),
+        ])
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert code == 1 and needle in record["message"]
+        assert len(extracted) == 0 and not forks
+        assert not (tmp_path / "out").exists()
